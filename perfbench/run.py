@@ -9,7 +9,8 @@ Each run is one process on one workload. The program is imported from
 prints no result. Inputs are generated from ``--seed``. The workload's
 full-length job runs once, then short timing samples of the same call repeat
 until ``--seconds`` have passed since the job started, with the set-up
-repeated between samples. The last line of standard output is the result
+repeated between samples. Samples cycle through ``STREAMS`` training streams
+drawn from the seed. The last line of standard output is the result
 ``{"correct", "attempted", "failed", "metrics"}``; the line before it holds the
 environment, every job's and sample's times and any failures.
 
@@ -29,10 +30,14 @@ End-to-end metrics (``--trace 0``, no tracer installed):
   loaded checkpoint (``eval_probes``). It is bit-identical for a seed.
 * ``peak_rss_mb``: the process's ``ru_maxrss``.
 
-Both throughputs are the fastest job or sample of the run, not the median.
-On a shared machine other tenants slow whole stretches of a run by a third or
-more and only ever slow a call down, so the fastest of many short calls is
-the figure that repeats from run to run.
+Every time in these metrics is on the reference clock of ``refclock.py``:
+the host seconds of each set-up, job and sample are scaled by the host's
+speed just before and after it, measured with a fixed loop that does not use
+the program. On a shared machine other tenants slow whole stretches of a run
+by a third or more; scaling cancels that, while a slower program still shows
+in full. ``setup_s`` and both throughputs are medians over the run's
+set-ups or its job and samples. The host seconds and scale factors are in
+the line before the result.
 
 Per-layer metrics (``--trace 1``): set-up plus job run alternately traced
 and untraced (at least two traced units and one untraced). The tracer in
@@ -65,6 +70,34 @@ import sys
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 sys.dont_write_bytecode = True
 
+import ctypes
+
+# Fixed glibc malloc thresholds. By default glibc raises its mmap threshold
+# each time it frees a block mapped above it, so whether a block of a few
+# hundred KiB comes from the heap or from a fresh mapping (with a page fault
+# per 4 KiB) depends on what the process freed before. Between runs of the
+# same code that made the SSL workload's scoring 2.8x faster or slower. The
+# values are those the dynamic rule settles at on 64-bit glibc: mmap above
+# 32 MiB, trim above twice that. They are recorded with every result; without
+# glibc nothing is set.
+MALLOC_MMAP_THRESHOLD = 32 << 20
+MALLOC_TRIM_THRESHOLD = 64 << 20
+
+
+def fix_malloc_thresholds() -> bool:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h;
+    # mallopt returns 1 on success.
+    return bool(mallopt(-3, MALLOC_MMAP_THRESHOLD)) and bool(
+        mallopt(-1, MALLOC_TRIM_THRESHOLD)
+    )
+
+
+MALLOC_FIXED = fix_malloc_thresholds()
+
 import argparse
 import json
 import platform
@@ -79,6 +112,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # Share of a timed run's budget that repeated set-ups may take.
 SETUP_SHARE = 0.1
+# Timing samples cycle through this many training streams of the run seed.
+STREAMS = 8
 
 
 def import_program():
@@ -124,6 +159,9 @@ def environment() -> dict:
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "DEMIX_THREADS": os.environ.get("DEMIX_THREADS"),
+        "malloc_thresholds": {
+            "mmap": MALLOC_MMAP_THRESHOLD, "trim": MALLOC_TRIM_THRESHOLD
+        } if MALLOC_FIXED else None,
         "git": git_state(),
     }
 
@@ -170,12 +208,15 @@ def _unit(wl, seed: int, workdir: Path):
 
 
 def timed_run(wl, seed: int, seconds: float, workdir: Path, run: Run):
-    setup_s = []
+    from refclock import HostClock
+
+    clock = HostClock()
+    setups = []  # (host seconds, reference-clock factor) of each set-up
 
     def fresh_setup():
         t0 = time.perf_counter()
         state = wl.setup(seed, workdir)
-        setup_s.append(time.perf_counter() - t0)
+        setups.append((time.perf_counter() - t0, clock.scale()))
         return state
 
     state = run.attempt("setup", fresh_setup)
@@ -186,40 +227,53 @@ def timed_run(wl, seed: int, seconds: float, workdir: Path, run: Run):
     if job is None:
         return {}, {}
     run.record("job", job)
+
+    def timing(j):
+        return j.train_rows, j.train_s, j.eval_rows, j.eval_s, clock.scale()
+
+    timed = [timing(job)]
     # Timing samples run until the next one would end past the budget by half.
     # Set-ups are repeated between them, spread over the run, so that their
-    # median does not hang on the machine's speed at one moment; every fresh
-    # set-up must reproduce the samples' result exactly.
-    timed = [(job.train_rows, job.train_s, job.eval_rows, job.eval_s)]
+    # median does not hang on the machine's speed at one moment. Each repeat
+    # of a stream, on the same or a fresh set-up, must reproduce its first
+    # result exactly.
     sample_s = []
     while True:
+        stream = len(sample_s) % STREAMS
         label = f"sample {len(sample_s)}"
         t0 = time.perf_counter()
-        sample = run.attempt(label, lambda: wl.sample(state))
+        sample = run.attempt(label, lambda: wl.sample(state, stream))
         if sample is None:
             break
         sample_s.append(time.perf_counter() - t0)
-        run.record(label, sample, kind="sample")
-        timed.append((sample.train_rows, sample.train_s, sample.eval_rows, sample.eval_s))
+        timed.append(timing(sample))
+        run.record(label, sample, kind=f"stream {stream}")
         elapsed = time.perf_counter() - start
         if elapsed + 0.5 * statistics.median(sample_s) >= seconds:
             break
-        if len(setup_s) < 3 or sum(setup_s) < SETUP_SHARE * elapsed:
+        if len(setups) < 3 or sum(s for s, _ in setups) < SETUP_SHARE * elapsed:
             state = sample = None  # release the old inputs before building new ones
-            state = run.attempt(f"setup {len(setup_s)}", fresh_setup)
+            state = run.attempt(f"setup {len(setups)}", fresh_setup)
             if state is None:
                 break
     metrics = {
-        "setup_s": statistics.median(setup_s),
-        "train_samples_per_s": max(rows / secs for rows, secs, _, _ in timed),
-        "eval_samples_per_s": max(rows / secs for _, _, rows, secs in timed if rows),
+        "setup_s": statistics.median(s * f for s, f in setups),
+        "train_samples_per_s": statistics.median(
+            rows / (secs * f) for rows, secs, _, _, f in timed
+        ),
+        "eval_samples_per_s": statistics.median(
+            rows / (secs * f) for _, _, rows, secs, f in timed if rows
+        ),
         "final_top1": job.final_top1,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     info = {
-        "setup_s": setup_s,
+        "setup_s": [s for s, _ in setups],
+        "setup_factor": [f for _, f in setups],
         "train_s": [t[1] for t in timed],
         "eval_s": [t[3] for t in timed],
+        "reference_factor": [t[4] for t in timed],
+        "reference_loop_s": clock.loop_s,
     }
     return metrics, info
 

@@ -3,12 +3,14 @@
 Every workload builds its inputs from the run seed (``setup``) and then runs
 one fixed, deterministic job on them (``job``), which gives ``final_top1`` and
 the per-layer profile. ``sample`` is the same call at a length of a second or
-two, repeated to time throughput: on a shared machine the speed drifts over
-stretches of seconds, and only many short samples catch the undisturbed
-speed. A job returns what it drew and scored, the time its timed calls took,
-its ``final_top1`` and any failed check. Calls into the program go through
-module attributes (``network.forward``, never a name bound at import) so that
-a tracer can replace them.
+two, repeated to time throughput. Each sample draws its training and probe
+streams from the run seed and a stream number: how much work a step does can
+depend on the stream (the pseudo-labels SSL accepts, the cut masks the hard
+mixed set rejects), and a run that times several streams does not hang its
+throughput on one of them. A job returns what it drew and scored, the time
+its timed calls took, its ``final_top1`` and any failed check. Calls into the
+program go through module attributes (``network.forward``, never a name bound
+at import) so that a tracer can replace them.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ class Job:
         return out
 
 
+def stream_seed(seed: int, stream: int) -> int:
+    """The training seed of timing stream ``stream`` of run seed ``seed``."""
+    return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
+
+
 def _score(params, ds, repeats: int) -> tuple[int, float]:
     """Score ``ds`` ``repeats`` times; rows per call and the fastest call's seconds."""
     times = []
@@ -102,20 +109,19 @@ class Supervised:
         return {"seed": seed, "train": train, "val": val}
 
     def job(self, st: dict) -> Job:
-        return self._train(st, self.epochs)
+        return self._train(st, self.epochs, st["seed"])
 
-    def sample(self, st: dict) -> Job:
-        return self._train(st, self.sample_epochs)
+    def sample(self, st: dict, stream: int) -> Job:
+        return self._train(st, self.sample_epochs, stream_seed(st["seed"], stream))
 
-    def _train(self, st: dict, epochs: int) -> Job:
+    def _train(self, st: dict, epochs: int, seed: int) -> Job:
         train, val = st["train"], st["val"]
         if self.arch == "conv":
             specs = network.make_conv(1, train.num_classes, train.x.shape[1:])
         else:
             specs = network.make_mlp(train.x[0].size, 256, train.num_classes)
         cfg = network.TrainConfig(
-            base_lr=self.base_lr, epochs=epochs, batch_size=self.batch_size,
-            seed=st["seed"],
+            base_lr=self.base_lr, epochs=epochs, batch_size=self.batch_size, seed=seed
         )
         t0 = time.perf_counter()
         params, log = network.train_supervised(train, val, specs, CUTMIX, DM_CE, cfg)
@@ -162,19 +168,19 @@ class SemiSupervised:
         return {"seed": seed, "labeled": labeled, "unlabeled": rest.x, "test": test}
 
     def job(self, st: dict) -> Job:
-        return self._train(st, self.steps)
+        return self._train(st, self.steps, st["seed"])
 
-    def sample(self, st: dict) -> Job:
-        return self._train(st, self.sample_steps)
+    def sample(self, st: dict, stream: int) -> Job:
+        return self._train(st, self.sample_steps, stream_seed(st["seed"], stream))
 
-    def _train(self, st: dict, steps: int) -> Job:
+    def _train(self, st: dict, steps: int, seed: int) -> Job:
         labeled, unlabeled, test = st["labeled"], st["unlabeled"], st["test"]
         cfg = semisup.SSLConfig(
             tau=0.95, unlabeled_weight=1.0, eta=0.1, alpha=0.2, steps=steps,
             asymmetric_mixing=True, eval_interval=100,
         )
         tcfg = network.TrainConfig(
-            base_lr=0.3, min_lr=0.003, epochs=1, batch_size=len(labeled), seed=st["seed"]
+            base_lr=0.3, min_lr=0.003, epochs=1, batch_size=len(labeled), seed=seed
         )
         specs = network.make_mlp(2, 32, 2)
         t0 = time.perf_counter()
@@ -212,16 +218,19 @@ class EvalProbes:
         st["trained"] = trained
         return st
 
-    def sample(self, st: dict) -> Job:
+    def sample(self, st: dict, stream: int) -> Job:
         """The probe suite, plus a short training call of the checkpoint's kind."""
-        job = self.job(st)
-        short = self.checkpoint.sample(st)
+        job = self._probe(st, stream_seed(st["seed"], stream))
+        short = self.checkpoint.sample(st, stream)
         job.train_rows, job.train_s = short.train_rows, short.train_s
         job.logged += short.logged
         return job
 
     def job(self, st: dict) -> Job:
-        val, seed = st["val"], st["seed"]
+        return self._probe(st, st["seed"])
+
+    def _probe(self, st: dict, seed: int) -> Job:
+        val = st["val"]
         t0 = time.perf_counter()
         model = network.load_checkpoint(st["path"])
         hard = evaluation.make_hard_mixed_set(
@@ -291,7 +300,7 @@ LOSS_KINDS = ("mce", "dm_ce", "mbce_one", "mbce_two", "dm_bce")
 
 
 def _best_ms(fn, repeats: int) -> float:
-    """Fastest of ``repeats`` calls, in milliseconds (see run.py on best-of)."""
+    """Fastest of ``repeats`` calls, in milliseconds."""
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
