@@ -22,6 +22,7 @@ from .mixers import (
     MixMask,
     MixedBatch,
     MixedTarget,
+    Targets,
     apply_mask,
     asymmetric_pair,
     make_cutmix_mask,
@@ -34,6 +35,7 @@ from .network import (
     HiddenMixSpec,
     Parameters,
     TrainConfig,
+    TrainingDiverged,
     backward,
     forward,
     forward_manifold_mix,

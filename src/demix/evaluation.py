@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import batch_loss, softmax, LossSpec
-from .mixers import Lambda, MixedBatch, MixedTarget, apply_mask, make_cutmix_mask
+from .mixers import Lambda, MixedBatch, Targets, apply_mask, make_cutmix_mask
 from .network import Parameters, adapt_inputs, backward, forward, plain_targets
 
 _CE = LossSpec(kind="mce")
@@ -88,19 +88,16 @@ def mixed_pair_eval(params: Parameters, mixed: MixedBatch) -> MixedPairEval:
     """
     logits = predict_logits(params, mixed.inputs)
     order = np.argsort(logits, axis=1)
+    t = mixed.targets
     top1 = order[:, -1]
-    top2 = order[:, -2:]
+    hit1 = (top1 == t.a) | (top1 == t.b)
+    top2 = np.sort(order[:, -2:], axis=1)
+    pair = np.sort(np.stack([t.a, t.b], axis=1), axis=1)
+    hit2 = np.all(top2 == pair, axis=1)
     probs = softmax(logits)
-    n = len(logits)
-    hit1 = 0
-    hit2 = 0
-    for i, t in enumerate(mixed.targets):
-        pair = {t.class_a, t.class_b}
-        if int(top1[i]) in pair:
-            hit1 += 1
-        if set(top2[i].tolist()) == pair:
-            hit2 += 1
-    return MixedPairEval(hit1 / n, hit2 / n, float(probs.max(axis=1).mean()))
+    return MixedPairEval(
+        float(hit1.mean()), float(hit2.mean()), float(probs.max(axis=1).mean())
+    )
 
 
 def make_hard_mixed_set(
@@ -119,8 +116,7 @@ def make_hard_mixed_set(
     absent, which dilutes the pair metrics).
     """
     n = len(dataset)
-    inputs = []
-    targets = []
+    inputs, a, b, ratios = [], [], [], []
     h, w = dataset.x.shape[-2:]
     while len(inputs) < count:
         i, j = rng.integers(n), rng.integers(n)
@@ -130,8 +126,10 @@ def make_hard_mixed_set(
         if area_band is not None and not (area_band[0] <= adj.value <= area_band[1]):
             continue
         inputs.append(apply_mask(dataset.x[i], dataset.x[j], mask))
-        targets.append(MixedTarget(int(dataset.y[i]), int(dataset.y[j]), adj))
-    return MixedBatch(np.stack(inputs), targets, np.arange(count))
+        a.append(dataset.y[i])
+        b.append(dataset.y[j])
+        ratios.append(adj.value)
+    return MixedBatch(np.stack(inputs), Targets(a, b, ratios), np.arange(count))
 
 
 def input_gradients(params: Parameters, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -41,7 +41,6 @@ METRIC_REGISTRY = frozenset(
         "mixed_mean_conf",
         "occlusion_top1",
         "confidence_hist",
-        "rescale_value",
     }
 )
 

@@ -1,19 +1,23 @@
 """Training objectives for mixed samples.
 
-Each loss takes a logit vector ``z`` of length C and returns a
-:class:`LossResult` carrying the scalar value and the analytic gradient with
-respect to the logits. All log-ratios are evaluated in log space
+:func:`batch_loss` evaluates an objective on (n, C) logits against
+:class:`~demix.mixers.Targets` in one pass and returns a :class:`LossResult`
+carrying the mean value and the analytic gradient with respect to the logits.
+The per-sample functions (``mce_loss``, ``dm_ce_loss``, ...) take one logit
+vector and do the same arithmetic; they are the reference oracle of the
+batched kernels. All log-ratios are evaluated in log space
 (``z_i - logsumexp``) so confident predictions never hit ``log(1 - p)``
 cancellation. Everything here is a pure function.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mixers import Lambda, MixedTarget
+from .mixers import Lambda, MixedTarget, Targets
 
 BCE_TARGET_MODES = ("one", "two", "rescaled")
 LOSS_KINDS = ("mce", "dm_ce", "mbce_one", "mbce_two", "dm_bce")
@@ -239,43 +243,132 @@ def mbce_loss(z: np.ndarray, targets: np.ndarray) -> LossResult:
     return LossResult(float(value), sig - targets)
 
 
-def per_sample_loss(z: np.ndarray, target: MixedTarget, spec: LossSpec) -> LossResult:
-    """Dispatch one sample through the objective selected by ``spec``."""
-    if spec.kind == "mce":
-        return mce_loss(z, target)
-    if spec.kind == "dm_ce":
-        return dm_ce_loss(z, target, spec.dm)
-    num_classes = len(z)
-    if spec.kind == "mbce_one":
-        return mbce_loss(z, build_mixed_bce_targets(target, num_classes, "one"))
-    if spec.kind == "mbce_two":
-        return mbce_loss(z, build_mixed_bce_targets(target, num_classes, "two"))
-    # dm_bce: rescaled-target BCE; the eta hook stays off unless configured.
-    vec = build_mixed_bce_targets(target, num_classes, "rescaled", spec.rescale)
-    res = mbce_loss(z, vec)
-    if spec.dm.eta > 0.0 and target.class_a != target.class_b:
-        reg = dm_regularizer(z, target.class_a, target.class_b)
-        res = LossResult(
-            res.value + spec.dm.eta * reg.value,
-            res.grad_logits + spec.dm.eta * reg.grad_logits,
-        )
-    return res
+# ---------------------------------------------------------------------------
+# Batched objectives: each ``*_rows`` kernel takes (n, C) logits and per-row
+# class arrays and returns the per-row values (n,) and gradients (n, C), with
+# the arithmetic of the matching per-sample function above.
+# ---------------------------------------------------------------------------
+
+
+def _decoupled_rows(z: np.ndarray, excluded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, exp(z_i - lse) with lse the logsumexp over every column but
+    the excluded one (which gets 0), and lse itself.
+
+    Log-space exclusion: the excluded column is set to -inf before the
+    logsumexp, so a dominant excluded logit neither cancels against the total
+    nor overflows the exponent.
+    """
+    masked = z.copy()
+    masked[np.arange(len(z)), excluded] = -np.inf
+    m = masked.max(axis=1, keepdims=True)
+    lse = m + np.log(np.sum(np.exp(masked - m), axis=1, keepdims=True))
+    return np.exp(masked - lse), lse[:, 0]
+
+
+def mce_rows(z: np.ndarray, a, b, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Mixed cross-entropy of every row; ``lam`` may be an array or a scalar."""
+    rows = np.arange(len(z))
+    logp = log_softmax(z)
+    value = -(lam * logp[rows, a] + (1.0 - lam) * logp[rows, b])
+    grad = np.exp(logp)
+    grad[rows, a] -= lam
+    grad[rows, b] -= 1.0 - lam
+    return value, grad
+
+
+def _dm_rows(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decoupled regularizer of every row; same-class rows give exactly 0."""
+    rows = np.arange(len(z))
+    phi_no_a, lse_no_a = _decoupled_rows(z, a)
+    phi_no_b, lse_no_b = _decoupled_rows(z, b)
+    value = -((z[rows, a] - lse_no_b) + (z[rows, b] - lse_no_a))
+    grad = phi_no_a + phi_no_b
+    grad[rows, a] = phi_no_b[rows, a] - 1.0
+    grad[rows, b] = phi_no_a[rows, b] - 1.0
+    same = a == b
+    value[same] = 0.0
+    grad[same] = 0.0
+    return value, grad
+
+
+def asymmetric_dm_rows(
+    z: np.ndarray, labeled: np.ndarray, pseudo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-directional decoupled term of every row; same-class rows give 0."""
+    rows = np.arange(len(z))
+    grad, lse = _decoupled_rows(z, pseudo)
+    value = -(z[rows, labeled] - lse)
+    grad[rows, labeled] -= 1.0
+    same = labeled == pseudo
+    value[same] = 0.0
+    grad[same] = 0.0
+    return value, grad
+
+
+def _rescale_rows(v: np.ndarray, params: RescaleParams) -> np.ndarray:
+    if params.xi == 0.0 or params.t == 0.0:
+        out = np.ones_like(v)
+    else:
+        out = np.minimum((v / params.xi) ** params.t, 1.0)
+    out[v == 0.0] = 0.0
+    return out
+
+
+def _bce_target_rows(
+    targets: Targets, num_classes: int, mode: str, params: RescaleParams
+) -> np.ndarray:
+    """(n, C) sigmoid targets; row i equals ``build_mixed_bce_targets`` of row i."""
+    rows = np.arange(len(targets))
+    a, b, lam = targets.a, targets.b, targets.lam
+    out = np.zeros((len(targets), num_classes))
+    if mode == "one":
+        out[rows, a] += lam
+        out[rows, b] += 1.0 - lam
+    elif mode == "two":
+        out[rows, a] = 1.0
+        out[rows, b] = 1.0
+    else:
+        out[rows, a] = _rescale_rows(lam, params)
+        out[rows, b] = _rescale_rows(1.0 - lam, params)
+        out[rows[a == b], a[a == b]] = 1.0
+    return out
+
+
+def _mbce_rows(z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-vs-all BCE of every row, summed over classes."""
+    e = np.exp(-np.abs(z))
+    value = np.sum(np.maximum(z, 0.0) - z * targets + np.log1p(e), axis=1)
+    sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return value, sig - targets
 
 
 def batch_loss(
-    z_batch: np.ndarray, targets: list[MixedTarget], spec: LossSpec
+    z_batch: np.ndarray, targets: Targets | Sequence[MixedTarget], spec: LossSpec
 ) -> LossResult:
-    """Mean-reduced loss over a batch; gradient rows are scaled by 1/batch."""
+    """Mean-reduced loss over a batch; gradient rows are scaled by 1/batch.
+
+    ``targets`` is a :class:`Targets` record or a sequence of
+    :class:`MixedTarget`, converted once here.
+    """
     z_batch = np.asarray(z_batch, dtype=float)
     n = len(z_batch)
     if n == 0:
         raise ValueError("empty batch")
+    if not isinstance(targets, Targets):
+        targets = Targets.from_records(targets)
     if len(targets) != n:
         raise ValueError("one target per sample required")
-    grads = np.empty_like(z_batch)
-    total = 0.0
-    for i in range(n):
-        res = per_sample_loss(z_batch[i], targets[i], spec)
-        total += res.value
-        grads[i] = res.grad_logits
-    return LossResult(total / n, grads / n)
+    if max(targets.a.max(), targets.b.max()) >= z_batch.shape[1]:
+        raise IndexError("class index out of range")
+    if spec.kind in ("mce", "dm_ce"):
+        value, grad = mce_rows(z_batch, targets.a, targets.b, targets.lam)
+    else:
+        mode = {"mbce_one": "one", "mbce_two": "two", "dm_bce": "rescaled"}[spec.kind]
+        vec = _bce_target_rows(targets, z_batch.shape[1], mode, spec.rescale)
+        value, grad = _mbce_rows(z_batch, vec)
+    # dm_bce: rescaled-target BCE; the eta hook stays off unless configured.
+    if spec.kind in ("dm_ce", "dm_bce") and spec.dm.eta > 0.0:
+        reg_value, reg_grad = _dm_rows(z_batch, targets.a, targets.b)
+        value = value + spec.dm.eta * reg_value
+        grad = grad + spec.dm.eta * reg_grad
+    return LossResult(float(value.sum()) / n, grad / n)

@@ -89,13 +89,64 @@ class MixedTarget:
             raise ValueError("class indices must be nonnegative")
 
 
+@dataclass(frozen=True, eq=False)
+class Targets:
+    """Label arrays of a mixed batch: source classes ``a``, ``b`` and ratio ``lam``.
+
+    Each field has shape (n,); row i is the target of sample i. ``len``,
+    indexing and iteration yield the same rows as :class:`MixedTarget`
+    records.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    lam: np.ndarray
+
+    def __post_init__(self):
+        a = np.asarray(self.a, dtype=np.int64)
+        b = np.asarray(self.b, dtype=np.int64)
+        lam = np.asarray(self.lam, dtype=float)
+        if a.ndim != 1 or b.shape != a.shape or lam.shape != a.shape:
+            raise ValueError("a, b and lam must be 1-D arrays of one length")
+        if len(a) and min(a.min(), b.min()) < 0:
+            raise ValueError("class indices must be nonnegative")
+        if not np.all((lam >= 0.0) & (lam <= 1.0)):
+            raise ValueError("mixing ratios must lie in [0, 1]")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "lam", lam)
+
+    @classmethod
+    def from_records(cls, records) -> "Targets":
+        records = list(records)
+        return cls(
+            [t.class_a for t in records],
+            [t.class_b for t in records],
+            [t.lam.value for t in records],
+        )
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, i: int) -> MixedTarget:
+        return MixedTarget(int(self.a[i]), int(self.b[i]), Lambda(float(self.lam[i])))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 @dataclass(eq=False)
 class MixedBatch:
+    """Mixed inputs, their targets and the pairing; a list of records becomes
+    :class:`Targets`."""
+
     inputs: np.ndarray
-    targets: list[MixedTarget]
+    targets: Targets
     pairing: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.targets, Targets):
+            self.targets = Targets.from_records(self.targets)
         n = len(self.inputs)
         if len(self.targets) != n:
             raise ValueError("one target per sample required")
@@ -285,11 +336,8 @@ def mix_batch(
         mixed = inputs.copy()
         adjusted = lams
 
-    targets = [
-        MixedTarget(int(labels[i]), int(labels[pairing[i]]), adjusted[i])
-        for i in range(n)
-    ]
-    return MixedBatch(mixed, targets, pairing)
+    ratios = np.fromiter((t.value for t in adjusted), float, n)
+    return MixedBatch(mixed, Targets(labels, labels[pairing], ratios), pairing)
 
 
 def asymmetric_pair(

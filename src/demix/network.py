@@ -17,7 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LossSpec, batch_loss
-from .mixers import Lambda, MixConfig, MixedTarget, mix_batch, mix_linear
+from .mixers import Lambda, MixConfig, Targets, mix_batch
+
+
+ACTIVATIONS = ("relu", "none")
+
+
+def _check_layer(activation: str, *sizes: int) -> None:
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
+    if min(sizes) < 1:
+        raise ValueError(f"layer sizes must be positive, got {sizes}")
 
 
 @dataclass(frozen=True)
@@ -25,6 +35,9 @@ class DenseSpec:
     in_dim: int
     out_dim: int
     activation: str = "relu"  # "relu" | "none"
+
+    def __post_init__(self):
+        _check_layer(self.activation, self.in_dim, self.out_dim)
 
 
 @dataclass(frozen=True)
@@ -35,10 +48,18 @@ class ConvSpec:
     pad: int = 1
     activation: str = "relu"
 
+    def __post_init__(self):
+        _check_layer(self.activation, self.in_ch, self.out_ch, self.ksize)
+        if self.pad < 0:
+            raise ValueError(f"pad must be nonnegative, got {self.pad}")
+
 
 @dataclass(frozen=True)
 class PoolSpec:
     size: int = 2
+
+    def __post_init__(self):
+        _check_layer("none", self.size)
 
 
 @dataclass(frozen=True)
@@ -406,10 +427,19 @@ def sgd_step(
     return params
 
 
-def plain_targets(labels: np.ndarray) -> list[MixedTarget]:
+def plain_targets(labels: np.ndarray) -> Targets:
     """Unmixed labels as degenerate targets (a == b, lam = 1)."""
-    one = Lambda(1.0)
-    return [MixedTarget(int(y), int(y), one) for y in labels]
+    return Targets(labels, labels, np.ones(len(labels)))
+
+
+class TrainingDiverged(ArithmeticError):
+    """The scalar batch loss of a training step is NaN or infinite."""
+
+
+def check_finite_loss(value: float, where: str) -> None:
+    """Raise :class:`TrainingDiverged` naming ``where`` if ``value`` is not finite."""
+    if not math.isfinite(value):
+        raise TrainingDiverged(f"training diverged at {where}: batch loss {value!r}")
 
 
 def _val_top1(params: Parameters, x: np.ndarray, y: np.ndarray) -> float:
@@ -472,6 +502,7 @@ def train_supervised(
                 z, cache = forward(params, adapt_inputs(specs, mb.inputs))
                 targets = mb.targets
             res = batch_loss(z, targets, loss_spec)
+            check_finite_loss(res.value, f"epoch {epoch}, step {step}")
             grads, _ = backward(params, cache, res.grad_logits)
             sgd_step(params, grads, velocity, step, total_steps, config)
             step += 1
@@ -500,14 +531,20 @@ def _spec_token(spec: LayerSpec) -> str:
 
 
 def _parse_spec_token(token: str) -> LayerSpec:
-    parts = token.split(":")
-    if parts[0] == "dense":
-        return DenseSpec(int(parts[1]), int(parts[2]), parts[3])
-    if parts[0] == "conv":
-        return ConvSpec(int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4]), parts[5])
-    if parts[0] == "pool":
-        return PoolSpec(int(parts[1]))
-    if parts[0] == "flatten":
+    kind, *fields = token.split(":")
+    try:
+        if kind == "dense":
+            in_dim, out_dim, activation = fields
+            return DenseSpec(int(in_dim), int(out_dim), activation)
+        if kind == "conv":
+            in_ch, out_ch, ksize, pad, activation = fields
+            return ConvSpec(int(in_ch), int(out_ch), int(ksize), int(pad), activation)
+        if kind == "pool":
+            (size,) = fields
+            return PoolSpec(int(size))
+    except ValueError as exc:
+        raise ValueError(f"malformed layer token {token!r}: {exc}") from exc
+    if token == "flatten":
         return FlattenSpec()
     raise ValueError(f"unknown layer token {token!r}")
 
@@ -556,6 +593,10 @@ def load_checkpoint(path) -> Parameters:
                 .astype(float)
                 .reshape(shape)
             )
+        if f.read(1):
+            raise ValueError("trailing bytes after the checkpoint payload")
+    if not all(np.isfinite(arr).all() for arr in arrays):
+        raise ValueError("checkpoint holds non-finite weights")
     params = init_params(specs, np.random.default_rng(0))
     expected = params.arrays()
     if len(expected) != len(arrays):

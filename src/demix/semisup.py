@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossResult, LossSpec, asymmetric_dm_loss, batch_loss, mce_loss, softmax
-from .mixers import Lambda, MixedTarget, asymmetric_pair, sample_lambda
+from .losses import LossSpec, asymmetric_dm_rows, batch_loss, mce_rows, softmax
+from .mixers import sample_lambda
 from .network import (
     Parameters,
     TrainConfig,
     adapt_inputs,
     backward,
+    check_finite_loss,
     forward,
     init_params,
     plain_targets,
@@ -113,81 +114,74 @@ def ssl_step(
                    + mixed CE on asymmetric labeled/unlabeled pairs
                    + eta * one-directional decoupled term on those pairs ]
 
+    The labeled and unlabeled rows share one forward and one backward pass;
+    the asymmetric pairs need the pseudo-labels, so they get a second
+    forward and backward.
     The mixing coefficient of the labeled sample is clamped to <= 0.5 and the
     decoupled term skips pairs whose pseudo class equals the labeled class.
+    ``metrics["loss"]`` is the scalar loss of the step.
     """
     if velocity is None:
         velocity = zeros_like_params(params)
     x_l, y_l = labeled
-    if len(x_l) == 0 or len(unlabeled_x) == 0:
+    x_l = np.asarray(x_l, dtype=float)
+    n_l, n_u = len(x_l), len(unlabeled_x)
+    if n_l == 0 or n_u == 0:
         raise ValueError("both batches must be nonempty")
     specs = params.specs
 
-    z_l, cache_l = forward(params, adapt_inputs(specs, x_l))
-    res_l = batch_loss(z_l, plain_targets(y_l), CE_SPEC)
-    grads, _ = backward(params, cache_l, res_l.grad_logits)
-
+    z, cache = forward(params, adapt_inputs(specs, np.concatenate([x_l, unlabeled_x])))
+    z_l, z_u = z[:n_l], z[n_l:]
+    value_l, grad_l = mce_rows(z_l, y_l, y_l, 1.0)
+    grad = np.zeros_like(z)
+    grad[:n_l] = grad_l / n_l
+    classes, _, accepted = pseudo_label_batch(z_u, config.tau)
     metrics = {
-        "loss_labeled": res_l.value,
+        "loss_labeled": float(value_l.sum()) / n_l,
         "loss_pseudo": 0.0,
         "loss_mix": 0.0,
-        "accepted_frac": 0.0,
+        "accepted_frac": float(accepted.mean()),
     }
 
-    z_u, cache_u = forward(params, adapt_inputs(specs, unlabeled_x))
-    classes, conf, accepted = pseudo_label_batch(z_u, config.tau)
-    n_u = len(unlabeled_x)
-    metrics["accepted_frac"] = float(accepted.mean())
-
     w_u = config.unlabeled_weight
+    grads_mix = None
     if w_u > 0.0 and accepted.any():
         # Masked-sum CE over the full unlabeled batch (accepted rows only).
-        grad_u = np.zeros_like(z_u)
-        pseudo_value = 0.0
-        for i in np.flatnonzero(accepted):
-            r = mce_loss(z_u[i], MixedTarget(int(classes[i]), int(classes[i]), Lambda(1.0)))
-            pseudo_value += r.value
-            grad_u[i] = r.grad_logits
-        pseudo_value /= n_u
-        g_u, _ = backward(params, cache_u, grad_u / n_u)
-        _accumulate(grads, g_u, w_u)
-        metrics["loss_pseudo"] = pseudo_value
+        acc_idx = np.flatnonzero(accepted)
+        c = classes[acc_idx]
+        value_u, grad_u = mce_rows(z_u[acc_idx], c, c, 1.0)
+        grad[n_l + acc_idx] = w_u * (grad_u / n_u)
+        metrics["loss_pseudo"] = float(value_u.sum()) / n_u
 
         if config.asymmetric_mixing:
-            acc_idx = np.flatnonzero(accepted)
-            partners = rng.choice(acc_idx, size=len(x_l), replace=True)
-            mixed = np.empty_like(np.asarray(x_l, dtype=float))
-            targets = []
-            for i, j in enumerate(partners):
-                lam = sample_lambda(config.alpha, rng)
-                mixed[i], eff = asymmetric_pair(x_l[i], unlabeled_x[j], lam)
-                targets.append(MixedTarget(int(y_l[i]), int(classes[j]), eff))
+            partners = rng.choice(acc_idx, size=n_l, replace=True)
+            lam = np.array([sample_lambda(config.alpha, rng).value for _ in range(n_l)])
+            eff = np.minimum(lam, 1.0 - lam)  # as asymmetric_pair, row by row
+            w = eff.reshape((n_l,) + (1,) * (x_l.ndim - 1))
+            mixed = w * x_l + (1.0 - w) * unlabeled_x[partners]
             z_m, cache_m = forward(params, adapt_inputs(specs, mixed))
-            res_m = batch_loss(z_m, targets, CE_SPEC)
-            grad_m = res_m.grad_logits.copy()
-            mix_value = res_m.value
+            pseudo = classes[partners]
+            value_m, grad_m = mce_rows(z_m, y_l, pseudo, eff)
+            mix_value = float(value_m.sum()) / n_l
+            grad_m /= n_l
             if config.eta > 0.0:
-                n_m = len(mixed)
-                dm_value = 0.0
-                for i, t in enumerate(targets):
-                    r = asymmetric_dm_loss(z_m[i], t.class_a, t.class_b)
-                    dm_value += r.value
-                    grad_m[i] += config.eta * r.grad_logits / n_m
-                mix_value += config.eta * dm_value / n_m
-            g_m, _ = backward(params, cache_m, grad_m)
-            _accumulate(grads, g_m, w_u)
+                value_dm, grad_dm = asymmetric_dm_rows(z_m, y_l, pseudo)
+                mix_value += config.eta * float(value_dm.sum()) / n_l
+                grad_m += config.eta * grad_dm / n_l
+            grads_mix, _ = backward(params, cache_m, w_u * grad_m)
             metrics["loss_mix"] = mix_value
 
+    grads, _ = backward(params, cache, grad)
+    if grads_mix is not None:
+        for i in range(len(specs)):
+            if grads.weights[i] is not None:
+                grads.weights[i] += grads_mix.weights[i]
+                grads.biases[i] += grads_mix.biases[i]
+    metrics["loss"] = metrics["loss_labeled"] + w_u * (
+        metrics["loss_pseudo"] + metrics["loss_mix"]
+    )
     sgd_step(params, grads, velocity, step, total_steps, config=train_config)
     return params, metrics
-
-
-def _accumulate(into: Parameters, other: Parameters, weight: float) -> None:
-    for i in range(len(into.specs)):
-        if into.weights[i] is None:
-            continue
-        into.weights[i] += weight * other.weights[i]
-        into.biases[i] += weight * other.biases[i]
 
 
 def train_ssl(
@@ -243,10 +237,12 @@ def train_ssl(
                 step=step,
                 total_steps=config.steps,
             )
+            check_finite_loss(metrics["loss"], f"step {step}")
             window.append(metrics["accepted_frac"])
         else:
             z, cache = forward(params, adapt_inputs(params.specs, batch_l[0]))
             res = batch_loss(z, plain_targets(batch_l[1]), CE_SPEC)
+            check_finite_loss(res.value, f"step {step}")
             grads, _ = backward(params, cache, res.grad_logits)
             sgd_step(params, grads, velocity, step, config.steps, train_config)
             window.append(0.0)

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demix.losses import (
+    LOSS_KINDS,
     DMConfig,
+    LossResult,
     LossSpec,
     RescaleParams,
     asymmetric_dm_loss,
+    asymmetric_dm_rows,
     batch_loss,
     build_mixed_bce_targets,
     decoupled_softmax,
@@ -20,7 +23,7 @@ from demix.losses import (
     rescale,
     softmax,
 )
-from demix.mixers import Lambda, MixedTarget
+from demix.mixers import Lambda, MixedTarget, Targets
 
 finite_logits = st.lists(
     st.floats(min_value=-20, max_value=20), min_size=2, max_size=8
@@ -333,3 +336,94 @@ class TestBatchLoss:
                     - batch_loss(zm, targets, spec).value
                 ) / (2 * h)
                 assert res.grad_logits[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+def per_sample_reference(z, target, spec):
+    """The objective of one sample, assembled from the scalar functions."""
+    if spec.kind == "mce":
+        return mce_loss(z, target)
+    if spec.kind == "dm_ce":
+        return dm_ce_loss(z, target, spec.dm)
+    mode = {"mbce_one": "one", "mbce_two": "two", "dm_bce": "rescaled"}[spec.kind]
+    res = mbce_loss(z, build_mixed_bce_targets(target, len(z), mode, spec.rescale))
+    if spec.kind == "dm_bce" and spec.dm.eta > 0.0:
+        reg = dm_regularizer(z, target.class_a, target.class_b)
+        res = LossResult(
+            res.value + spec.dm.eta * reg.value,
+            res.grad_logits + spec.dm.eta * reg.grad_logits,
+        )
+    return res
+
+
+@st.composite
+def mixed_batches(draw):
+    """Logits up to 1e3 in magnitude, rows with a gap of 50 or more between
+    the top logit and the rest, C down to 2, and same-class pairs."""
+    c = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 6))
+    entry = st.floats(-1e3, 1e3, allow_nan=False)
+    z = np.array(draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=n, max_size=n)))
+    for i in range(n):
+        if draw(st.booleans()):
+            k = draw(st.integers(0, c - 1))
+            rest = np.delete(z[i], k)
+            gap = draw(st.floats(50.0, 500.0))
+            z[i] = np.clip(z[i], -1e3, 1e3 - gap - 1.0)
+            z[i, k] = min(rest.max(), 1e3 - gap - 1.0) + gap
+    a = draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
+    b = [ai if draw(st.booleans()) else draw(st.integers(0, c - 1)) for ai in a]
+    lam = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return z, Targets(a, b, lam)
+
+
+class TestBatchedOracle:
+    """The batched objectives against the per-sample functions."""
+
+    @given(
+        mixed_batches(),
+        st.sampled_from(LOSS_KINDS),
+        st.sampled_from([0.0, 0.3]),
+        st.sampled_from([(1.0, 1.0), (0.5, 0.8), (2.0, 0.3), (0.0, 0.0)]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_batch_loss_matches_per_sample(self, batch, kind, eta, rescale_params):
+        z, targets = batch
+        spec = LossSpec(kind, DMConfig(eta), RescaleParams(*rescale_params))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            res = batch_loss(z, targets, spec)
+        # The scalar forms compute overflowing entries that they then discard.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = [per_sample_reference(z[i], t, spec) for i, t in enumerate(targets)]
+        n = len(z)
+        ref_value = sum(r.value for r in ref) / n
+        ref_grad = np.stack([r.grad_logits for r in ref]) / n
+        assert res.value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(res.grad_logits, ref_grad, rtol=1e-12, atol=1e-12)
+        assert batch_loss(z, list(targets), spec).value == res.value
+
+    @given(mixed_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_asymmetric_rows_match_scalar(self, batch):
+        z, t = batch
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            value, grad = asymmetric_dm_rows(z, t.a, t.b)
+        for i in range(len(z)):
+            with np.errstate(over="ignore"):
+                ref = asymmetric_dm_loss(z[i], int(t.a[i]), int(t.b[i]))
+            assert value[i] == pytest.approx(ref.value, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(grad[i], ref.grad_logits, rtol=1e-12, atol=1e-12)
+
+    def test_same_class_rows_contribute_zero(self):
+        z = np.array([[900.0, -900.0, 3.0], [0.5, 0.2, -0.1]])
+        targets = Targets([0, 2], [0, 2], [0.3, 0.9])
+        spec = LossSpec("dm_ce", DMConfig(0.5))
+        plain = batch_loss(z, targets, LossSpec("mce"))
+        mixed = batch_loss(z, targets, spec)
+        assert mixed.value == plain.value
+        assert np.array_equal(mixed.grad_logits, plain.grad_logits)
+        value, grad = asymmetric_dm_rows(z, targets.a, targets.b)
+        assert np.all(value == 0.0) and np.all(grad == 0.0)
+
+    def test_class_index_out_of_range(self):
+        with pytest.raises(IndexError):
+            batch_loss(np.zeros((1, 3)), Targets([0], [3], [0.5]), LossSpec("mce"))

@@ -9,6 +9,7 @@ from demix.mixers import (
     MixConfig,
     MixMask,
     MixedTarget,
+    Targets,
     apply_mask,
     asymmetric_pair,
     make_cutmix_mask,
@@ -212,6 +213,59 @@ class TestMixBatch:
         y = np.array([0, 1, 0, 1])
         mb = mix_batch(x, y, MixConfig("manifold", 2.0), rng)
         assert np.array_equal(mb.inputs, x)
+
+    @pytest.mark.parametrize("per_batch", [True, False])
+    @pytest.mark.parametrize("policy", ["linear", "cutmix", "manifold", "resizemix"])
+    def test_targets_equal_list_form(self, policy, per_batch):
+        # Replays the draws of mix_batch on a copy of its generator and builds
+        # one MixedTarget per row with the realized ratio of that row.
+        rng = np.random.default_rng(17)
+        replay = np.random.default_rng(17)
+        x = rng.random((6, 8, 8))
+        replay.random((6, 8, 8))
+        y = np.array([0, 1, 2, 1, 0, 3], dtype=np.uint8)
+        config = MixConfig(policy, 0.5, per_batch_lambda=per_batch)
+        mb = mix_batch(x, y, config, rng)
+
+        pairing = replay.permutation(6)
+        if per_batch or policy == "manifold":
+            lams = [sample_lambda(0.5, replay)] * 6
+        else:
+            lams = [sample_lambda(0.5, replay) for _ in range(6)]
+        adjusted = []
+        for i in range(6):
+            if per_batch and i > 0 and policy in ("cutmix", "resizemix"):
+                adjusted.append(adjusted[0])
+            elif policy == "cutmix":
+                adjusted.append(make_cutmix_mask(8, 8, lams[i], replay)[1])
+            elif policy == "resizemix":
+                adjusted.append(make_resizemix(x[i], x[pairing[i]], lams[i], replay)[1])
+            else:
+                adjusted.append(lams[i])
+        expected = [
+            MixedTarget(int(y[i]), int(y[pairing[i]]), adjusted[i]) for i in range(6)
+        ]
+        assert isinstance(mb.targets, Targets)
+        assert np.array_equal(mb.pairing, pairing)
+        assert list(mb.targets) == expected
+        assert [mb.targets[i] for i in range(len(mb.targets))] == expected
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+
+class TestTargets:
+    def test_records_round_trip(self):
+        records = [MixedTarget(2, 0, Lambda(0.25)), MixedTarget(1, 1, Lambda(1.0))]
+        t = Targets.from_records(records)
+        assert len(t) == 2 and list(t) == records
+        assert t.a.dtype == np.int64 and t.lam.dtype == float
+
+    @pytest.mark.parametrize(
+        "a, b, lam",
+        [([0, 1], [1], [0.5, 0.5]), ([-1], [0], [0.5]), ([0], [1], [1.5]), ([0], [1], [np.nan])],
+    )
+    def test_rejects_bad_fields(self, a, b, lam):
+        with pytest.raises(ValueError):
+            Targets(a, b, lam)
 
 
 class TestAsymmetricPair:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from demix.network import (
     DenseSpec,
     HiddenMixSpec,
     TrainConfig,
+    TrainingDiverged,
     adapt_inputs,
     backward,
     cosine_lr,
@@ -332,6 +335,16 @@ class TestTrainSupervised:
         )
         assert len(log) == 4
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raises(self):
+        train = dd.make_synthetic("two_moons", 200, 0.1, 0)
+        cfg = TrainConfig(base_lr=1e6, min_lr=1e-3, epochs=20, batch_size=50, seed=0)
+        with pytest.raises(TrainingDiverged, match=r"epoch \d+, step \d+: batch loss"):
+            train_supervised(
+                train, train, make_mlp(2, 16, 2), MixConfig("linear", 0.2),
+                LossSpec("dm_ce"), cfg,
+            )
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -363,3 +376,28 @@ class TestCheckpoint:
         (tmp_path / "t.dmx").write_bytes(path.read_bytes()[:-9])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(tmp_path / "t.dmx")
+
+    def test_malformed_layer_token_named(self, tmp_path):
+        arch = b"dense:4"
+        path = tmp_path / "m.dmx"
+        path.write_bytes(
+            b"DMX1" + struct.pack("<I", len(arch)) + arch + struct.pack("<I", 0)
+        )
+        with pytest.raises(ValueError, match="'dense:4'"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        params = init_params(make_mlp(4, 3, 2), np.random.default_rng(0))
+        path = tmp_path / "m.dmx"
+        save_checkpoint(params, path)
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_non_finite_weights_rejected(self, tmp_path):
+        params = init_params(make_mlp(4, 3, 2), np.random.default_rng(0))
+        params.weights[1][0, 0] = np.nan
+        path = tmp_path / "m.dmx"
+        save_checkpoint(params, path)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_checkpoint(path)

@@ -2,8 +2,19 @@ import numpy as np
 import pytest
 
 from demix import data as dd
-from demix.losses import LossSpec
-from demix.network import TrainConfig, make_mlp, train_supervised
+from demix.losses import LossResult, LossSpec, asymmetric_dm_loss, mce_loss
+from demix.mixers import Lambda, MixedTarget, asymmetric_pair, sample_lambda
+from demix.network import (
+    TrainConfig,
+    TrainingDiverged,
+    adapt_inputs,
+    backward,
+    forward,
+    make_mlp,
+    sgd_step,
+    train_supervised,
+    zeros_like_params,
+)
 from demix.semisup import (
     SSLConfig,
     pseudo_label,
@@ -86,8 +97,104 @@ class TestSslStep:
         with pytest.raises(ValueError):
             ssl_step(params, (np.empty((0, 2)), np.empty(0)), np.ones((3, 2)), cfg, tcfg, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
+    def test_matches_scalar_step_with_separate_backwards(self, eta):
+        # Reference: per-sample scalar losses, with one forward and one
+        # backward for each of the labeled, unlabeled and mixed batches.
+        specs = make_mlp(2, 8, 3)
+        labeled = dd.make_synthetic("blobs", 12, 0.6, 0)
+        unlabeled = dd.make_synthetic("blobs", 30, 0.6, 1).x
+        cfg = SSLConfig(tau=0.5, unlabeled_weight=0.7, eta=eta, alpha=0.4, steps=5)
+        tcfg = TrainConfig(base_lr=0.2, epochs=1, batch_size=12, seed=0)
+        p_batched = init_params(specs, np.random.default_rng(3))
+        p_scalar = p_batched.copy()
+        v_batched, v_scalar = zeros_like_params(p_batched), zeros_like_params(p_scalar)
+        rng_batched, rng_scalar = np.random.default_rng(8), np.random.default_rng(8)
+        for step in range(cfg.steps):
+            _, metrics = ssl_step(
+                p_batched, (labeled.x, labeled.y), unlabeled, cfg, tcfg, rng_batched,
+                velocity=v_batched, step=step, total_steps=cfg.steps,
+            )
+            ref = _scalar_ssl_step(
+                p_scalar, labeled, unlabeled, cfg, tcfg, rng_scalar, v_scalar, step
+            )
+            assert metrics["accepted_frac"] > 0
+            for key, value in ref.items():
+                assert metrics[key] == pytest.approx(value, rel=1e-12, abs=1e-12)
+            for a, b in zip(p_batched.arrays(), p_scalar.arrays()):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+        assert rng_batched.bit_generator.state == rng_scalar.bit_generator.state
+
+
+def _scalar_ssl_step(params, labeled, unlabeled, cfg, tcfg, rng, velocity, step):
+    specs = params.specs
+
+    def backward_sum(x, rows):
+        # Mean over the rows of the per-sample results; returns the parameter
+        # gradients and the mean value.
+        z, cache = forward(params, adapt_inputs(specs, x))
+        results = [fn(z[i]) for i, fn in enumerate(rows)]
+        grad = np.stack([r.grad_logits for r in results]) / len(x)
+        return backward(params, cache, grad)[0], sum(r.value for r in results) / len(x)
+
+    def add(into, other, weight):
+        for i in range(len(specs)):
+            if into.weights[i] is not None:
+                into.weights[i] += weight * other.weights[i]
+                into.biases[i] += weight * other.biases[i]
+
+    x_l, y_l = labeled.x, labeled.y
+    ce = lambda c: lambda z: mce_loss(z, MixedTarget(int(c), int(c), Lambda(1.0)))
+    grads, loss_l = backward_sum(x_l, [ce(c) for c in y_l])
+    z_u, _ = forward(params, adapt_inputs(specs, unlabeled))
+    classes, _, accepted = pseudo_label_batch(z_u, cfg.tau)
+    zero = lambda z: LossResult(0.0, np.zeros_like(z))
+    g_u, loss_u = backward_sum(
+        unlabeled, [ce(classes[i]) if accepted[i] else zero for i in range(len(unlabeled))]
+    )
+    add(grads, g_u, cfg.unlabeled_weight)
+
+    acc_idx = np.flatnonzero(accepted)
+    partners = rng.choice(acc_idx, size=len(x_l), replace=True)
+    mixed, targets = [], []
+    for i, j in enumerate(partners):
+        x, eff = asymmetric_pair(x_l[i], unlabeled[j], sample_lambda(cfg.alpha, rng))
+        mixed.append(x)
+        targets.append(MixedTarget(int(y_l[i]), int(classes[j]), eff))
+
+    def mixed_loss(t):
+        def fn(z):
+            r = mce_loss(z, t)
+            if cfg.eta == 0.0:
+                return r
+            d = asymmetric_dm_loss(z, t.class_a, t.class_b)
+            return LossResult(
+                r.value + cfg.eta * d.value, r.grad_logits + cfg.eta * d.grad_logits
+            )
+        return fn
+
+    g_m, loss_m = backward_sum(np.stack(mixed), [mixed_loss(t) for t in targets])
+    add(grads, g_m, cfg.unlabeled_weight)
+    sgd_step(params, grads, velocity, step, cfg.steps, tcfg)
+    return {
+        "loss_labeled": loss_l,
+        "loss_pseudo": loss_u,
+        "loss_mix": loss_m,
+        "accepted_frac": float(accepted.mean()),
+    }
+
 
 class TestTrainSsl:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raises(self):
+        train = _moons(200, 0)
+        labeled, rest = dd.stratified_take(train, 10, seed=0)
+        with pytest.raises(TrainingDiverged, match=r"step \d+: batch loss"):
+            train_ssl(
+                labeled, rest.x, train, make_mlp(2, 16, 2), SSLConfig(steps=200),
+                TrainConfig(base_lr=1e6, seed=0),
+            )
+
     def test_missing_class_rejected(self):
         ds = _moons(40, 0)
         only_zero = ds.subset(np.flatnonzero(ds.y == 0))
