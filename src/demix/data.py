@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -27,6 +29,10 @@ class IdxCountMismatchError(IdxError):
     pass
 
 
+class IdxHeaderError(IdxError):
+    """A header field is out of range or disagrees with the file's size."""
+
+
 @dataclass(eq=False)
 class Dataset:
     x: np.ndarray
@@ -44,41 +50,54 @@ class Dataset:
         return Dataset(self.x[indices], self.y[indices], self.num_classes)
 
 
-def _read_exact(f, n: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise IdxTruncatedError(f"expected {n} bytes, file ended after {len(data)}")
-    return data
+def _read_idx(path, magic: int, kind: str, fields: tuple[str, ...]) -> np.ndarray:
+    """One IDX file: magic, a big-endian int32 per header field, uint8 payload.
 
-
-def _read_be32(f) -> int:
-    return struct.unpack(">i", _read_exact(f, 4))[0]
+    Every fault raises an :class:`IdxError` that names the file and the
+    header field it concerns; the payload size is checked against the file
+    size before it is read.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(4 + 4 * len(fields))
+        if len(header) != 4 + 4 * len(fields):
+            raise IdxTruncatedError(
+                f"{path}: {kind} header (magic, {', '.join(fields)}) is cut short "
+                f"at {len(header)} bytes"
+            )
+        found, *shape = struct.unpack(f">{1 + len(fields)}i", header)
+        if found != magic:
+            raise IdxMagicError(f"{path}: bad {kind} magic 0x{found & 0xFFFFFFFF:08x}")
+        for name, value in zip(fields, shape):
+            if value < 1:
+                raise IdxHeaderError(f"{path}: header field {name} is {value}, must be positive")
+        need = math.prod(shape)
+        have = size - len(header)
+        declared = f"{' x '.join(fields)} = {' x '.join(map(str, shape))}"
+        if have < need:
+            raise IdxTruncatedError(
+                f"{path}: header fields {declared} need {need} payload bytes, file has {have}"
+            )
+        if have > need:
+            raise IdxHeaderError(
+                f"{path}: {have - need} trailing bytes after the {need}-byte payload "
+                f"of header fields {declared}"
+            )
+        return np.frombuffer(f.read(need), dtype=np.uint8).reshape(shape)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse big-endian IDX image/label files; pixels normalized to [0, 1]."""
-    with open(images_path, "rb") as f:
-        magic = _read_be32(f)
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxMagicError(f"bad image magic 0x{magic:08x}")
-        count = _read_be32(f)
-        rows = _read_be32(f)
-        cols = _read_be32(f)
-        raw = _read_exact(f, count * rows * cols)
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-    with open(labels_path, "rb") as f:
-        magic = _read_be32(f)
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxMagicError(f"bad label magic 0x{magic:08x}")
-        label_count = _read_be32(f)
-        labels = np.frombuffer(_read_exact(f, label_count), dtype=np.uint8)
-    if label_count != count:
+    images = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", ("count", "rows", "cols"))
+    labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", ("count",))
+    if len(labels) != len(images):
         raise IdxCountMismatchError(
-            f"{count} images but {label_count} labels"
+            f"header field count: {len(images)} images in {images_path} "
+            f"but {len(labels)} labels in {labels_path}"
         )
     x = images.astype(float) / 255.0
     y = labels.astype(np.int64)
-    return Dataset(x, y, int(y.max()) + 1 if len(y) else 0)
+    return Dataset(x, y, int(y.max()) + 1)
 
 
 def save_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:

@@ -3,7 +3,9 @@
 All evaluators leave the parameters untouched and may run concurrently with
 each other. ``DEMIX_THREADS`` (default 1) caps the thread pool used for the
 chunked forward passes; chunk order is fixed so results are identical at any
-thread count.
+thread count. The pool pays off on the conv net, whose forward is mostly
+single-threaded numpy work: on a 2-core host with one BLAS thread, two
+threads scored 8192 conv samples in 0.93 s instead of 1.75 s.
 """
 
 from __future__ import annotations

@@ -82,6 +82,13 @@ def load_dataset(spec: DatasetSpec):
         )
     else:
         full = ddata.load_idx(spec.images, spec.labels)
+        top = int(full.y.max())
+        if top >= spec.num_classes:
+            raise ddata.IdxError(
+                f"{spec.labels}: label {top} is not below "
+                f"dataset.num_classes = {spec.num_classes}"
+            )
+        full = ddata.Dataset(full.x, full.y, spec.num_classes)
         if len(full) < total:
             raise ValueError(f"IDX source has {len(full)} samples, need {total}")
     train, val = ddata.split(full, (spec.size, spec.val_size), spec.seed)

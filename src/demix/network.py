@@ -6,11 +6,20 @@ Two fixed architectures: an MLP (in-256-C, ReLU) and a small conv net
 gradients for every parameter and for the inputs (used by the FGSM probe).
 Hidden-layer mixing for ManifoldMix is a linear operation recorded in the
 cache so the chain rule routes lam to each sample and 1-lam to its partner.
+
+Conv layers run on im2col: the patch matrix is one ``sliding_window_view``
+of the padded input, and the forward and both gradients are batched BLAS
+matmuls over it; ``_col2im`` adds all channels at once for each of the k*k
+kernel offsets. Max-pool takes the elementwise maximum of the s*s strided
+views ``x[:, :, i::s, j::s]`` and routes the gradient to the first maximum of
+each window in row-major order. ``sgd_step`` updates parameters and velocity
+in place.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -216,32 +225,28 @@ def adapt_inputs(specs: tuple[LayerSpec, ...], x: np.ndarray) -> np.ndarray:
 def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     b, c, h, w = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho = h + 2 * pad - k + 1
-    wo = w + 2 * pad - k + 1
-    cols = np.empty((b, c * k * k, ho * wo))
-    idx = 0
-    for ch in range(c):
-        for i in range(k):
-            for j in range(k):
-                cols[:, idx, :] = xp[:, ch, i : i + ho, j : j + wo].reshape(b, -1)
-                idx += 1
-    return cols
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    # (b, c, ho, wo, k, k) -> (b, c*k*k, ho*wo), rows ordered (channel, i, j)
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, -1)
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple, k: int, pad: int) -> np.ndarray:
     b, c, h, w = x_shape
     ho = h + 2 * pad - k + 1
     wo = w + 2 * pad - k + 1
+    cols = cols.reshape(b, c, k, k, ho, wo)
     xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
-    idx = 0
-    for ch in range(c):
-        for i in range(k):
-            for j in range(k):
-                xp[:, ch, i : i + ho, j : j + wo] += cols[:, idx, :].reshape(b, ho, wo)
-                idx += 1
+    for i in range(k):
+        for j in range(k):
+            xp[:, :, i : i + ho, j : j + wo] += cols[:, :, i, j]
     if pad:
         return xp[:, :, pad:-pad, pad:-pad]
     return xp
+
+
+def _pool_views(x: np.ndarray, s: int):
+    """The s*s strided views x[:, :, i::s, j::s], in row-major window order."""
+    return [x[:, :, i::s, j::s] for i in range(s) for j in range(s)]
 
 
 def _layer_forward(spec, w, bias, x):
@@ -252,26 +257,25 @@ def _layer_forward(spec, w, bias, x):
     if isinstance(spec, ConvSpec):
         b, c, h, wd = x.shape
         cols = _im2col(x, spec.ksize, spec.pad)
-        wm = w.reshape(spec.out_ch, -1)
-        pre = np.einsum("oc,bcp->bop", wm, cols) + bias[None, :, None]
+        out = np.matmul(w.reshape(spec.out_ch, -1), cols)
+        out += bias[:, None]
         ho = h + 2 * spec.pad - spec.ksize + 1
         wo = wd + 2 * spec.pad - spec.ksize + 1
-        pre = pre.reshape(b, spec.out_ch, ho, wo)
-        out = np.maximum(pre, 0.0) if spec.activation == "relu" else pre
-        return out, (x.shape, cols, pre)
+        out = out.reshape(b, spec.out_ch, ho, wo)
+        if spec.activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        # relu(pre) > 0 exactly where pre > 0, so backward needs only out,
+        # which the next layer holds anyway.
+        return out, (x.shape, cols, out)
     if isinstance(spec, PoolSpec):
-        b, c, h, wd = x.shape
         s = spec.size
-        if h % s or wd % s:
+        if x.shape[2] % s or x.shape[3] % s:
             raise ValueError("pool size must divide the spatial dims")
-        windows = (
-            x.reshape(b, c, h // s, s, wd // s, s)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, h // s, wd // s, s * s)
-        )
-        amax = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, amax[..., None], axis=-1)[..., 0]
-        return out, (x.shape, amax)
+        views = _pool_views(x, s)
+        out = views[0].copy()
+        for v in views[1:]:
+            np.maximum(out, v, out=out)
+        return out, (x, out)
     assert isinstance(spec, FlattenSpec)
     return x.reshape(len(x), -1), (x.shape,)
 
@@ -283,27 +287,23 @@ def _layer_backward(spec, w, cache, grad):
             grad = grad * (pre > 0)
         return x.T @ grad, grad.sum(axis=0), grad @ w.T
     if isinstance(spec, ConvSpec):
-        x_shape, cols, pre = cache
+        x_shape, cols, out = cache
         if spec.activation == "relu":
-            grad = grad * (pre > 0)
-        b = grad.shape[0]
-        gf = grad.reshape(b, spec.out_ch, -1)
-        dw = np.einsum("bop,bcp->oc", gf, cols).reshape(w.shape)
-        db = gf.sum(axis=(0, 2))
-        wm = w.reshape(spec.out_ch, -1)
-        dcols = np.einsum("oc,bop->bcp", wm, gf)
-        return dw, db, _col2im(dcols, x_shape, spec.ksize, spec.pad)
+            grad = grad * (out > 0)
+        gf = grad.reshape(grad.shape[0], spec.out_ch, -1)
+        dw = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        dcols = np.matmul(w.reshape(spec.out_ch, -1).T, gf)
+        return dw, gf.sum(axis=(0, 2)), _col2im(dcols, x_shape, spec.ksize, spec.pad)
     if isinstance(spec, PoolSpec):
-        x_shape, amax = cache
-        b, c, h, wd = x_shape
-        s = spec.size
-        dwin = np.zeros((b, c, h // s, wd // s, s * s))
-        np.put_along_axis(dwin, amax[..., None], grad[..., None], axis=-1)
-        dx = (
-            dwin.reshape(b, c, h // s, wd // s, s, s)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, h, wd)
-        )
+        # The gradient goes to the first maximum of each window in row-major
+        # order, as argmax would pick it.
+        x, out = cache
+        dx = np.empty_like(x)
+        free = np.ones(out.shape, dtype=bool)
+        for v, dv in zip(_pool_views(x, spec.size), _pool_views(dx, spec.size)):
+            hit = free & (v == out)
+            dv[...] = np.where(hit, grad, 0.0)
+            free &= ~hit
         return None, None, dx
     assert isinstance(spec, FlattenSpec)
     (x_shape,) = cache
@@ -418,12 +418,18 @@ def sgd_step(
     for i in range(len(params.specs)):
         if params.weights[i] is None:
             continue
-        velocity.weights[i] = config.momentum * velocity.weights[i] + grads.weights[i]
-        velocity.biases[i] = config.momentum * velocity.biases[i] + grads.biases[i]
-        params.weights[i] -= lr * (
-            velocity.weights[i] + config.weight_decay * params.weights[i]
-        )
-        params.biases[i] -= lr * velocity.biases[i]
+        # In place, in the float order of v = m*v + g; p -= lr*(v + wd*p).
+        v, p = velocity.weights[i], params.weights[i]
+        v *= config.momentum
+        v += grads.weights[i]
+        t = config.weight_decay * p
+        t += v
+        t *= lr
+        p -= t
+        vb = velocity.biases[i]
+        vb *= config.momentum
+        vb += grads.biases[i]
+        params.biases[i] -= lr * vb
     return params
 
 
@@ -565,10 +571,11 @@ def save_checkpoint(params: Parameters, path) -> None:
 
 
 def _read_exact(f, n: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
+    # Checked against the file size first, so a corrupt length never
+    # becomes a huge read.
+    if n > os.fstat(f.fileno()).st_size - f.tell():
         raise ValueError("truncated checkpoint file")
-    return data
+    return f.read(n)
 
 
 def load_checkpoint(path) -> Parameters:
@@ -587,9 +594,8 @@ def load_checkpoint(path) -> Parameters:
             shapes.append(struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim)))
         arrays = []
         for shape in shapes:
-            size = int(np.prod(shape)) if shape else 1
             arrays.append(
-                np.frombuffer(_read_exact(f, 8 * size), dtype="<f8")
+                np.frombuffer(_read_exact(f, 8 * math.prod(shape)), dtype="<f8")
                 .astype(float)
                 .reshape(shape)
             )

@@ -2,10 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from demix.data import (
     Dataset,
     IdxCountMismatchError,
+    IdxError,
+    IdxHeaderError,
     IdxMagicError,
     IdxTruncatedError,
     load_idx,
@@ -61,14 +65,85 @@ class TestIdx:
         images = np.zeros((2, 4, 4), dtype=np.uint8)
         labels = np.array([1, 2, 3], dtype=np.uint8)
         img, lbl = write_fixture(tmp_path, images, labels)
-        with pytest.raises(IdxCountMismatchError):
+        with pytest.raises(
+            IdxCountMismatchError,
+            match=r"header field count: 2 images in .*images\.idx but 3 labels in .*labels\.idx",
+        ):
             load_idx(img, lbl)
 
     def test_truncated_file(self, tmp_path):
         (img, lbl), _, _ = self.two_image_fixture(tmp_path)
         img.write_bytes(img.read_bytes()[:-10])
-        with pytest.raises(IdxTruncatedError):
+        with pytest.raises(IdxTruncatedError, match=r"images\.idx: header fields count x rows"):
             load_idx(img, lbl)
+        (img, lbl), _, _ = self.two_image_fixture(tmp_path)
+        lbl.write_bytes(lbl.read_bytes()[:6])
+        with pytest.raises(IdxTruncatedError, match=r"labels\.idx: label header"):
+            load_idx(img, lbl)
+
+    @pytest.mark.parametrize(
+        "header, field",
+        [
+            ((-1, 28, 28), "count"),
+            ((-1, -1, 28), "count"),
+            ((0, 28, 28), "count"),
+            ((2, 0, 28), "rows"),
+            ((2, 28, -5), "cols"),
+        ],
+    )
+    def test_bad_image_header_field_named(self, tmp_path, header, field):
+        (img, lbl), _, _ = self.two_image_fixture(tmp_path)
+        img.write_bytes(struct.pack(">iiii", 0x803, *header))
+        with pytest.raises(IdxHeaderError, match=rf"images\.idx: header field {field} is"):
+            load_idx(img, lbl)
+
+    @pytest.mark.parametrize("count", [-1, 0])
+    def test_bad_label_count_named(self, tmp_path, count):
+        (img, lbl), _, _ = self.two_image_fixture(tmp_path)
+        lbl.write_bytes(struct.pack(">ii", 0x801, count))
+        with pytest.raises(IdxHeaderError, match=r"labels\.idx: header field count is"):
+            load_idx(img, lbl)
+
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_trailing_bytes_rejected(self, tmp_path, which):
+        (img, lbl), _, _ = self.two_image_fixture(tmp_path)
+        path = img if which == "images" else lbl
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(IdxHeaderError, match=rf"{which}\.idx: 1 trailing bytes .* count"):
+            load_idx(img, lbl)
+
+    @given(
+        which=st.sampled_from(["images", "labels"]),
+        op=st.sampled_from(["truncate", "flip", "append"]),
+        where=st.floats(0.0, 1.0),
+        byte=st.integers(1, 255),
+    )
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_fuzzed_files_raise_only_idx_errors(self, tmp_path, which, op, where, byte):
+        rng = np.random.default_rng(0)
+        img, lbl = write_fixture(
+            tmp_path,
+            rng.integers(0, 256, size=(3, 4, 5), dtype=np.uint8),
+            np.array([0, 2, 1], dtype=np.uint8),
+        )
+        path = img if which == "images" else lbl
+        raw = bytearray(path.read_bytes())
+        at = int(where * len(raw))
+        if op == "truncate":
+            raw = raw[:at]
+        elif op == "flip":
+            raw[min(at, len(raw) - 1)] ^= byte
+        else:
+            raw[at:at] = bytes([byte])
+        path.write_bytes(bytes(raw))
+        try:
+            ds = load_idx(img, lbl)
+        except IdxError:
+            return
+        assert ds.x.shape == (3, 4, 5) and 0 < ds.num_classes <= 256
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from demix.cli import main as cli_main
-from demix.config import parse_config
+from demix.config import DatasetSpec, parse_config
+from demix.data import IdxError, save_idx
 from demix.experiment import (
     CSV_HEADER,
     compare_runs,
+    load_dataset,
     metric_row,
     parse_dataset_arg,
     rows_to_csv,
@@ -159,6 +161,24 @@ class TestDatasetArg:
         save_idx(images, labels, tmp_path / "i.idx", tmp_path / "l.idx")
         ds = parse_dataset_arg(f"idx:{tmp_path}/i.idx:{tmp_path}/l.idx")
         assert len(ds) == 3
+
+    def _idx_spec(self, tmp_path, labels, num_classes):
+        images = np.zeros((len(labels), 4, 4), dtype=np.uint8)
+        save_idx(images, np.array(labels, dtype=np.uint8), tmp_path / "i.idx", tmp_path / "l.idx")
+        return DatasetSpec(
+            source="idx", size=4, val_size=2, num_classes=num_classes,
+            images=str(tmp_path / "i.idx"), labels=str(tmp_path / "l.idx"),
+        )
+
+    def test_idx_source_keeps_configured_classes(self, tmp_path):
+        # No sample has the top class 2; the class count is still 3.
+        train, val, _, _ = load_dataset(self._idx_spec(tmp_path, [0, 1, 0, 1, 1, 0], 3))
+        assert train.num_classes == val.num_classes == 3
+
+    def test_idx_label_above_configured_classes(self, tmp_path):
+        spec = self._idx_spec(tmp_path, [0, 1, 4, 1, 1, 0], 3)
+        with pytest.raises(IdxError, match=r"l\.idx: label 4 is not below dataset.num_classes = 3"):
+            load_dataset(spec)
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError, match="unknown dataset options"):

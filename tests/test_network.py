@@ -2,13 +2,18 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from demix import data as dd
 from demix.losses import DMConfig, LossSpec, RescaleParams, batch_loss
 from demix.mixers import Lambda, MixConfig, MixedTarget, mix_linear
 from demix.network import (
+    ConvSpec,
     DenseSpec,
     HiddenMixSpec,
+    Parameters,
+    PoolSpec,
     TrainConfig,
     TrainingDiverged,
     adapt_inputs,
@@ -25,6 +30,8 @@ from demix.network import (
     sgd_step,
     train_supervised,
     zeros_like_params,
+    _col2im,
+    _im2col,
 )
 
 ALL_KINDS = ["mce", "dm_ce", "mbce_one", "mbce_two", "dm_bce"]
@@ -195,6 +202,142 @@ class TestBackward:
             backward(params, cache, np.zeros((5, 2)))
 
 
+# Reference kernels: the per-channel loops, einsum contractions and argmax
+# max-pool that the conv net ran on before its BLAS kernels. im2col, col2im
+# and the pool must match them bit for bit; the conv contractions sum in
+# another order, so they match to 1e-12.
+
+
+def ref_im2col(x, k, pad):
+    b, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    cols = np.empty((b, c * k * k, ho * wo))
+    idx = 0
+    for ch in range(c):
+        for i in range(k):
+            for j in range(k):
+                cols[:, idx, :] = xp[:, ch, i : i + ho, j : j + wo].reshape(b, -1)
+                idx += 1
+    return cols
+
+
+def ref_col2im(cols, x_shape, k, pad):
+    b, c, h, w = x_shape
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    idx = 0
+    for ch in range(c):
+        for i in range(k):
+            for j in range(k):
+                xp[:, ch, i : i + ho, j : j + wo] += cols[:, idx, :].reshape(b, ho, wo)
+                idx += 1
+    return xp[:, :, pad : pad + h, pad : pad + w]
+
+
+def ref_conv(x, w, bias, k, pad, grad):
+    """ReLU conv forward and its (dW, db, dx) for upstream ``grad``."""
+    b, _, h, wd = x.shape
+    out_ch = w.shape[0]
+    cols = ref_im2col(x, k, pad)
+    wm = w.reshape(out_ch, -1)
+    pre = np.einsum("oc,bcp->bop", wm, cols) + bias[None, :, None]
+    pre = pre.reshape(b, out_ch, h + 2 * pad - k + 1, wd + 2 * pad - k + 1)
+    gf = (grad * (pre > 0)).reshape(b, out_ch, -1)
+    dw = np.einsum("bop,bcp->oc", gf, cols).reshape(w.shape)
+    dcols = np.einsum("oc,bop->bcp", wm, gf)
+    return np.maximum(pre, 0.0), dw, gf.sum(axis=(0, 2)), ref_col2im(dcols, x.shape, k, pad)
+
+
+def ref_pool(x, s, grad):
+    """Max-pool forward and its input gradient, routed by argmax."""
+    b, c, h, w = x.shape
+    windows = (
+        x.reshape(b, c, h // s, s, w // s, s)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(b, c, h // s, w // s, s * s)
+    )
+    amax = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, amax[..., None], axis=-1)[..., 0]
+    dwin = np.zeros(windows.shape)
+    np.put_along_axis(dwin, amax[..., None], grad[..., None], axis=-1)
+    dx = dwin.reshape(b, c, h // s, w // s, s, s).transpose(0, 1, 2, 4, 3, 5)
+    return out, dx.reshape(b, c, h, w)
+
+
+@st.composite
+def conv_inputs(draw):
+    """A batch, its kernel geometry and a value kind that makes ties likely."""
+    shape = (
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 3)),
+        draw(st.sampled_from([2, 4, 6])),
+        draw(st.sampled_from([2, 4, 6])),
+    )
+    k = draw(st.sampled_from([1, 3]))
+    pad = draw(st.sampled_from([0, 1]))
+    assume(k <= min(shape[2:]) + 2 * pad)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integer", "zeros"]))
+    if kind == "normal":
+        x = rng.normal(size=shape)
+    elif kind == "integer":  # small integers: many tied pool windows
+        x = rng.integers(-2, 3, size=shape).astype(float)
+    else:
+        x = np.zeros(shape)
+    return x, k, pad, rng
+
+
+class TestKernelOracles:
+    @given(conv_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_im2col_col2im_bit_equal(self, case):
+        x, k, pad, rng = case
+        cols = _im2col(x, k, pad)
+        assert np.array_equal(cols, ref_im2col(x, k, pad))
+        g = rng.normal(size=cols.shape)
+        assert np.array_equal(_col2im(g, x.shape, k, pad), ref_col2im(g, x.shape, k, pad))
+
+    @given(conv_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_conv_forward_and_gradients(self, case):
+        x, k, pad, rng = case
+        spec = ConvSpec(x.shape[1], 3, k, pad)
+        params = Parameters((spec,), [rng.normal(size=(3, x.shape[1], k, k))], [rng.normal(size=3)])
+        out, cache = forward(params, x)
+        grad = rng.normal(size=out.shape)
+        grads, dx = backward(params, cache, grad)
+        ref_out, ref_dw, ref_db, ref_dx = ref_conv(
+            x, params.weights[0], params.biases[0], k, pad, grad
+        )
+        tol = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out, ref_out, **tol)
+        np.testing.assert_allclose(grads.weights[0], ref_dw, **tol)
+        np.testing.assert_allclose(grads.biases[0], ref_db, **tol)
+        np.testing.assert_allclose(dx, ref_dx, **tol)
+
+    @given(conv_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_pool_bit_equal_with_ties(self, case):
+        x, _, _, rng = case
+        params = Parameters((PoolSpec(2),), [None], [None])
+        out, cache = forward(params, x)
+        grad = rng.normal(size=out.shape)
+        _, dx = backward(params, cache, grad)
+        ref_out, ref_dx = ref_pool(x, 2, grad)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(dx, ref_dx)
+
+    def test_tied_window_routes_to_first_maximum(self):
+        x = np.array([[[[1.0, 3.0], [3.0, 3.0]]], [[[0.0, 0.0], [0.0, 0.0]]]])
+        params = Parameters((PoolSpec(2),), [None], [None])
+        out, cache = forward(params, x)
+        _, dx = backward(params, cache, np.array([[[[5.0]]], [[[7.0]]]]))
+        assert np.array_equal(out.ravel(), [3.0, 0.0])
+        assert np.array_equal(dx[0, 0], [[0.0, 5.0], [0.0, 0.0]])
+        assert np.array_equal(dx[1, 0], [[7.0, 0.0], [0.0, 0.0]])
+
+
 class TestManifoldMix:
     def setup_method(self):
         self.specs = make_mlp(6, 8, 3)
@@ -292,6 +435,32 @@ class TestSgd:
         # zero gradient: only the decay term moves weights, biases untouched
         np.testing.assert_allclose(params.weights[0], 1.0 - 0.1 * 0.5)
         np.testing.assert_allclose(params.biases[0], 0.0)
+
+
+    def test_updates_in_place_bit_equal_to_formula(self):
+        specs = make_conv(1, 3, (8, 8))
+        rng = np.random.default_rng(4)
+        params = init_params(specs, rng)
+        vel = zeros_like_params(params)
+        ref_p, ref_v = params.copy(), vel.copy()
+        ids = [id(a) for a in params.arrays() + vel.arrays()]
+        cfg = TrainConfig(base_lr=0.3, min_lr=0.01, momentum=0.9, weight_decay=1e-3)
+        for step in range(5):
+            grads = zeros_like_params(params)
+            for arr in grads.arrays():
+                arr[...] = rng.normal(size=arr.shape)
+            sgd_step(params, grads, vel, step, 5, cfg)
+            lr = cosine_lr(step, 5, cfg)
+            for i, w in enumerate(ref_p.weights):
+                if w is None:
+                    continue
+                ref_v.weights[i] = cfg.momentum * ref_v.weights[i] + grads.weights[i]
+                ref_v.biases[i] = cfg.momentum * ref_v.biases[i] + grads.biases[i]
+                ref_p.weights[i] = w - lr * (ref_v.weights[i] + cfg.weight_decay * w)
+                ref_p.biases[i] = ref_p.biases[i] - lr * ref_v.biases[i]
+        assert [id(a) for a in params.arrays() + vel.arrays()] == ids
+        for got, want in zip(params.arrays() + vel.arrays(), ref_p.arrays() + ref_v.arrays()):
+            assert np.array_equal(got, want)
 
 
 class TestTrainSupervised:
@@ -401,3 +570,32 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         with pytest.raises(ValueError, match="non-finite"):
             load_checkpoint(path)
+
+    @given(
+        arch=st.sampled_from(["mlp", "conv"]),
+        op=st.sampled_from(["truncate", "flip", "append"]),
+        where=st.floats(0.0, 1.0),
+        byte=st.integers(1, 255),
+    )
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_fuzzed_files_raise_only_value_errors(self, tmp_path, arch, op, where, byte):
+        specs = make_mlp(4, 3, 2) if arch == "mlp" else make_conv(1, 2, (4, 4))
+        path = tmp_path / "m.dmx"
+        save_checkpoint(init_params(specs, np.random.default_rng(0)), path)
+        raw = bytearray(path.read_bytes())
+        at = int(where * len(raw))
+        if op == "truncate":
+            raw = raw[:at]
+        elif op == "flip":
+            raw[min(at, len(raw) - 1)] ^= byte
+        else:
+            raw[at:at] = bytes([byte])
+        path.write_bytes(bytes(raw))
+        try:
+            params = load_checkpoint(path)
+        except ValueError:
+            return
+        assert all(np.isfinite(a).all() for a in params.arrays())
