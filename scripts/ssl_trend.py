@@ -1,12 +1,14 @@
 """Semi-supervised trend on two moons with 10 labels.
 
 Compares supervised-only, plain pseudo-labeling, and pseudo-labeling with
-the asymmetric mixing and decoupled term over several seeds.
+the asymmetric mixing and decoupled term over several seeds, and prints
+each arm's wall-clock.
 
 Usage: python scripts/ssl_trend.py [--steps 2000] [--seeds 1,2,3,4,5]
 """
 
 import argparse
+import time
 
 import numpy as np
 
@@ -41,14 +43,16 @@ def main():
     means = {}
     for name, cfg in variants.items():
         best = []
+        start = time.perf_counter()
         for seed in seeds:
             tcfg = net.TrainConfig(base_lr=0.3, min_lr=0.003, epochs=1,
                                    batch_size=args.labels, seed=seed)
             _, log = train_ssl(labeled, rest.x, test, specs, cfg, tcfg)
             best.append(max(v for m, _, v in log if m == "test_top1"))
+        wall_s = time.perf_counter() - start
         means[name] = float(np.mean(best))
         print(f"{name}: per-seed best {[round(b, 4) for b in best]} "
-              f"mean {means[name]:.4f}")
+              f"mean {means[name]:.4f} ({wall_s:.1f} s)")
     print(f"gain over supervised: {(means['pl_asym_decoupled'] - means['supervised'])*100:+.2f}pp")
     print(f"gain over pseudo-labeling: {(means['pl_asym_decoupled'] - means['pseudo_label'])*100:+.2f}pp")
 

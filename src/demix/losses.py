@@ -88,10 +88,14 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return z - m - np.log(np.sum(np.exp(z - m), axis=-1, keepdims=True))
 
 
-def _logsumexp_excluding(z: np.ndarray, j: int) -> float:
-    keep = np.ones(len(z), dtype=bool)
-    keep[j] = False
-    return _logsumexp(z[keep])
+def _decoupled(z: np.ndarray, j: int) -> tuple[np.ndarray, float]:
+    """exp(z_i - lse) with lse the logsumexp over every entry but j (which
+    gets 0), and lse itself; j is masked to -inf, so a dominant z_j never
+    overflows the exponent."""
+    masked = z.copy()
+    masked[j] = -np.inf
+    lse = _logsumexp(masked)
+    return np.exp(masked - lse), lse
 
 
 def decoupled_softmax(z: np.ndarray, excluded: int) -> np.ndarray:
@@ -104,7 +108,9 @@ def decoupled_softmax(z: np.ndarray, excluded: int) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if not 0 <= excluded < len(z):
         raise IndexError(f"excluded class {excluded} out of range for C={len(z)}")
-    return np.exp(z - _logsumexp_excluding(z, excluded))
+    phi, lse = _decoupled(z, excluded)
+    phi[excluded] = np.exp(z[excluded] - lse)
+    return phi
 
 
 def mce_loss(z: np.ndarray, target: MixedTarget) -> LossResult:
@@ -136,11 +142,9 @@ def dm_regularizer(z: np.ndarray, a: int, b: int) -> LossResult:
         raise IndexError("class index out of range")
     if a == b:
         return LossResult(0.0, np.zeros_like(z))
-    lse_no_a = _logsumexp_excluding(z, a)
-    lse_no_b = _logsumexp_excluding(z, b)
+    phi_no_a, lse_no_a = _decoupled(z, a)
+    phi_no_b, lse_no_b = _decoupled(z, b)
     value = -((z[a] - lse_no_b) + (z[b] - lse_no_a))
-    phi_no_a = np.exp(z - lse_no_a)
-    phi_no_b = np.exp(z - lse_no_b)
     grad = phi_no_a + phi_no_b
     grad[a] = phi_no_b[a] - 1.0
     grad[b] = phi_no_a[b] - 1.0
@@ -171,11 +175,9 @@ def asymmetric_dm_loss(z: np.ndarray, labeled_class: int, pseudo_class: int) -> 
         raise IndexError("class index out of range")
     if labeled_class == pseudo_class:
         return LossResult(0.0, np.zeros_like(z))
-    lse = _logsumexp_excluding(z, pseudo_class)
+    grad, lse = _decoupled(z, pseudo_class)
     value = -(z[labeled_class] - lse)
-    grad = np.exp(z - lse)
     grad[labeled_class] -= 1.0
-    grad[pseudo_class] = 0.0
     return LossResult(float(value), grad)
 
 
@@ -238,8 +240,9 @@ def mbce_loss(z: np.ndarray, targets: np.ndarray) -> LossResult:
         raise ValueError("targets must match the logit vector")
     if targets.min() < 0.0 or targets.max() > 1.0:
         raise ValueError("BCE targets must lie in [0, 1]")
-    value = np.sum(np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z))))
-    sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    e = np.exp(-np.abs(z))
+    value = np.sum(np.maximum(z, 0.0) - z * targets + np.log1p(e))
+    sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return LossResult(float(value), sig - targets)
 
 

@@ -154,36 +154,15 @@ class MixedBatch:
             raise ValueError("pairing must be a permutation of the batch indices")
 
 
-def _sample_gamma(shape: float, rng: np.random.Generator) -> float:
-    # Marsaglia & Tsang squeeze method; shape < 1 boosted by a uniform power,
-    # which stays correct in the heavily bimodal small-concentration regime.
-    if shape < 1.0:
-        u = rng.uniform()
-        return _sample_gamma(shape + 1.0, rng) * u ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = rng.normal()
-        v = 1.0 + c * x
-        if v <= 0.0:
-            continue
-        v = v * v * v
-        u = rng.uniform()
-        if u < 1.0 - 0.0331 * x**4:
-            return d * v
-        if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
-
-
 def sample_lambda(alpha: float, rng: np.random.Generator) -> Lambda:
-    """Draw a mixing ratio from Beta(alpha, alpha)."""
+    """Draw a mixing ratio from Beta(alpha, alpha).
+
+    One scalar ``rng.beta`` call; a size-n ``rng.beta`` call draws the same n
+    values and leaves the generator in the same state as n of these.
+    """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    while True:
-        ga = _sample_gamma(alpha, rng)
-        gb = _sample_gamma(alpha, rng)
-        if ga + gb > 0.0:
-            return Lambda(ga / (ga + gb))
+    return Lambda(float(rng.beta(alpha, alpha)))
 
 
 def mix_linear(x_a: np.ndarray, x_b: np.ndarray, lam: Lambda) -> np.ndarray:
@@ -296,16 +275,15 @@ def mix_batch(
     if lam is not None:
         lams = [lam] * n
     elif per_sample:
-        lams = [sample_lambda(config.alpha, rng) for _ in range(n)]
+        lams = [Lambda(v) for v in rng.beta(config.alpha, config.alpha, size=n)]
     else:
         lams = [sample_lambda(config.alpha, rng)] * n
 
     partners = inputs[pairing]
     if config.policy == "linear":
         if per_sample:
-            mixed = np.stack(
-                [mix_linear(inputs[i], partners[i], lams[i]) for i in range(n)]
-            )
+            w = np.array([t.value for t in lams]).reshape((n,) + (1,) * (inputs.ndim - 1))
+            mixed = w * inputs + (1.0 - w) * partners
         else:
             mixed = mix_linear(inputs, partners, lams[0])
         adjusted = lams

@@ -3,7 +3,9 @@
 Two fixed architectures: an MLP (in-256-C, ReLU) and a small conv net
 (3x3x8 - pool - 3x3x16 - pool - dense). Forward passes return an explicit
 :class:`ActivationCache`; :func:`backward` walks it to produce exact
-gradients for every parameter and for the inputs (used by the FGSM probe).
+gradients for every parameter and, on request, for the inputs (the FGSM
+probe asks; training does not, so it skips the first layer's input
+gradient).
 Hidden-layer mixing for ManifoldMix is a linear operation recorded in the
 cache so the chain rule routes lam to each sample and 1-lam to its partner.
 
@@ -280,20 +282,24 @@ def _layer_forward(spec, w, bias, x):
     return x.reshape(len(x), -1), (x.shape,)
 
 
-def _layer_backward(spec, w, cache, grad):
+def _layer_backward(spec, w, cache, grad, input_grad=True):
+    """(dW, db, d input) of one layer; d input is None when not ``input_grad``."""
     if isinstance(spec, DenseSpec):
         x, pre = cache
         if spec.activation == "relu":
             grad = grad * (pre > 0)
-        return x.T @ grad, grad.sum(axis=0), grad @ w.T
+        return x.T @ grad, grad.sum(axis=0), grad @ w.T if input_grad else None
     if isinstance(spec, ConvSpec):
         x_shape, cols, out = cache
         if spec.activation == "relu":
             grad = grad * (out > 0)
         gf = grad.reshape(grad.shape[0], spec.out_ch, -1)
         dw = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        db = gf.sum(axis=(0, 2))
+        if not input_grad:
+            return dw, db, None
         dcols = np.matmul(w.reshape(spec.out_ch, -1).T, gf)
-        return dw, gf.sum(axis=(0, 2)), _col2im(dcols, x_shape, spec.ksize, spec.pad)
+        return dw, db, _col2im(dcols, x_shape, spec.ksize, spec.pad)
     if isinstance(spec, PoolSpec):
         # The gradient goes to the first maximum of each window in row-major
         # order, as argmax would pick it.
@@ -351,25 +357,35 @@ def forward_manifold_mix(
 
 
 def backward(
-    params: Parameters, cache: ActivationCache, grad_logits: np.ndarray
-) -> tuple[Parameters, np.ndarray]:
-    """Exact gradients of the scalar batch loss w.r.t. parameters and inputs."""
+    params: Parameters,
+    cache: ActivationCache,
+    grad_logits: np.ndarray,
+    input_grad: bool = True,
+) -> tuple[Parameters, np.ndarray | None]:
+    """Exact gradients of the scalar batch loss w.r.t. parameters and inputs.
+
+    With ``input_grad=False`` the first layer's input gradient is not
+    computed and None is returned in its place; the parameter gradients are
+    the same either way.
+    """
     if cache.num_layers != len(params.specs):
         raise ValueError("cache does not match these parameters")
     grad_logits = np.asarray(grad_logits, dtype=float)
     if len(grad_logits) != cache.batch_size:
         raise ValueError("gradient batch does not match the cached forward")
-    grads = zeros_like_params(params)
+    n = len(params.specs)
+    weights: list[np.ndarray | None] = [None] * n
+    biases: list[np.ndarray | None] = [None] * n
     g = grad_logits
-    for i in range(len(params.specs) - 1, -1, -1):
+    for i in range(n - 1, -1, -1):
         if cache.mix is not None and cache.mix[0] == i + 1:
             g = _unmix_grad(g, cache.mix[1], cache.mix[2])
-        dw, db, g = _layer_backward(
-            params.specs[i], params.weights[i], cache.layer_io[i], g
+        weights[i], biases[i], g = _layer_backward(
+            params.specs[i], params.weights[i], cache.layer_io[i], g, input_grad or i > 0
         )
-        if dw is not None:
-            grads.weights[i] = dw
-            grads.biases[i] = db
+    grads = Parameters(params.specs, weights, biases)
+    if not input_grad:
+        return grads, None
     if cache.mix is not None and cache.mix[0] == 0:
         g = _unmix_grad(g, cache.mix[1], cache.mix[2])
     return grads, g.reshape(cache.input_shape)
@@ -509,7 +525,7 @@ def train_supervised(
                 targets = mb.targets
             res = batch_loss(z, targets, loss_spec)
             check_finite_loss(res.value, f"epoch {epoch}, step {step}")
-            grads, _ = backward(params, cache, res.grad_logits)
+            grads, _ = backward(params, cache, res.grad_logits, input_grad=False)
             sgd_step(params, grads, velocity, step, total_steps, config)
             step += 1
             epoch_losses.append(res.value)

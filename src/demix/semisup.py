@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LossSpec, asymmetric_dm_rows, batch_loss, mce_rows, softmax
-from .mixers import sample_lambda
 from .network import (
     Parameters,
     TrainConfig,
@@ -114,9 +113,10 @@ def ssl_step(
                    + mixed CE on asymmetric labeled/unlabeled pairs
                    + eta * one-directional decoupled term on those pairs ]
 
-    The labeled and unlabeled rows share one forward and one backward pass;
-    the asymmetric pairs need the pseudo-labels, so they get a second
-    forward and backward.
+    The labeled and unlabeled rows share one forward and one backward pass,
+    and the labeled plus accepted pseudo-labeled rows one CE pass; the
+    asymmetric pairs need the pseudo-labels, so they get a second forward and
+    backward. Their ratios come from one size-n Beta draw.
     The mixing coefficient of the labeled sample is clamped to <= 0.5 and the
     decoupled term skips pairs whose pseudo class equals the labeled class.
     ``metrics["loss"]`` is the scalar loss of the step.
@@ -131,47 +131,43 @@ def ssl_step(
     specs = params.specs
 
     z, cache = forward(params, adapt_inputs(specs, np.concatenate([x_l, unlabeled_x])))
-    z_l, z_u = z[:n_l], z[n_l:]
-    value_l, grad_l = mce_rows(z_l, y_l, y_l, 1.0)
+    classes, _, accepted = pseudo_label_batch(z[n_l:], config.tau)
+    w_u = config.unlabeled_weight
+    acc_idx = np.flatnonzero(accepted) if w_u > 0.0 else np.empty(0, dtype=np.intp)
+    # One CE pass over the labeled rows and the accepted pseudo-labeled rows.
+    rows = np.concatenate([np.arange(n_l), n_l + acc_idx])
+    y = np.concatenate([y_l, classes[acc_idx]])
+    value, grad_rows = mce_rows(z[rows], y, y, 1.0)
     grad = np.zeros_like(z)
-    grad[:n_l] = grad_l / n_l
-    classes, _, accepted = pseudo_label_batch(z_u, config.tau)
+    grad[:n_l] = grad_rows[:n_l] / n_l
+    grad[n_l + acc_idx] = w_u * (grad_rows[n_l:] / n_u)
     metrics = {
-        "loss_labeled": float(value_l.sum()) / n_l,
-        "loss_pseudo": 0.0,
+        "loss_labeled": float(value[:n_l].sum()) / n_l,
+        "loss_pseudo": float(value[n_l:].sum()) / n_u,
         "loss_mix": 0.0,
         "accepted_frac": float(accepted.mean()),
     }
 
-    w_u = config.unlabeled_weight
     grads_mix = None
-    if w_u > 0.0 and accepted.any():
-        # Masked-sum CE over the full unlabeled batch (accepted rows only).
-        acc_idx = np.flatnonzero(accepted)
-        c = classes[acc_idx]
-        value_u, grad_u = mce_rows(z_u[acc_idx], c, c, 1.0)
-        grad[n_l + acc_idx] = w_u * (grad_u / n_u)
-        metrics["loss_pseudo"] = float(value_u.sum()) / n_u
+    if len(acc_idx) and config.asymmetric_mixing:
+        partners = rng.choice(acc_idx, size=n_l, replace=True)
+        lam = rng.beta(config.alpha, config.alpha, size=n_l)
+        eff = np.minimum(lam, 1.0 - lam)  # as asymmetric_pair, row by row
+        w = eff.reshape((n_l,) + (1,) * (x_l.ndim - 1))
+        mixed = w * x_l + (1.0 - w) * unlabeled_x[partners]
+        z_m, cache_m = forward(params, adapt_inputs(specs, mixed))
+        pseudo = classes[partners]
+        value_m, grad_m = mce_rows(z_m, y_l, pseudo, eff)
+        mix_value = float(value_m.sum()) / n_l
+        grad_m /= n_l
+        if config.eta > 0.0:
+            value_dm, grad_dm = asymmetric_dm_rows(z_m, y_l, pseudo)
+            mix_value += config.eta * float(value_dm.sum()) / n_l
+            grad_m += config.eta * grad_dm / n_l
+        grads_mix, _ = backward(params, cache_m, w_u * grad_m, input_grad=False)
+        metrics["loss_mix"] = mix_value
 
-        if config.asymmetric_mixing:
-            partners = rng.choice(acc_idx, size=n_l, replace=True)
-            lam = np.array([sample_lambda(config.alpha, rng).value for _ in range(n_l)])
-            eff = np.minimum(lam, 1.0 - lam)  # as asymmetric_pair, row by row
-            w = eff.reshape((n_l,) + (1,) * (x_l.ndim - 1))
-            mixed = w * x_l + (1.0 - w) * unlabeled_x[partners]
-            z_m, cache_m = forward(params, adapt_inputs(specs, mixed))
-            pseudo = classes[partners]
-            value_m, grad_m = mce_rows(z_m, y_l, pseudo, eff)
-            mix_value = float(value_m.sum()) / n_l
-            grad_m /= n_l
-            if config.eta > 0.0:
-                value_dm, grad_dm = asymmetric_dm_rows(z_m, y_l, pseudo)
-                mix_value += config.eta * float(value_dm.sum()) / n_l
-                grad_m += config.eta * grad_dm / n_l
-            grads_mix, _ = backward(params, cache_m, w_u * grad_m)
-            metrics["loss_mix"] = mix_value
-
-    grads, _ = backward(params, cache, grad)
+    grads, _ = backward(params, cache, grad, input_grad=False)
     if grads_mix is not None:
         for i in range(len(specs)):
             if grads.weights[i] is not None:
@@ -243,7 +239,7 @@ def train_ssl(
             z, cache = forward(params, adapt_inputs(params.specs, batch_l[0]))
             res = batch_loss(z, plain_targets(batch_l[1]), CE_SPEC)
             check_finite_loss(res.value, f"step {step}")
-            grads, _ = backward(params, cache, res.grad_logits)
+            grads, _ = backward(params, cache, res.grad_logits, input_grad=False)
             sgd_step(params, grads, velocity, step, config.steps, train_config)
             window.append(0.0)
         if (step + 1) % config.eval_interval == 0:

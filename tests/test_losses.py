@@ -391,8 +391,6 @@ class TestBatchedOracle:
         spec = LossSpec(kind, DMConfig(eta), RescaleParams(*rescale_params))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             res = batch_loss(z, targets, spec)
-        # The scalar forms compute overflowing entries that they then discard.
-        with np.errstate(over="ignore", invalid="ignore"):
             ref = [per_sample_reference(z[i], t, spec) for i, t in enumerate(targets)]
         n = len(z)
         ref_value = sum(r.value for r in ref) / n
@@ -408,7 +406,7 @@ class TestBatchedOracle:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             value, grad = asymmetric_dm_rows(z, t.a, t.b)
         for i in range(len(z)):
-            with np.errstate(over="ignore"):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
                 ref = asymmetric_dm_loss(z[i], int(t.a[i]), int(t.b[i]))
             assert value[i] == pytest.approx(ref.value, rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(grad[i], ref.grad_logits, rtol=1e-12, atol=1e-12)
@@ -427,3 +425,33 @@ class TestBatchedOracle:
     def test_class_index_out_of_range(self):
         with pytest.raises(IndexError):
             batch_loss(np.zeros((1, 3)), Targets([0], [3], [0.5]), LossSpec("mce"))
+
+
+class TestScalarLargeGaps:
+    """The scalar oracles at logit gaps past exp's range: no overflow and the
+    row kernels' values. Underflow stays ignored: exp of a gap below about
+    -745 rounds to 0, which is the correctly rounded result."""
+
+    @pytest.mark.parametrize("a, b", [(0, 1), (1, 0), (0, 2), (2, 0)])
+    def test_decoupled_terms(self, a, b):
+        z = np.array([1000.0, 0.0, -5.0])
+        ia, ib = np.array([a]), np.array([b])
+        with np.errstate(all="raise", under="ignore"):
+            reg = dm_regularizer(z, a, b)
+            asym = asymmetric_dm_loss(z, a, b)
+            both = batch_loss(z[None], Targets(ia, ib, [1.0]), LossSpec("dm_ce", DMConfig(1.0)))
+            plain = batch_loss(z[None], Targets(ia, ib, [1.0]), LossSpec("mce"))
+            rows_value, rows_grad = asymmetric_dm_rows(z[None], ia, ib)
+        assert reg.value == pytest.approx(both.value - plain.value, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(
+            reg.grad_logits, both.grad_logits[0] - plain.grad_logits[0], rtol=1e-12, atol=1e-12
+        )
+        assert asym.value == pytest.approx(rows_value[0], rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(asym.grad_logits, rows_grad[0], rtol=1e-12, atol=1e-12)
+
+    def test_mbce(self):
+        z, t = np.array([800.0, -800.0]), np.array([1.0, 0.0])
+        with np.errstate(all="raise", under="ignore"):
+            res = mbce_loss(z, t)
+        assert res.value == 0.0
+        assert np.array_equal(res.grad_logits, [0.0, 0.0])

@@ -52,6 +52,15 @@ class TestSampleLambda:
         ks = stats.kstest(draws, "uniform")
         assert ks.pvalue > 0.01
 
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0, 2.0])
+    def test_size_n_draw_equals_n_scalar_draws(self, alpha):
+        # ssl_step and the per-sample branch of mix_batch draw all their
+        # ratios with one size-n call.
+        rng, batched = np.random.default_rng(5), np.random.default_rng(5)
+        scalar = [sample_lambda(alpha, rng).value for _ in range(50)]
+        assert np.array_equal(batched.beta(alpha, alpha, size=50), scalar)
+        assert rng.bit_generator.state == batched.bit_generator.state
+
     def test_small_alpha_variance(self):
         # Var Beta(a, a) = 1 / (4 * (2a + 1)); a=0.2 gives 0.178571...
         rng = np.random.default_rng(11)
@@ -250,6 +259,9 @@ class TestMixBatch:
         assert list(mb.targets) == expected
         assert [mb.targets[i] for i in range(len(mb.targets))] == expected
         assert rng.bit_generator.state == replay.bit_generator.state
+        if policy == "linear":
+            rows = [mix_linear(x[i], x[pairing[i]], lams[i]) for i in range(6)]
+            assert np.array_equal(mb.inputs, np.stack(rows))
 
 
 class TestTargets:

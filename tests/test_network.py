@@ -191,6 +191,27 @@ class TestBackward:
         np.testing.assert_allclose(grads.weights[0], expected_w, atol=1e-12)
         np.testing.assert_allclose(grads.biases[0], expected_b, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "arch, site",
+        [("mlp", None), ("conv", None), ("mlp", 0), ("mlp", 1), ("conv", 0), ("conv", 2)],
+    )
+    def test_without_input_grad_same_param_grads(self, arch, site):
+        specs = make_mlp(6, 8, 3) if arch == "mlp" else make_conv(1, 3, (8, 8))
+        params = init_params(specs, np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        x = adapt_inputs(specs, rng.normal(size=(5, 6) if arch == "mlp" else (5, 8, 8)))
+        hspec = None
+        if site is not None:
+            hspec = HiddenMixSpec(site, Lambda(0.3), np.array([2, 0, 4, 1, 3]))
+        z, cache = forward_manifold_mix(params, x, hspec)
+        res = batch_loss(z, random_targets(rng, 5, 3), LossSpec("dm_ce", DMConfig(0.25)))
+        full, gx = backward(params, cache, res.grad_logits)
+        grads, none = backward(params, cache, res.grad_logits, input_grad=False)
+        assert gx.shape == x.shape and none is None
+        assert [w is None for w in grads.weights] == [w is None for w in params.weights]
+        for a, b in zip(full.arrays(), grads.arrays(), strict=True):
+            assert np.array_equal(a, b)
+
     def test_mismatched_cache_rejected(self):
         specs = make_mlp(4, 3, 2)
         params = init_params(specs, np.random.default_rng(0))
