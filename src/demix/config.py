@@ -1,15 +1,18 @@
 """Experiment configuration: flat ``section.key = value`` text files.
 
-Unknown keys are hard errors, every key has a typed default, and
-parse -> serialize -> parse is the identity on the resulting config object.
+The keys are the ``section.field`` names of the sections of
+``ExperimentConfig``; nested dataclasses flatten into their section
+(``LossSpec.dm.eta`` is ``loss.eta``). Each key takes its default from its
+field and its parser from the type of that default. Unknown keys are hard
+errors, and parse -> serialize -> parse is the identity on the config object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
-from .losses import DMConfig, LossSpec, RescaleParams, LOSS_KINDS
-from .mixers import MixConfig, POLICIES
+from .losses import LossSpec
+from .mixers import MixConfig
 from .network import TrainConfig
 from .semisup import SSLConfig
 
@@ -87,12 +90,13 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_ints(s: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in s.split(",") if p.strip())
-
-
-def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in s.split(",") if p.strip())
+def _parser(default):
+    """The value parser a key gets from the type of its dataclass default."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        return lambda s: tuple(type(default[0])(p) for p in s.split(",") if p.strip())
+    return type(default)
 
 
 def _fmt(v) -> str:
@@ -105,62 +109,56 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# key -> (parser, default). Defaults double as the serialization source of
-# truth; sections `mixer.policy = none` and `ssl.enabled` drive the optional
-# sub-configs.
-_SCHEMA: dict[str, tuple] = {
-    "dataset.source": (str, "images"),
-    "dataset.size": (int, 1000),
-    "dataset.val_size": (int, 1000),
-    "dataset.label_fraction": (float, 1.0),
-    "dataset.noise": (float, 0.25),
-    "dataset.seed": (int, 0),
-    "dataset.num_classes": (int, 10),
-    "dataset.shift": (int, 3),
-    "dataset.images": (str, ""),
-    "dataset.labels": (str, ""),
-    "mixer.policy": (str, "linear"),  # none | linear | cutmix | manifold | resizemix
-    "mixer.alpha": (float, 0.2),
-    "mixer.per_batch_lambda": (_parse_bool, True),
-    "loss.kind": (str, "mce"),
-    "loss.eta": (float, 0.1),
-    "loss.t": (float, 1.0),
-    "loss.xi": (float, 1.0),
-    "network.arch": (str, "mlp"),
-    "network.hidden": (int, 256),
-    "train.base_lr": (float, 0.1),
-    "train.min_lr": (float, 0.001),
-    "train.momentum": (float, 0.9),
-    "train.weight_decay": (float, 1e-4),
-    "train.epochs": (int, 50),
-    "train.batch_size": (int, 100),
-    "ssl.enabled": (_parse_bool, False),
-    "ssl.tau": (float, 0.95),
-    "ssl.unlabeled_weight": (float, 1.0),
-    "ssl.eta": (float, 0.1),
-    "ssl.alpha": (float, 0.2),
-    "ssl.steps": (int, 2000),
-    "ssl.asymmetric_mixing": (_parse_bool, True),
-    "ssl.labeled_batch": (int, 0),
-    "ssl.unlabeled_batch": (int, 64),
-    "ssl.eval_interval": (int, 100),
-    "eval.mixed_pairs": (_parse_bool, False),
-    "eval.mixed_pair_count": (int, 200),
-    "eval.fgsm": (_parse_bool, False),
-    "eval.fgsm_epsilon": (float, 8.0 / 255.0),
-    "eval.occlusion": (_parse_bool, False),
-    "eval.occlusion_patch": (int, 4),
-    "eval.occlusion_ratios": (_parse_floats, (0.0, 0.25, 0.5, 0.75, 1.0)),
-    "eval.confidence_bins": (int, 0),
-    "run.name": (str, "exp"),
-    "run.seeds": (_parse_ints, (1,)),
-    "run.out": (str, "runs"),
-}
+# Every section present, so each key has a default to flatten from.
+_FULL = ExperimentConfig(ssl=SSLConfig())
+
+
+def _section_items(name: str, section) -> dict[str, object]:
+    """``name.field`` -> value; nested dataclasses (``LossSpec.dm``,
+    ``LossSpec.rescale``) flatten into the same section."""
+    out: dict[str, object] = {}
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            out.update(_section_items(name, value))
+        elif f"{name}.{f.name}" != "train.seed":  # filled in from run.seeds
+            out[f"{name}.{f.name}"] = value
+    return out
+
+
+def _flatten(cfg: ExperimentConfig) -> dict[str, object]:
+    out: dict[str, object] = {}
+    for f in fields(ExperimentConfig):
+        section = getattr(cfg, f.name)
+        if f.name == "ssl":
+            out["ssl.enabled"] = section is not None
+        if section is None:
+            section = getattr(_FULL, f.name)
+        out.update(_section_items(f.name, section))
+    if cfg.mixer is None:
+        out["mixer.policy"] = "none"
+    return out
+
+
+_DEFAULTS = _flatten(ExperimentConfig())
+_PARSERS = {key: _parser(default) for key, default in _DEFAULTS.items()}
+
+
+def _build_section(name: str, proto, values: dict[str, object]):
+    """The inverse of ``_section_items``: ``proto`` with the flat values put in."""
+    changes = {}
+    for f in fields(proto):
+        value = getattr(proto, f.name)
+        if is_dataclass(value):
+            changes[f.name] = _build_section(name, value, values)
+        else:
+            changes[f.name] = values.get(f"{name}.{f.name}", value)
+    return type(proto)(**changes)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat config format; any unknown key raises before any work."""
-    values = {k: default for k, (_, default) in _SCHEMA.items()}
+    values = dict(_DEFAULTS)
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -170,12 +168,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: expected 'section.key = value'")
         key, _, val = line.partition("=")
         key = key.strip()
-        val = val.strip()
-        if key not in _SCHEMA:
+        if key not in _PARSERS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        parser, _ = _SCHEMA[key]
         try:
-            values[key] = parser(val)
+            values[key] = _PARSERS[key](val.strip())
         except ValueError as e:
             raise ValueError(f"line {lineno}: bad value for {key}: {e}") from e
         seen.add(key)
@@ -186,137 +182,16 @@ def parse_config(text: str) -> ExperimentConfig:
             values["loss.t"], values["loss.xi"] = 1.0, 0.8
         else:
             values["loss.t"], values["loss.xi"] = 0.5, 1.0
-    return _build(values)
-
-
-def _build(v: dict) -> ExperimentConfig:
-    if v["loss.kind"] not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {v['loss.kind']!r}")
-    mixer_policy = v["mixer.policy"]
-    if mixer_policy == "none":
-        mixer = None
-    elif mixer_policy in POLICIES:
-        mixer = MixConfig(mixer_policy, v["mixer.alpha"], v["mixer.per_batch_lambda"])
-    else:
-        raise ValueError(f"unknown mixer policy {mixer_policy!r}")
-    ssl = None
-    if v["ssl.enabled"]:
-        ssl = SSLConfig(
-            tau=v["ssl.tau"],
-            unlabeled_weight=v["ssl.unlabeled_weight"],
-            eta=v["ssl.eta"],
-            alpha=v["ssl.alpha"],
-            steps=v["ssl.steps"],
-            asymmetric_mixing=v["ssl.asymmetric_mixing"],
-            labeled_batch=v["ssl.labeled_batch"],
-            unlabeled_batch=v["ssl.unlabeled_batch"],
-            eval_interval=v["ssl.eval_interval"],
-        )
-    return ExperimentConfig(
-        dataset=DatasetSpec(
-            source=v["dataset.source"],
-            size=v["dataset.size"],
-            val_size=v["dataset.val_size"],
-            label_fraction=v["dataset.label_fraction"],
-            noise=v["dataset.noise"],
-            seed=v["dataset.seed"],
-            num_classes=v["dataset.num_classes"],
-            shift=v["dataset.shift"],
-            images=v["dataset.images"],
-            labels=v["dataset.labels"],
-        ),
-        mixer=mixer,
-        loss=LossSpec(
-            kind=v["loss.kind"],
-            dm=DMConfig(eta=v["loss.eta"]),
-            rescale=RescaleParams(t=v["loss.t"], xi=v["loss.xi"]),
-        ),
-        network=NetworkConfig(arch=v["network.arch"], hidden=v["network.hidden"]),
-        train=TrainConfig(
-            base_lr=v["train.base_lr"],
-            min_lr=v["train.min_lr"],
-            momentum=v["train.momentum"],
-            weight_decay=v["train.weight_decay"],
-            epochs=v["train.epochs"],
-            batch_size=v["train.batch_size"],
-        ),
-        ssl=ssl,
-        eval=EvalConfig(
-            mixed_pairs=v["eval.mixed_pairs"],
-            mixed_pair_count=v["eval.mixed_pair_count"],
-            fgsm=v["eval.fgsm"],
-            fgsm_epsilon=v["eval.fgsm_epsilon"],
-            occlusion=v["eval.occlusion"],
-            occlusion_patch=v["eval.occlusion_patch"],
-            occlusion_ratios=v["eval.occlusion_ratios"],
-            confidence_bins=v["eval.confidence_bins"],
-        ),
-        run=RunConfig(name=v["run.name"], seeds=v["run.seeds"], out=v["run.out"]),
-    )
-
-
-def _flatten(cfg: ExperimentConfig) -> dict[str, object]:
-    d = cfg.dataset
-    e = cfg.eval
-    t = cfg.train
-    s = cfg.ssl if cfg.ssl is not None else SSLConfig()
-    return {
-        "dataset.source": d.source,
-        "dataset.size": d.size,
-        "dataset.val_size": d.val_size,
-        "dataset.label_fraction": d.label_fraction,
-        "dataset.noise": d.noise,
-        "dataset.seed": d.seed,
-        "dataset.num_classes": d.num_classes,
-        "dataset.shift": d.shift,
-        "dataset.images": d.images,
-        "dataset.labels": d.labels,
-        "mixer.policy": cfg.mixer.policy if cfg.mixer is not None else "none",
-        "mixer.alpha": cfg.mixer.alpha if cfg.mixer is not None else 0.2,
-        "mixer.per_batch_lambda": (
-            cfg.mixer.per_batch_lambda if cfg.mixer is not None else True
-        ),
-        "loss.kind": cfg.loss.kind,
-        "loss.eta": cfg.loss.dm.eta,
-        "loss.t": cfg.loss.rescale.t,
-        "loss.xi": cfg.loss.rescale.xi,
-        "network.arch": cfg.network.arch,
-        "network.hidden": cfg.network.hidden,
-        "train.base_lr": t.base_lr,
-        "train.min_lr": t.min_lr,
-        "train.momentum": t.momentum,
-        "train.weight_decay": t.weight_decay,
-        "train.epochs": t.epochs,
-        "train.batch_size": t.batch_size,
-        "ssl.enabled": cfg.ssl is not None,
-        "ssl.tau": s.tau,
-        "ssl.unlabeled_weight": s.unlabeled_weight,
-        "ssl.eta": s.eta,
-        "ssl.alpha": s.alpha,
-        "ssl.steps": s.steps,
-        "ssl.asymmetric_mixing": s.asymmetric_mixing,
-        "ssl.labeled_batch": s.labeled_batch,
-        "ssl.unlabeled_batch": s.unlabeled_batch,
-        "ssl.eval_interval": s.eval_interval,
-        "eval.mixed_pairs": e.mixed_pairs,
-        "eval.mixed_pair_count": e.mixed_pair_count,
-        "eval.fgsm": e.fgsm,
-        "eval.fgsm_epsilon": e.fgsm_epsilon,
-        "eval.occlusion": e.occlusion,
-        "eval.occlusion_patch": e.occlusion_patch,
-        "eval.occlusion_ratios": e.occlusion_ratios,
-        "eval.confidence_bins": e.confidence_bins,
-        "run.name": cfg.run.name,
-        "run.seeds": cfg.run.seeds,
-        "run.out": cfg.run.out,
-    }
+    absent = {"mixer": values["mixer.policy"] == "none", "ssl": not values["ssl.enabled"]}
+    sections = {}
+    for f in fields(ExperimentConfig):
+        if absent.get(f.name):
+            sections[f.name] = None
+        else:
+            sections[f.name] = _build_section(f.name, getattr(_FULL, f.name), values)
+    return ExperimentConfig(**sections)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     lines = [f"{key} = {_fmt(value)}" for key, value in _flatten(cfg).items()]
     return "\n".join(lines) + "\n"
-
-
-def with_seed(cfg: ExperimentConfig, seed: int) -> TrainConfig:
-    """The run's TrainConfig with the per-run seed filled in."""
-    return replace(cfg.train, seed=seed)

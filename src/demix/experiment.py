@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data as ddata
 from . import evaluation as deval
-from .config import DatasetSpec, ExperimentConfig, with_seed
+from .config import DatasetSpec, ExperimentConfig
 from .losses import LossSpec
 from .network import (
     make_conv,
@@ -128,7 +129,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     rows: list[tuple] = []
     finals: dict[str, float] = {}
     for seed in cfg.run.seeds:
-        tcfg = with_seed(cfg, seed)
+        tcfg = replace(cfg.train, seed=seed)
         if cfg.ssl is not None:
             params, log = train_ssl(
                 labeled_ds, unlabeled_x, val_ds, specs, cfg.ssl, tcfg

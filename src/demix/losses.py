@@ -101,16 +101,15 @@ def _decoupled(z: np.ndarray, j: int) -> tuple[np.ndarray, float]:
 def decoupled_softmax(z: np.ndarray, excluded: int) -> np.ndarray:
     """Softmax scores with one competitor removed from the normalizer.
 
-    Component i is exp(z_i) / sum_{c != excluded} exp(z_c) for every i; the
-    excluded component itself is reported too (callers ignore it). Removing a
-    competitor strictly enlarges every other score versus plain softmax.
+    Component i is exp(z_i) / sum_{c != excluded} exp(z_c) for every i other
+    than the excluded class, whose component is 0; the survivors sum to 1.
+    Removing a competitor strictly enlarges every other score versus plain
+    softmax.
     """
     z = np.asarray(z, dtype=float)
     if not 0 <= excluded < len(z):
         raise IndexError(f"excluded class {excluded} out of range for C={len(z)}")
-    phi, lse = _decoupled(z, excluded)
-    phi[excluded] = np.exp(z[excluded] - lse)
-    return phi
+    return _decoupled(z, excluded)[0]
 
 
 def mce_loss(z: np.ndarray, target: MixedTarget) -> LossResult:

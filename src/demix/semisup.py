@@ -59,21 +59,20 @@ class PseudoLabel:
     accepted: bool
 
 
-def pseudo_label(logits: np.ndarray, tau: float) -> PseudoLabel:
-    """Argmax class with its softmax confidence; accepted iff conf >= tau."""
-    p = softmax(np.asarray(logits, dtype=float))
-    c = int(np.argmax(p))
-    conf = float(p[c])
-    return PseudoLabel(c, conf, conf >= tau)
-
-
 def pseudo_label_batch(
     logits: np.ndarray, tau: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: argmax class, its softmax confidence, accepted iff conf >= tau."""
     p = softmax(np.asarray(logits, dtype=float))
     classes = np.argmax(p, axis=1)
     conf = p[np.arange(len(p)), classes]
     return classes, conf, conf >= tau
+
+
+def pseudo_label(logits: np.ndarray, tau: float) -> PseudoLabel:
+    """``pseudo_label_batch`` of a single row of logits."""
+    classes, conf, accepted = pseudo_label_batch(np.atleast_2d(logits), tau)
+    return PseudoLabel(int(classes[0]), float(conf[0]), bool(accepted[0]))
 
 
 class _BatchCycler:

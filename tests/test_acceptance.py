@@ -14,17 +14,11 @@ import pytest
 from demix import data as dd
 from demix import evaluation as deval
 from demix import network as net
+from demix import selftest
 from demix.config import parse_config, serialize_config
 from demix.experiment import run_experiment
-from demix.losses import (
-    DMConfig,
-    RescaleParams,
-    dm_regularizer,
-    mce_loss,
-    rescale,
-    softmax,
-)
-from demix.mixers import Lambda, MixConfig, MixedTarget
+from demix.losses import DMConfig, RescaleParams, rescale
+from demix.mixers import Lambda, MixConfig
 from demix.semisup import SSLConfig, train_ssl
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -34,16 +28,6 @@ def report(criterion, ok, detail):
     line = f"[criterion {criterion}] {'PASS' if ok else 'FAIL'}: {detail}"
     print(line)
     assert ok, line
-
-
-def central_diff(f, z, h=1e-6):
-    g = np.zeros_like(z)
-    for i in range(len(z)):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h
-        zm[i] -= h
-        g[i] = (f(zp) - f(zm)) / (2 * h)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -94,45 +78,7 @@ def image_bundle(tmp_path_factory):
 
 def test_criterion_01_gradient_oracles():
     start = time.monotonic()
-    rng = np.random.default_rng(0)
-    worst_closed = 0.0
-    worst_fd = 0.0
-    cases = 0
-    for c in (2, 3, 10):
-        for _ in range(40):
-            z = rng.normal(scale=2.0, size=c)
-            a, b = (int(v) for v in rng.choice(c, size=2, replace=False))
-            lam = float(rng.uniform())
-            target = MixedTarget(a, b, Lambda(lam))
-
-            # naive closed forms, written straight from the definitions
-            e = np.exp(z)
-            p = e / e.sum()
-            mce_closed = p.copy()
-            mce_closed[a] -= lam
-            mce_closed[b] -= 1.0 - lam
-            no_a, no_b = e.sum() - e[a], e.sum() - e[b]
-            dm_closed = e / no_a + e / no_b
-            dm_closed[a] = -1.0 + e[a] / no_b
-            dm_closed[b] = -1.0 + e[b] / no_a
-
-            res = mce_loss(z, target)
-            reg = dm_regularizer(z, a, b)
-            worst_closed = max(
-                worst_closed,
-                float(np.abs(res.grad_logits - mce_closed).max()),
-                float(np.abs(reg.grad_logits - dm_closed).max()),
-            )
-            fd_m = central_diff(lambda v: mce_loss(v, target).value, z)
-            fd_d = central_diff(lambda v: dm_regularizer(v, a, b).value, z)
-            scale_m = np.maximum(np.abs(res.grad_logits), 1.0)
-            scale_d = np.maximum(np.abs(reg.grad_logits), 1.0)
-            worst_fd = max(
-                worst_fd,
-                float((np.abs(res.grad_logits - fd_m) / scale_m).max()),
-                float((np.abs(reg.grad_logits - fd_d) / scale_d).max()),
-            )
-            cases += 1
+    worst_closed, worst_fd, cases = selftest.gradient_oracle_suite()
     elapsed = time.monotonic() - start
     report(
         1,
@@ -149,14 +95,7 @@ def test_criterion_01_gradient_oracles():
 
 def test_criterion_02_mce_stationarity():
     start = time.monotonic()
-    worst = 0.0
-    for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
-        target = MixedTarget(0, 1, Lambda(lam))
-        z = np.zeros(3)
-        for _ in range(4000):
-            z -= 0.5 * mce_loss(z, target).grad_logits
-        p = softmax(z)
-        worst = max(worst, abs(p[0] - lam), abs(p[1] - (1.0 - lam)))
+    worst = selftest.mce_stationarity_suite()
     elapsed = time.monotonic() - start
     report(
         2,
@@ -172,19 +111,7 @@ def test_criterion_02_mce_stationarity():
 
 def test_criterion_03_dm_mutual_boost():
     start = time.monotonic()
-    trajectories = []
-    for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
-        z = np.zeros(4)
-        values, grads = [], []
-        for _ in range(1500):
-            res = dm_regularizer(z, 0, 1)
-            values.append(res.value)
-            grads.append(res.grad_logits.tobytes())
-            z -= 0.8 * res.grad_logits
-        trajectories.append((values, grads, softmax(z)))
-    ref_v, ref_g, _ = trajectories[0]
-    identical = all(v == ref_v and g == ref_g for v, g, _ in trajectories[1:])
-    boost = min(p[0] + p[1] for _, _, p in trajectories)
+    boost, identical = selftest.dm_mutual_boost_suite()
     elapsed = time.monotonic() - start
     report(
         3,
@@ -199,15 +126,7 @@ def test_criterion_03_dm_mutual_boost():
 
 
 def test_criterion_04_form_equivalence():
-    rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(10_000):
-        c = int(rng.integers(2, 12))
-        z = rng.normal(scale=2.0, size=c)
-        a, b = (int(v) for v in rng.choice(c, size=2, replace=False))
-        p = softmax(z)
-        ratio_form = -(np.log(p[a] / (1 - p[b])) + np.log(p[b] / (1 - p[a])))
-        worst = max(worst, abs(dm_regularizer(z, a, b).value - ratio_form))
+    worst = selftest.dm_form_equivalence_suite()
     report(4, worst < 1e-12, f"max form deviation {worst:.2e} over 10000 draws")
 
 

@@ -24,6 +24,57 @@ run.name = cutmix_dm
 eval.mixed_pairs = true
 """
 
+# serialize_config(ExperimentConfig()): every key, in order, with its default.
+DEFAULT_LINES = (
+    "dataset.source = images",
+    "dataset.size = 1000",
+    "dataset.val_size = 1000",
+    "dataset.label_fraction = 1",
+    "dataset.noise = 0.25",
+    "dataset.seed = 0",
+    "dataset.num_classes = 10",
+    "dataset.shift = 3",
+    "dataset.images = ",
+    "dataset.labels = ",
+    "mixer.policy = linear",
+    "mixer.alpha = 0.20000000000000001",
+    "mixer.per_batch_lambda = true",
+    "loss.kind = mce",
+    "loss.eta = 0.10000000000000001",
+    "loss.t = 1",
+    "loss.xi = 1",
+    "network.arch = mlp",
+    "network.hidden = 256",
+    "train.base_lr = 0.10000000000000001",
+    "train.min_lr = 0.001",
+    "train.momentum = 0.90000000000000002",
+    "train.weight_decay = 0.0001",
+    "train.epochs = 50",
+    "train.batch_size = 100",
+    "ssl.enabled = false",
+    "ssl.tau = 0.94999999999999996",
+    "ssl.unlabeled_weight = 1",
+    "ssl.eta = 0.10000000000000001",
+    "ssl.alpha = 0.20000000000000001",
+    "ssl.steps = 2000",
+    "ssl.asymmetric_mixing = true",
+    "ssl.labeled_batch = 0",
+    "ssl.unlabeled_batch = 64",
+    "ssl.eval_interval = 100",
+    "eval.mixed_pairs = false",
+    "eval.mixed_pair_count = 200",
+    "eval.fgsm = false",
+    "eval.fgsm_epsilon = 0.031372549019607843",
+    "eval.occlusion = false",
+    "eval.occlusion_patch = 4",
+    "eval.occlusion_ratios = 0,0.25,0.5,0.75,1",
+    "eval.confidence_bins = 0",
+    "run.name = exp",
+    "run.seeds = 1",
+    "run.out = runs",
+)
+DEFAULT_TEXT = "\n".join(DEFAULT_LINES) + "\n"
+
 
 class TestParse:
     def test_defaults_fill_in(self):
@@ -104,3 +155,66 @@ class TestValidation:
 
         with pytest.raises(ValueError):
             RunConfig(seeds=())
+
+
+class TestSchema:
+    def test_default_text(self):
+        assert len(DEFAULT_LINES) == 46
+        assert serialize_config(ExperimentConfig()) == DEFAULT_TEXT
+        assert parse_config(DEFAULT_TEXT) == ExperimentConfig()
+
+    def test_keys_in_order_with_optional_sections(self):
+        cfg = parse_config("mixer.policy = none\nssl.enabled = true")
+        keys = [line.partition(" = ")[0] for line in serialize_config(cfg).splitlines()]
+        assert keys == [line.partition(" = ")[0] for line in DEFAULT_LINES]
+
+    def test_train_seed_is_unknown(self):
+        # the per-run seed comes from run.seeds
+        with pytest.raises(ValueError, match=r"line 2: unknown config key 'train.seed'"):
+            parse_config("train.epochs = 3\ntrain.seed = 4")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("ssl.enabled = maybe", "bad value for ssl.enabled: not a boolean"),
+            ("run.seeds = 1,x", "bad value for run.seeds"),
+            ("eval.occlusion_ratios = 0,half", "bad value for eval.occlusion_ratios"),
+            ("dataset.size = 1.5", "bad value for dataset.size"),
+        ],
+    )
+    def test_bad_value_names_line_and_key(self, line, message):
+        with pytest.raises(ValueError, match=f"line 3: {message}"):
+            parse_config(f"# header\n\n{line}")
+
+
+class TestDmBceCurveDefault:
+    @pytest.mark.parametrize(
+        "policy, curve",
+        [
+            ("cutmix", (1.0, 0.8)),
+            ("resizemix", (1.0, 0.8)),
+            ("linear", (0.5, 1.0)),
+            ("manifold", (0.5, 1.0)),
+            ("none", (0.5, 1.0)),
+        ],
+    )
+    def test_per_family_default(self, policy, curve):
+        cfg = parse_config(f"loss.kind = dm_bce\nmixer.policy = {policy}")
+        assert (cfg.loss.rescale.t, cfg.loss.rescale.xi) == curve
+
+    @pytest.mark.parametrize(
+        "policy, line, curve",
+        [
+            ("cutmix", "loss.t = 1", (1.0, 1.0)),
+            ("cutmix", "loss.xi = 0.5", (1.0, 0.5)),
+            ("linear", "loss.t = 2", (2.0, 1.0)),
+            ("linear", "loss.xi = 1", (1.0, 1.0)),
+        ],
+    )
+    def test_explicit_curve_key_turns_default_off(self, policy, line, curve):
+        cfg = parse_config(f"loss.kind = dm_bce\nmixer.policy = {policy}\n{line}")
+        assert (cfg.loss.rescale.t, cfg.loss.rescale.xi) == curve
+
+    def test_other_kinds_keep_dataclass_curve(self):
+        cfg = parse_config("loss.kind = dm_ce\nmixer.policy = cutmix")
+        assert (cfg.loss.rescale.t, cfg.loss.rescale.xi) == (1.0, 1.0)

@@ -207,6 +207,10 @@ class TestCli:
                 str(tmp_path / "out/summary.json"),
             ]
         ) == 0
+        capsys.readouterr()
+        assert cli_main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("PASS") for line in lines)
 
     def test_seed_override(self, tmp_path):
         conf = tmp_path / "run.conf"

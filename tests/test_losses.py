@@ -70,6 +70,13 @@ class TestDecoupledSoftmax:
         with pytest.raises(IndexError):
             decoupled_softmax(np.zeros(3), 3)
 
+    def test_dominant_excluded_logit_is_finite(self):
+        with np.errstate(all="raise", under="ignore"):
+            phi = decoupled_softmax(np.array([1000.0, 0.0, -5.0]), 0)
+        assert phi[0] == 0.0
+        assert phi[1] == pytest.approx(1.0 / (1.0 + math.exp(-5.0)), abs=1e-15)
+        assert phi.sum() == pytest.approx(1.0, abs=1e-15)
+
     # logits capped at |z| <= 8 so 1 - softmax stays resolvable in float64;
     # beyond that both sides saturate to 1.0 and strictness is invisible.
     @given(
