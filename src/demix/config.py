@@ -157,9 +157,13 @@ def _build_section(name: str, proto, values: dict[str, object]):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat config format; any unknown key raises before any work."""
+    """Parse the flat config format; any unknown key raises before any work.
+
+    A section's own check fails with the section name and the line of each
+    key of that section the text set.
+    """
     values = dict(_DEFAULTS)
-    seen: set[str] = set()
+    seen: dict[str, int] = {}  # key -> line of its last setting
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -174,10 +178,10 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = _PARSERS[key](val.strip())
         except ValueError as e:
             raise ValueError(f"line {lineno}: bad value for {key}: {e}") from e
-        seen.add(key)
+        seen[key] = lineno
     # Rescaled-target BCE ships the recommended curve per mixer family unless
     # the curve was set explicitly: cut-based (1, 0.8), interpolation (0.5, 1).
-    if values["loss.kind"] == "dm_bce" and not {"loss.t", "loss.xi"} & seen:
+    if values["loss.kind"] == "dm_bce" and not seen.keys() & {"loss.t", "loss.xi"}:
         if values["mixer.policy"] in ("cutmix", "resizemix"):
             values["loss.t"], values["loss.xi"] = 1.0, 0.8
         else:
@@ -187,8 +191,13 @@ def parse_config(text: str) -> ExperimentConfig:
     for f in fields(ExperimentConfig):
         if absent.get(f.name):
             sections[f.name] = None
-        else:
+            continue
+        try:
             sections[f.name] = _build_section(f.name, getattr(_FULL, f.name), values)
+        except ValueError as e:
+            keys = sorted((n, k) for k, n in seen.items() if k.startswith(f"{f.name}."))
+            where = ", ".join(f"line {n}: {k}" for n, k in keys)
+            raise ValueError(f"config section {f.name!r} ({where}): {e}") from e
     return ExperimentConfig(**sections)
 
 

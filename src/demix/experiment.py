@@ -136,7 +136,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             )
             for metric, step, value in log:
                 rows.append(metric_row(cfg.run.name, seed, step, metric, value))
-            best = max(v for m, _, v in log if m == "test_top1") if log else float("nan")
+            best = max(v for m, _, v in log if m == "test_top1")
             rows.append(
                 metric_row(cfg.run.name, seed, cfg.ssl.steps - 1, "best_top1", best)
             )

@@ -360,8 +360,9 @@ def batch_loss(
         targets = Targets.from_records(targets)
     if len(targets) != n:
         raise ValueError("one target per sample required")
-    if max(targets.a.max(), targets.b.max()) >= z_batch.shape[1]:
-        raise IndexError("class index out of range")
+    top = max(targets.a.max(), targets.b.max())
+    if top >= z_batch.shape[1]:
+        raise ValueError(f"class index {top} out of range for {z_batch.shape[1]} logits")
     if spec.kind in ("mce", "dm_ce"):
         value, grad = mce_rows(z_batch, targets.a, targets.b, targets.lam)
     else:

@@ -142,6 +142,8 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be nonnegative")
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ValueError("batch_size must be positive and epochs nonnegative")
 
 
 @dataclass(eq=False)
@@ -458,15 +460,55 @@ class TrainingDiverged(ArithmeticError):
     """The scalar batch loss of a training step is NaN or infinite."""
 
 
-def check_finite_loss(value: float, where: str) -> None:
-    """Raise :class:`TrainingDiverged` naming ``where`` if ``value`` is not finite."""
-    if not math.isfinite(value):
-        raise TrainingDiverged(f"training diverged at {where}: batch loss {value!r}")
+def _batches(n: int, batch: int, rng: np.random.Generator):
+    """Endless index batches of range(n): each pass cuts one fresh permutation
+    into ``batch``-row slices, the last possibly short (``batch <= 0``: all n)."""
+    batch = min(batch, n) if batch > 0 else n
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            yield order[start : start + batch]
 
 
-def _val_top1(params: Parameters, x: np.ndarray, y: np.ndarray) -> float:
-    logits, _ = forward(params, adapt_inputs(params.specs, x))
-    return float(np.mean(np.argmax(logits, axis=1) == y))
+def _loss_and_grads(params, x, targets, loss_spec, hidden_mix=None):
+    """Batch loss and parameter gradients of one forward and backward pass."""
+    z, cache = forward_manifold_mix(params, adapt_inputs(params.specs, x), hidden_mix)
+    res = batch_loss(z, targets, loss_spec)
+    grads, _ = backward(params, cache, res.grad_logits, input_grad=False)
+    return res.value, grads
+
+
+def _train_loop(
+    params, step_fn, total_steps, eval_every, eval_ds, config, entries, where
+):
+    """Momentum SGD on ``params`` (in place) over ``total_steps`` steps.
+
+    ``step_fn()`` returns ``(loss, grads, logged)``; a non-finite loss raises
+    :class:`TrainingDiverged` at ``where(step)``. After every ``eval_every``
+    steps and after the last, the log gets ``entries(step, mean logged since
+    the last evaluation, top-1 on eval_ds)``. numpy's overflow, invalid and
+    divide warnings are off for the whole loop, so a diverging run reports
+    the error alone.
+    """
+    velocity = zeros_like_params(params)
+    log: list[tuple[str, int, float]] = []
+    window: list[float] = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(total_steps):
+            loss, grads, logged = step_fn()
+            if not math.isfinite(loss):
+                raise TrainingDiverged(
+                    f"training diverged at {where(step)}: batch loss {loss!r}"
+                )
+            sgd_step(params, grads, velocity, step, total_steps, config)
+            window.append(logged)
+            if (step + 1) % eval_every == 0 or step + 1 == total_steps:
+                # [0] frees the eval set's activation cache before the next step.
+                z = forward(params, adapt_inputs(params.specs, eval_ds.x))[0]
+                top1 = float(np.mean(np.argmax(z, axis=1) == eval_ds.y))
+                log.extend(entries(step, float(np.mean(window)), top1))
+                window = []
+    return log
 
 
 def train_supervised(
@@ -477,60 +519,44 @@ def train_supervised(
     loss_spec: LossSpec,
     config: TrainConfig,
 ) -> tuple[Parameters, list[tuple[str, int, float]]]:
-    """Mini-batch training loop; deterministic given ``config.seed``.
+    """Mini-batch training; deterministic given ``config.seed``.
 
     Returns the trained parameters and a per-epoch log of
     ("train_loss" | "val_top1", epoch, value) entries. ``mix_config=None``
     trains on plain labels with no mixing.
     """
-    if len(train_ds.x) == 0:
-        raise ValueError("empty training set")
-    ss = np.random.SeedSequence(config.seed)
-    init_seq, shuffle_seq, mix_seq = ss.spawn(3)
-    init_rng = np.random.default_rng(init_seq)
-    shuffle_rng = np.random.default_rng(shuffle_seq)
-    mix_rng = np.random.default_rng(mix_seq)
-
-    params = init_params(specs, init_rng)
-    velocity = zeros_like_params(params)
     n = len(train_ds.x)
-    bs = min(config.batch_size, n)
-    steps_per_epoch = (n + bs - 1) // bs
-    total_steps = config.epochs * steps_per_epoch
+    if n == 0:
+        raise ValueError("empty training set")
+    seqs = np.random.SeedSequence(config.seed).spawn(3)
+    init_rng, shuffle_rng, mix_rng = map(np.random.default_rng, seqs)
+    params = init_params(specs, init_rng)
+    batches = _batches(n, config.batch_size, shuffle_rng)
+    epoch_len = (n - 1) // min(config.batch_size, n) + 1
     sites = manifold_mix_sites(specs)
 
-    log: list[tuple[str, int, float]] = []
-    step = 0
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, bs):
-            idx = order[start : start + bs]
-            xb = train_ds.x[idx]
-            yb = train_ds.y[idx]
-            if mix_config is None:
-                z, cache = forward(params, adapt_inputs(specs, xb))
-                targets = plain_targets(yb)
-            elif mix_config.policy == "manifold":
-                mb = mix_batch(xb, yb, mix_config, mix_rng)
+    def step_fn():
+        idx = next(batches)
+        x, y, hidden = train_ds.x[idx], train_ds.y[idx], None
+        if mix_config is None:
+            targets = plain_targets(y)
+        else:
+            mb = mix_batch(x, y, mix_config, mix_rng)
+            x, targets = mb.inputs, mb.targets
+            if mix_config.policy == "manifold":
                 site = int(mix_rng.choice(sites))
-                hspec = HiddenMixSpec(site, mb.targets[0].lam, mb.pairing)
-                z, cache = forward_manifold_mix(
-                    params, adapt_inputs(specs, mb.inputs), hspec
-                )
-                targets = mb.targets
-            else:
-                mb = mix_batch(xb, yb, mix_config, mix_rng)
-                z, cache = forward(params, adapt_inputs(specs, mb.inputs))
-                targets = mb.targets
-            res = batch_loss(z, targets, loss_spec)
-            check_finite_loss(res.value, f"epoch {epoch}, step {step}")
-            grads, _ = backward(params, cache, res.grad_logits, input_grad=False)
-            sgd_step(params, grads, velocity, step, total_steps, config)
-            step += 1
-            epoch_losses.append(res.value)
-        log.append(("train_loss", epoch, float(np.mean(epoch_losses))))
-        log.append(("val_top1", epoch, _val_top1(params, val_ds.x, val_ds.y)))
+                hidden = HiddenMixSpec(site, targets[0].lam, mb.pairing)
+        loss, grads = _loss_and_grads(params, x, targets, loss_spec, hidden)
+        return loss, grads, loss
+
+    def entries(step, loss, top1):
+        epoch = step // epoch_len
+        return [("train_loss", epoch, loss), ("val_top1", epoch, top1)]
+
+    log = _train_loop(
+        params, step_fn, config.epochs * epoch_len, epoch_len, val_ds, config, entries,
+        lambda step: f"epoch {step // epoch_len}, step {step}",
+    )
     return params, log
 
 

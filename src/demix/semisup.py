@@ -1,9 +1,12 @@
 """Confidence-thresholded pseudo-labeling with asymmetric decoupled mixing.
 
-The unsupervised block is gated by ``unlabeled_weight``: setting it to zero
-makes a run reproduce plain supervised training on the labeled set exactly
-(the RNG streams for labeled shuffling and init are shared with
-:func:`demix.network.train_supervised`).
+:func:`ssl_step` returns the gradients and metrics of one combined step;
+:func:`train_ssl` runs it in the training loop shared with
+:func:`demix.network.train_supervised` (batching, cosine-scheduled SGD,
+divergence check and evaluation). The unsupervised block is gated by
+``unlabeled_weight``: setting it to zero makes a run reproduce plain
+supervised training on the labeled set exactly, as does an empty unlabeled
+pool (the init and labeled-shuffle RNG streams are shared too).
 """
 
 from __future__ import annotations
@@ -12,18 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec, asymmetric_dm_rows, batch_loss, mce_rows, softmax
+from .losses import LossSpec, asymmetric_dm_rows, mce_rows, softmax
 from .network import (
     Parameters,
     TrainConfig,
+    _batches,
+    _loss_and_grads,
+    _train_loop,
     adapt_inputs,
     backward,
-    check_finite_loss,
     forward,
     init_params,
     plain_targets,
-    sgd_step,
-    zeros_like_params,
 )
 
 CE_SPEC = LossSpec(kind="mce")
@@ -50,6 +53,8 @@ class SSLConfig:
             raise ValueError("alpha must be positive")
         if self.steps < 1:
             raise ValueError("steps must be positive")
+        if self.eval_interval < 1:
+            raise ValueError("eval_interval must be positive")
 
 
 @dataclass(frozen=True)
@@ -75,37 +80,14 @@ def pseudo_label(logits: np.ndarray, tau: float) -> PseudoLabel:
     return PseudoLabel(int(classes[0]), float(conf[0]), bool(accepted[0]))
 
 
-class _BatchCycler:
-    """Epoch-shuffled cycling batches, reshuffled by its own generator."""
-
-    def __init__(self, n: int, batch: int, rng: np.random.Generator):
-        self.n = n
-        self.batch = min(batch, n) if batch > 0 else n
-        self.rng = rng
-        self.order = rng.permutation(n)
-        self.pos = 0
-
-    def next(self) -> np.ndarray:
-        if self.pos >= self.n:
-            self.order = self.rng.permutation(self.n)
-            self.pos = 0
-        idx = self.order[self.pos : self.pos + self.batch]
-        self.pos += self.batch
-        return idx
-
-
 def ssl_step(
     params: Parameters,
     labeled: tuple[np.ndarray, np.ndarray],
     unlabeled_x: np.ndarray,
     config: SSLConfig,
-    train_config: TrainConfig,
     rng: np.random.Generator,
-    velocity: Parameters | None = None,
-    step: int = 0,
-    total_steps: int = 1,
 ) -> tuple[Parameters, dict]:
-    """One combined update.
+    """Gradients and metrics of one combined step; ``params`` is not updated.
 
     loss = CE(labeled)
          + w_u * [ CE(accepted pseudo-labels)
@@ -120,8 +102,6 @@ def ssl_step(
     decoupled term skips pairs whose pseudo class equals the labeled class.
     ``metrics["loss"]`` is the scalar loss of the step.
     """
-    if velocity is None:
-        velocity = zeros_like_params(params)
     x_l, y_l = labeled
     x_l = np.asarray(x_l, dtype=float)
     n_l, n_u = len(x_l), len(unlabeled_x)
@@ -175,8 +155,7 @@ def ssl_step(
     metrics["loss"] = metrics["loss_labeled"] + w_u * (
         metrics["loss_pseudo"] + metrics["loss_mix"]
     )
-    sgd_step(params, grads, velocity, step, total_steps, config=train_config)
-    return params, metrics
+    return grads, metrics
 
 
 def train_ssl(
@@ -190,61 +169,35 @@ def train_ssl(
     """Pseudo-labeling loop; deterministic given ``train_config.seed``.
 
     Logs ("test_top1" | "accepted_frac", step, value) every
-    ``config.eval_interval`` steps (interval-mean for the accepted fraction).
-    An empty unlabeled pool degenerates to supervised training.
+    ``config.eval_interval`` steps and after the last step (interval-mean for
+    the accepted fraction). An empty unlabeled pool degenerates to supervised
+    training.
     """
     present = set(np.unique(labeled_ds.y).tolist())
     if present != set(range(labeled_ds.num_classes)):
         missing = sorted(set(range(labeled_ds.num_classes)) - present)
         raise ValueError(f"labeled set is missing classes {missing}")
 
-    ss = np.random.SeedSequence(train_config.seed)
-    init_seq, shuffle_seq, _mix_seq, unlab_seq, pair_seq = ss.spawn(5)
-    init_rng = np.random.default_rng(init_seq)
-    shuffle_rng = np.random.default_rng(shuffle_seq)
-    unlab_rng = np.random.default_rng(unlab_seq)
-    pair_rng = np.random.default_rng(pair_seq)
-
+    seqs = np.random.SeedSequence(train_config.seed).spawn(5)
+    init_rng, shuffle_rng, _, unlab_rng, pair_rng = map(np.random.default_rng, seqs)
     params = init_params(tuple(specs), init_rng)
-    velocity = zeros_like_params(params)
-    labeled_batches = _BatchCycler(len(labeled_ds), config.labeled_batch, shuffle_rng)
-    have_unlabeled = len(unlabeled_x) > 0
-    if have_unlabeled:
-        unlabeled_batches = _BatchCycler(
-            len(unlabeled_x), config.unlabeled_batch, unlab_rng
-        )
+    labeled_batches = _batches(len(labeled_ds), config.labeled_batch, shuffle_rng)
+    unlabeled_batches = _batches(len(unlabeled_x), config.unlabeled_batch, unlab_rng)
 
-    log: list[tuple[str, int, float]] = []
-    window: list[float] = []
-    for step in range(config.steps):
-        idx_l = labeled_batches.next()
-        batch_l = (labeled_ds.x[idx_l], labeled_ds.y[idx_l])
-        if have_unlabeled:
-            idx_u = unlabeled_batches.next()
-            params, metrics = ssl_step(
-                params,
-                batch_l,
-                unlabeled_x[idx_u],
-                config,
-                train_config,
-                pair_rng,
-                velocity=velocity,
-                step=step,
-                total_steps=config.steps,
-            )
-            check_finite_loss(metrics["loss"], f"step {step}")
-            window.append(metrics["accepted_frac"])
-        else:
-            z, cache = forward(params, adapt_inputs(params.specs, batch_l[0]))
-            res = batch_loss(z, plain_targets(batch_l[1]), CE_SPEC)
-            check_finite_loss(res.value, f"step {step}")
-            grads, _ = backward(params, cache, res.grad_logits, input_grad=False)
-            sgd_step(params, grads, velocity, step, config.steps, train_config)
-            window.append(0.0)
-        if (step + 1) % config.eval_interval == 0:
-            z_t, _ = forward(params, adapt_inputs(params.specs, test_ds.x))
-            acc = float(np.mean(np.argmax(z_t, axis=1) == test_ds.y))
-            log.append(("test_top1", step, acc))
-            log.append(("accepted_frac", step, float(np.mean(window))))
-            window = []
+    def step_fn():
+        idx = next(labeled_batches)
+        x_l, y_l = labeled_ds.x[idx], labeled_ds.y[idx]
+        if len(unlabeled_x) == 0:
+            return *_loss_and_grads(params, x_l, plain_targets(y_l), CE_SPEC), 0.0
+        x_u = unlabeled_x[next(unlabeled_batches)]
+        grads, metrics = ssl_step(params, (x_l, y_l), x_u, config, pair_rng)
+        return metrics["loss"], grads, metrics["accepted_frac"]
+
+    def entries(step, accepted, top1):
+        return [("test_top1", step, top1), ("accepted_frac", step, accepted)]
+
+    log = _train_loop(
+        params, step_fn, config.steps, config.eval_interval, test_ds, train_config,
+        entries, lambda step: f"step {step}",
+    )
     return params, log

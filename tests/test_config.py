@@ -186,6 +186,27 @@ class TestSchema:
         with pytest.raises(ValueError, match=f"line 3: {message}"):
             parse_config(f"# header\n\n{line}")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("mixer.policy = cutmix\nmixer.alpha = 0",
+             "config section 'mixer' (line 2: mixer.policy, line 3: mixer.alpha): "
+             "alpha must be positive"),
+            ("ssl.enabled = true\nssl.alpha = 0",
+             "config section 'ssl' (line 2: ssl.enabled, line 3: ssl.alpha): "
+             "alpha must be positive"),
+            ("loss.kind = focal",
+             "config section 'loss' (line 2: loss.kind): unknown loss kind 'focal'"),
+            ("ssl.enabled = true\nssl.eval_interval = 0",
+             "config section 'ssl' (line 2: ssl.enabled, line 3: ssl.eval_interval): "
+             "eval_interval must be positive"),
+        ],
+    )
+    def test_section_check_names_section_lines_and_keys(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_config(f"train.epochs = 3\n{text}")
+        assert str(info.value) == message
+
 
 class TestDmBceCurveDefault:
     @pytest.mark.parametrize(

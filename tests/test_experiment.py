@@ -123,6 +123,27 @@ run.name = sslrun
         assert "accepted_frac" in csv and "test_top1" in csv
 
 
+    def test_ssl_run_shorter_than_eval_interval(self, tmp_path):
+        # 50 steps with the default interval of 100 still log an evaluation.
+        text = """
+dataset.source = two_moons
+dataset.size = 200
+dataset.val_size = 100
+dataset.num_classes = 2
+dataset.label_fraction = 0.05
+mixer.policy = none
+ssl.enabled = true
+ssl.steps = 50
+network.hidden = 16
+run.seeds = 1,2
+"""
+        summary = run_experiment(parse_config(text), tmp_path / "short")
+        assert all(np.isfinite(v) for v in summary["seeds"].values())
+        assert np.isfinite(summary["mean"])
+        csv = (tmp_path / "short/metrics.csv").read_text()
+        assert "1,49,test_top1," in csv and "2,49,best_top1," in csv
+
+
 class TestCompare:
     def test_equal_runs_tie(self):
         s = {"run": "a", "seeds": {"1": 0.5, "2": 0.7}}

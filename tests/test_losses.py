@@ -430,7 +430,7 @@ class TestBatchedOracle:
         assert np.all(value == 0.0) and np.all(grad == 0.0)
 
     def test_class_index_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="class index 3 out of range for 3 logits"):
             batch_loss(np.zeros((1, 3)), Targets([0], [3], [0.5]), LossSpec("mce"))
 
 

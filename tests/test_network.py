@@ -490,6 +490,11 @@ class TestTrainSupervised:
         val = dd.make_synthetic("blobs", 60, 0.3, 2)
         return train, val
 
+    @pytest.mark.parametrize("kw", [{"batch_size": 0}, {"batch_size": -5}, {"epochs": -1}])
+    def test_batch_size_and_epochs_validated(self, kw):
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            TrainConfig(**kw)
+
     def test_zero_epochs_returns_init(self):
         train, val = self._blobs()
         specs = make_mlp(2, 8, 3)
@@ -525,7 +530,7 @@ class TestTrainSupervised:
         )
         assert len(log) == 4
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises(self):
         train = dd.make_synthetic("two_moons", 200, 0.1, 0)
         cfg = TrainConfig(base_lr=1e6, min_lr=1e-3, epochs=20, batch_size=50, seed=0)

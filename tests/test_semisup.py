@@ -64,6 +64,13 @@ class TestPseudoLabel:
         assert np.all(conf[acc] >= 0.9)
 
 
+class TestSslConfig:
+    @pytest.mark.parametrize("interval", [0, -1])
+    def test_eval_interval_must_be_positive(self, interval):
+        with pytest.raises(ValueError, match="eval_interval must be positive"):
+            SSLConfig(eval_interval=interval)
+
+
 class TestSslStep:
     def test_no_accepted_reduces_to_supervised_step(self):
         specs = make_mlp(2, 8, 2)
@@ -74,12 +81,12 @@ class TestSslStep:
 
         p1 = init_params(specs, np.random.default_rng(7))
         p2 = p1.copy()
-        ssl_step(
-            p1, (labeled.x, labeled.y), unlabeled, cfg, tcfg,
-            np.random.default_rng(0), step=0, total_steps=10,
+        grads_ssl, _ = ssl_step(
+            p1, (labeled.x, labeled.y), unlabeled, cfg, np.random.default_rng(0)
         )
+        sgd_step(p1, grads_ssl, zeros_like_params(p1), 0, 10, tcfg)
         # manual supervised CE step
-        from demix.network import backward, forward, sgd_step, zeros_like_params, plain_targets, adapt_inputs
+        from demix.network import plain_targets
         from demix.losses import batch_loss
 
         z, cache = forward(p2, adapt_inputs(specs, labeled.x))
@@ -93,9 +100,8 @@ class TestSslStep:
         specs = make_mlp(2, 4, 2)
         params = init_params(specs, np.random.default_rng(0))
         cfg = SSLConfig()
-        tcfg = TrainConfig(epochs=1, seed=0)
         with pytest.raises(ValueError):
-            ssl_step(params, (np.empty((0, 2)), np.empty(0)), np.ones((3, 2)), cfg, tcfg, np.random.default_rng(0))
+            ssl_step(params, (np.empty((0, 2)), np.empty(0)), np.ones((3, 2)), cfg, np.random.default_rng(0))
 
     @pytest.mark.parametrize("eta", [0.0, 0.3])
     def test_matches_scalar_step_with_separate_backwards(self, eta):
@@ -111,10 +117,13 @@ class TestSslStep:
         v_batched, v_scalar = zeros_like_params(p_batched), zeros_like_params(p_scalar)
         rng_batched, rng_scalar = np.random.default_rng(8), np.random.default_rng(8)
         for step in range(cfg.steps):
-            _, metrics = ssl_step(
-                p_batched, (labeled.x, labeled.y), unlabeled, cfg, tcfg, rng_batched,
-                velocity=v_batched, step=step, total_steps=cfg.steps,
+            before = [a.copy() for a in p_batched.arrays()]
+            grads, metrics = ssl_step(
+                p_batched, (labeled.x, labeled.y), unlabeled, cfg, rng_batched
             )
+            for a, b in zip(p_batched.arrays(), before):
+                assert np.array_equal(a, b)
+            sgd_step(p_batched, grads, v_batched, step, cfg.steps, tcfg)
             ref = _scalar_ssl_step(
                 p_scalar, labeled, unlabeled, cfg, tcfg, rng_scalar, v_scalar, step
             )
@@ -185,7 +194,7 @@ def _scalar_ssl_step(params, labeled, unlabeled, cfg, tcfg, rng, velocity, step)
 
 
 class TestTrainSsl:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises(self):
         train = _moons(200, 0)
         labeled, rest = dd.stratified_take(train, 10, seed=0)
@@ -242,6 +251,17 @@ class TestTrainSsl:
         _, log = train_ssl(train, _moons(50, 7).x, test, specs, cfg, tcfg)
         accepted = [v for m, _, v in log if m == "accepted_frac"]
         assert accepted == [0.0, 0.0, 0.0]
+
+    def test_evaluates_after_last_step(self):
+        train, test = _moons(60, 5), _moons(80, 6)
+        labeled, rest = dd.stratified_take(train, 10, seed=0)
+        cfg = SSLConfig(steps=7, eval_interval=3)
+        _, log = train_ssl(
+            labeled, rest.x, test, make_mlp(2, 8, 2), cfg, TrainConfig(seed=1)
+        )
+        assert [(m, s) for m, s, _ in log] == [
+            (m, s) for s in (2, 5, 6) for m in ("test_top1", "accepted_frac")
+        ]
 
     def test_deterministic(self):
         train = _moons(60, 5)
