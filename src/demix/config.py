@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
 
+from .evaluation import AttackConfig, OcclusionConfig
 from .losses import LossSpec
 from .mixers import MixConfig
 from .network import TrainConfig
@@ -57,6 +58,14 @@ class EvalConfig:
     occlusion_patch: int = 4
     occlusion_ratios: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
     confidence_bins: int = 0
+
+    def __post_init__(self):
+        if self.mixed_pair_count < 1:
+            raise ValueError("mixed_pair_count must be at least 1")
+        OcclusionConfig(self.occlusion_patch, self.occlusion_ratios)
+        AttackConfig(self.fgsm_epsilon)
+        if self.confidence_bins < 0:
+            raise ValueError("confidence_bins must be nonnegative")
 
 
 @dataclass(frozen=True)

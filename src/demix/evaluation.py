@@ -5,7 +5,11 @@ each other. ``DEMIX_THREADS`` (default 1) caps the thread pool used for the
 chunked forward passes; chunk order is fixed so results are identical at any
 thread count. The pool pays off on the conv net, whose forward is mostly
 single-threaded numpy work: on a 2-core host with one BLAS thread, two
-threads scored 8192 conv samples in 0.93 s instead of 1.75 s.
+threads scored 8192 conv samples in 0.93 s instead of 1.75 s. A value
+that is not an integer of at least 1 raises ``ValueError``.
+
+The hard mixed set and the occlusion curve build their masks as arrays, with
+no loop over rows.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import batch_loss, softmax, LossSpec
-from .mixers import Lambda, MixedBatch, Targets, apply_mask, make_cutmix_mask
+from .mixers import MixedBatch, Targets, cutmix_ratios, paste_boxes, sample_cutmix_boxes
 from .network import Parameters, adapt_inputs, backward, forward, plain_targets
 
 _CE = LossSpec(kind="mce")
@@ -37,7 +41,7 @@ class AttackConfig:
     pixel_bounds: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # also rejects NaN
             raise ValueError("epsilon must be nonnegative")
 
 
@@ -54,10 +58,14 @@ class OcclusionConfig:
 
 
 def _eval_threads() -> int:
+    raw = os.environ.get("DEMIX_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("DEMIX_THREADS", "1")))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"DEMIX_THREADS must be an integer of at least 1, got {raw!r}")
+    return threads
 
 
 def predict_logits(params: Parameters, x: np.ndarray, chunk: int = 1024) -> np.ndarray:
@@ -102,6 +110,14 @@ def mixed_pair_eval(params: Parameters, mixed: MixedBatch) -> MixedPairEval:
     )
 
 
+def _require_images(dataset: Dataset, probe: str) -> None:
+    if dataset.x.ndim < 3:
+        raise ValueError(
+            f"{probe}: inputs must be images (n, ..., height, width), got shape "
+            f"{dataset.x.shape}"
+        )
+
+
 def make_hard_mixed_set(
     dataset: Dataset,
     count: int,
@@ -116,22 +132,43 @@ def make_hard_mixed_set(
     second class. ``area_band`` optionally rejects draws whose realized ratio
     falls outside it (border-clipped boxes can leave the second class almost
     absent, which dilutes the pair metrics).
+
+    Rejection sampling in rounds: each round draws ``count`` first sources,
+    then ``count`` second sources, then their boxes, and the first ``count``
+    accepted candidates in draw order are kept. Inputs that cannot yield a
+    pair raise ``ValueError``.
     """
+    _require_images(dataset, "hard mixed set")
     n = len(dataset)
-    inputs, a, b, ratios = [], [], [], []
+    if count < 1:
+        raise ValueError(f"hard mixed set: count must be at least 1, got {count}")
+    if n == 0:
+        raise ValueError("hard mixed set: the dataset is empty")
+    y = np.asarray(dataset.y)
+    if np.all(y == y[0]):
+        raise ValueError(
+            f"hard mixed set: pairs need two classes, the dataset has only class {y[0]}"
+        )
     h, w = dataset.x.shape[-2:]
-    while len(inputs) < count:
-        i, j = rng.integers(n), rng.integers(n)
-        if dataset.y[i] == dataset.y[j]:
-            continue
-        mask, adj = make_cutmix_mask(h, w, Lambda(lam), rng)
-        if area_band is not None and not (area_band[0] <= adj.value <= area_band[1]):
-            continue
-        inputs.append(apply_mask(dataset.x[i], dataset.x[j], mask))
-        a.append(dataset.y[i])
-        b.append(dataset.y[j])
-        ratios.append(adj.value)
-    return MixedBatch(np.stack(inputs), Targets(a, b, ratios), np.arange(count))
+    lo, hi = area_band if area_band is not None else (0.0, 1.0)
+    reachable = cutmix_ratios(h, w, lam)
+    if not np.any((lo <= reachable) & (reachable <= hi)):
+        raise ValueError(
+            f"hard mixed set: no box at lam={lam} on {h}x{w} gives a ratio in "
+            f"[{lo}, {hi}] (reachable {reachable.min():.4g} to {reachable.max():.4g})"
+        )
+    rounds = []
+    kept = 0
+    while kept < count:
+        i = rng.integers(n, size=count)
+        j = rng.integers(n, size=count)
+        *edges, ratio = sample_cutmix_boxes(h, w, np.full(count, lam), rng)
+        ok = (y[i] != y[j]) & (lo <= ratio) & (ratio <= hi)
+        rounds.append([v[ok] for v in (i, j, *edges, ratio)])
+        kept += int(ok.sum())
+    i, j, y1, y2, x1, x2, ratio = (np.concatenate(v)[:count] for v in zip(*rounds))
+    inputs = paste_boxes(dataset.x[i], dataset.x[j], y1, y2, x1, x2)
+    return MixedBatch(inputs, Targets(y[i], y[j], ratio), np.arange(count))
 
 
 def input_gradients(params: Parameters, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -172,26 +209,33 @@ def occlusion_eval(
     """Top-1 accuracy after zeroing randomly chosen grid patches.
 
     Ratio 0 runs the untouched clean path (no RNG involved) so it matches
-    :func:`top1_accuracy` exactly.
+    :func:`top1_accuracy` exactly. Each other ratio draws one uniform key per
+    row and patch and zeroes the ``k`` patches with the smallest keys of each
+    row, a uniform choice of ``k`` of them.
     """
+    _require_images(dataset, "occlusion")
     h, w = dataset.x.shape[-2:]
     p = config.patch_size
     if h % p or w % p:
         raise ValueError(f"patch size {p} does not tile {h}x{w}")
     grid_h, grid_w = h // p, w // p
     n_patches = grid_h * grid_w
+    x = np.asarray(dataset.x, dtype=float)
+    n = len(x)
     out = []
     for ratio in config.ratios:
         k = patches_to_mask(ratio, n_patches)
         if k == 0:
             out.append((ratio, top1_accuracy(params, dataset)))
             continue
-        occluded = np.array(dataset.x, dtype=float, copy=True)
-        for i in range(len(occluded)):
-            chosen = rng.choice(n_patches, size=k, replace=False)
-            for patch in chosen:
-                r, c = divmod(int(patch), grid_w)
-                occluded[i, ..., r * p : (r + 1) * p, c * p : (c + 1) * p] = 0.0
+        chosen = np.argsort(rng.random((n, n_patches)), axis=1)[:, :k]
+        grid = np.zeros((n, n_patches), dtype=bool)
+        np.put_along_axis(grid, chosen, True, axis=1)
+        # patch (r, c) covers pixels [r*p:(r+1)*p, c*p:(c+1)*p]
+        pixels = np.broadcast_to(
+            grid.reshape(n, grid_h, 1, grid_w, 1), (n, grid_h, p, grid_w, p)
+        ).reshape((n,) + (1,) * (x.ndim - 3) + (h, w))
+        occluded = np.where(pixels, 0.0, x)
         acc = top1_accuracy(params, Dataset(occluded, dataset.y, dataset.num_classes))
         out.append((ratio, acc))
     return out

@@ -174,30 +174,87 @@ def mix_linear(x_a: np.ndarray, x_b: np.ndarray, lam: Lambda) -> np.ndarray:
     return lam.value * x_a + lam.complement * x_b
 
 
+def _cut_sides(height: int, width: int, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box height and width per ratio: sqrt(1-lam) of each dimension, floored."""
+    if height < 1 or width < 1:
+        raise ValueError("mask dimensions must be at least 1")
+    if lam.size and not (lam.min() >= 0.0 and lam.max() <= 1.0):
+        raise ValueError("mixing ratios must lie in [0, 1]")
+    cut = np.sqrt(1.0 - lam)
+    return (height * cut).astype(np.int64), (width * cut).astype(np.int64)
+
+
+def _clip_boxes(height, width, cut_h, cut_w, cy, cx):
+    """Edges of boxes centred at (cy, cx) and clipped to the image, and the
+    share of the image outside each box."""
+    y1 = np.maximum(cy - cut_h // 2, 0)
+    y2 = np.minimum(cy + cut_h // 2, height)
+    x1 = np.maximum(cx - cut_w // 2, 0)
+    x2 = np.minimum(cx + cut_w // 2, width)
+    area = (y2 - y1) * (x2 - x1)
+    return y1, y2, x1, x2, (height * width - area) / (height * width)
+
+
+def sample_cutmix_boxes(
+    height: int, width: int, lam: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One CutMix box per ratio in ``lam``: edges ``y1, y2, x1, x2`` and the
+    realized ratios, each of shape (n,).
+
+    Box side is sqrt(1-lam) of each dimension, centered uniformly and clipped
+    to the image; row i covers ``[y1[i]:y2[i], x1[i]:x2[i]]``. Rows whose box
+    has a zero side draw nothing and get an empty box; the m others draw
+    their m center rows, then their m center columns. The realized ratio is
+    the share of the image outside the box.
+    """
+    lam = np.asarray(lam, dtype=float)
+    cut_h, cut_w = _cut_sides(height, width, lam)
+    boxed = (cut_h > 0) & (cut_w > 0)
+    cy, cx = np.zeros_like(cut_h), np.zeros_like(cut_w)
+    m = np.count_nonzero(boxed)
+    if m:
+        cy[boxed] = rng.integers(height, size=m)
+        cx[boxed] = rng.integers(width, size=m)
+    return _clip_boxes(height, width, cut_h, cut_w, cy, cx)
+
+
+def cutmix_ratios(height: int, width: int, lam: float) -> np.ndarray:
+    """Every ratio :func:`sample_cutmix_boxes` can realize at ``lam``, one per
+    box center."""
+    cut_h, cut_w = _cut_sides(height, width, np.array(lam, dtype=float))
+    if cut_h == 0 or cut_w == 0:
+        return np.ones(1)
+    cy, cx = np.arange(height)[:, None], np.arange(width)[None, :]
+    return _clip_boxes(height, width, cut_h, cut_w, cy, cx)[4].ravel()
+
+
+def paste_boxes(x_a: np.ndarray, x_b: np.ndarray, y1, y2, x1, x2) -> np.ndarray:
+    """Row i of ``x_a`` with row i of ``x_b`` inside box i, whose edges come
+    from :func:`sample_cutmix_boxes`; the images are the trailing two
+    dimensions."""
+    x_a = np.asarray(x_a, dtype=float)
+    h, w = x_a.shape[-2:]
+    rows, cols = np.arange(h)[:, None], np.arange(w)
+    edge = (-1,) + (1,) * (x_a.ndim - 1)  # one box per row, broadcast over pixels
+    inside = (
+        (y1.reshape(edge) <= rows) & (rows < y2.reshape(edge))
+        & (x1.reshape(edge) <= cols) & (cols < x2.reshape(edge))
+    )
+    return np.where(inside, x_b, x_a)
+
+
 def make_cutmix_mask(
     height: int, width: int, lam: Lambda, rng: np.random.Generator
 ) -> tuple[MixMask, Lambda]:
     """Binary mask with one zero rectangle of area about (1-lam) of the image.
 
-    Box side is sqrt(1-lam) of each dimension, centered uniformly and clipped
-    to the image. Returns the mask and the realized ratio mean(mask).
+    The one-row case of :func:`sample_cutmix_boxes`. Returns the mask and the
+    realized ratio, which equals mean(mask) exactly.
     """
-    if height < 1 or width < 1:
-        raise ValueError("mask dimensions must be at least 1")
+    y1, y2, x1, x2, ratio = sample_cutmix_boxes(height, width, np.array([lam.value]), rng)
     values = np.ones((height, width), dtype=float)
-    cut = math.sqrt(1.0 - lam.value)
-    cut_h = int(height * cut)
-    cut_w = int(width * cut)
-    if cut_h > 0 and cut_w > 0:
-        cy = int(rng.integers(height))
-        cx = int(rng.integers(width))
-        y1 = max(cy - cut_h // 2, 0)
-        y2 = min(cy + cut_h // 2, height)
-        x1 = max(cx - cut_w // 2, 0)
-        x2 = min(cx + cut_w // 2, width)
-        values[y1:y2, x1:x2] = 0.0
-    mask = MixMask(values)
-    return mask, Lambda(mask.area_ratio)
+    values[y1[0] : y2[0], x1[0] : x2[0]] = 0.0
+    return MixMask(values), Lambda(float(ratio[0]))
 
 
 def apply_mask(x_a: np.ndarray, x_b: np.ndarray, mask: MixMask) -> np.ndarray:
@@ -273,48 +330,42 @@ def mix_batch(
 
     per_sample = not config.per_batch_lambda and config.policy != "manifold"
     if lam is not None:
-        lams = [lam] * n
+        lams = np.full(n, lam.value)
     elif per_sample:
-        lams = [Lambda(v) for v in rng.beta(config.alpha, config.alpha, size=n)]
+        lams = rng.beta(config.alpha, config.alpha, size=n)
     else:
-        lams = [sample_lambda(config.alpha, rng)] * n
+        lams = np.full(n, sample_lambda(config.alpha, rng).value)
 
     partners = inputs[pairing]
+    ratios = lams
     if config.policy == "linear":
         if per_sample:
-            w = np.array([t.value for t in lams]).reshape((n,) + (1,) * (inputs.ndim - 1))
+            w = lams.reshape((n,) + (1,) * (inputs.ndim - 1))
             mixed = w * inputs + (1.0 - w) * partners
         else:
-            mixed = mix_linear(inputs, partners, lams[0])
-        adjusted = lams
+            mixed = mix_linear(inputs, partners, Lambda(lams[0]))
     elif config.policy == "cutmix":
         h, w = inputs.shape[-2:]
         if per_sample:
-            mixed = np.empty_like(inputs)
-            adjusted = []
-            for i in range(n):
-                mask, adj = make_cutmix_mask(h, w, lams[i], rng)
-                mixed[i] = apply_mask(inputs[i], partners[i], mask)
-                adjusted.append(adj)
+            *edges, ratios = sample_cutmix_boxes(h, w, lams, rng)
+            mixed = paste_boxes(inputs, partners, *edges)
         else:
-            mask, adj = make_cutmix_mask(h, w, lams[0], rng)
+            mask, adj = make_cutmix_mask(h, w, Lambda(lams[0]), rng)
             mixed = apply_mask(inputs, partners, mask)
-            adjusted = [adj] * n
+            ratios = np.full(n, adj.value)
     elif config.policy == "resizemix":
         if per_sample:
             mixed = np.empty_like(inputs)
-            adjusted = []
+            ratios = np.empty(n)
             for i in range(n):
-                mixed[i], adj = make_resizemix(inputs[i], partners[i], lams[i], rng)
-                adjusted.append(adj)
+                mixed[i], adj = make_resizemix(inputs[i], partners[i], Lambda(lams[i]), rng)
+                ratios[i] = adj.value
         else:
-            mixed, adj = make_resizemix(inputs, partners, lams[0], rng)
-            adjusted = [adj] * n
+            mixed, adj = make_resizemix(inputs, partners, Lambda(lams[0]), rng)
+            ratios = np.full(n, adj.value)
     else:  # manifold: mixing deferred to the network's hidden layers
         mixed = inputs.copy()
-        adjusted = lams
 
-    ratios = np.fromiter((t.value for t in adjusted), float, n)
     return MixedBatch(mixed, Targets(labels, labels[pairing], ratios), pairing)
 
 

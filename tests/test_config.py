@@ -200,6 +200,22 @@ class TestSchema:
             ("ssl.enabled = true\nssl.eval_interval = 0",
              "config section 'ssl' (line 2: ssl.enabled, line 3: ssl.eval_interval): "
              "eval_interval must be positive"),
+            ("eval.mixed_pair_count = 0",
+             "config section 'eval' (line 2: eval.mixed_pair_count): "
+             "mixed_pair_count must be at least 1"),
+            ("eval.occlusion = true\neval.occlusion_patch = 0",
+             "config section 'eval' (line 2: eval.occlusion, line 3: eval.occlusion_patch): "
+             "patch_size must be positive"),
+            ("eval.occlusion_ratios = 0,1.5",
+             "config section 'eval' (line 2: eval.occlusion_ratios): "
+             "ratios must lie in [0, 1]"),
+            ("eval.fgsm_epsilon = -0.1",
+             "config section 'eval' (line 2: eval.fgsm_epsilon): epsilon must be nonnegative"),
+            ("eval.fgsm_epsilon = nan",
+             "config section 'eval' (line 2: eval.fgsm_epsilon): epsilon must be nonnegative"),
+            ("eval.confidence_bins = -1",
+             "config section 'eval' (line 2: eval.confidence_bins): "
+             "confidence_bins must be nonnegative"),
         ],
     )
     def test_section_check_names_section_lines_and_keys(self, text, message):

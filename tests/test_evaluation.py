@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demix import data as dd
+from demix import evaluation
 from demix.evaluation import (
     AttackConfig,
     OcclusionConfig,
@@ -77,6 +80,13 @@ class TestTop1:
         assert np.array_equal(logits, predict_logits(net, x, chunk=64))
 
 
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "two", ""])
+def test_bad_thread_count_names_variable(monkeypatch, value):
+    monkeypatch.setenv("DEMIX_THREADS", value)
+    with pytest.raises(ValueError, match=f"DEMIX_THREADS must be an integer of at least 1, got '{value}'"):
+        predict_logits(identity_net(3), np.zeros((4, 3)))
+
+
 class TestMixedPairEval:
     def _batch(self, targets, n, dim):
         return MixedBatch(np.eye(dim)[np.arange(n) % dim], targets, np.arange(n))
@@ -121,6 +131,60 @@ class TestMixedPairEval:
         mb = make_hard_mixed_set(ds, 25, np.random.default_rng(2))
         assert len(mb.targets) == 25
         assert all(t.class_a != t.class_b for t in mb.targets)
+
+
+def constant_rows(n, shape, num_classes, seed):
+    """Row r is the constant r + 1, so each pixel names the row it came from."""
+    x = np.broadcast_to((np.arange(n) + 1.0).reshape((n,) + (1,) * len(shape)), (n,) + shape)
+    y = np.random.default_rng(seed).integers(0, num_classes, size=n)
+    return dd.Dataset(np.array(x), y, num_classes)
+
+
+def _fills_bounding_box(hit):
+    rows, cols = np.nonzero(hit)
+    return bool(np.all(hit[rows.min() : rows.max() + 1, cols.min() : cols.max() + 1]))
+
+
+class TestHardMixedSetProperties:
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([(20, 28), (2, 20, 28)]))
+    @settings(max_examples=30, deadline=None)
+    def test_two_sources_second_in_one_rectangle(self, seed, shape):
+        ds = constant_rows(40, shape, 3, seed)
+        band = (0.35, 0.65)
+        mb = make_hard_mixed_set(ds, 30, np.random.default_rng(seed), 0.5, band)
+        assert mb.inputs.shape == (30,) + shape
+        for row, a, b, lam in zip(mb.inputs, mb.targets.a, mb.targets.b, mb.targets.lam):
+            channels = row.reshape((-1,) + shape[-2:])
+            assert np.all(channels == channels[0])
+            pixels = channels[0]
+            values = np.unique(pixels)
+            assert len(values) == 2
+            # The 14x18 box at lam 0.5 spans neither side of 20x28, so only
+            # the second source can fill its bounding rectangle.
+            boxes = [v for v in values if _fills_bounding_box(pixels == v)]
+            assert len(boxes) == 1
+            first = int(values[values != boxes[0]][0]) - 1
+            second = int(boxes[0]) - 1
+            assert lam == np.mean(pixels == first + 1)
+            assert (a, b) == (ds.y[first], ds.y[second]) and a != b
+            assert band[0] <= lam <= band[1]
+
+    @pytest.mark.parametrize(
+        "x, y, count, kwargs, message",
+        [
+            (np.zeros((6, 8, 8)), np.ones(6, int), 3, {}, "pairs need two classes, .* only class 1"),
+            (np.zeros((6, 28, 28)), np.arange(6) % 2, 3,
+             {"area_band": (0.9, 1.0)}, r"no box at lam=0.5 on 28x28 .* \[0.9, 1.0\]"),
+            (np.zeros((6, 8, 8)), np.arange(6) % 2, 0, {}, "count must be at least 1, got 0"),
+            (np.zeros((0, 8, 8)), np.zeros(0, int), 3, {}, "the dataset is empty"),
+            (np.zeros((6, 8)), np.arange(6) % 2, 3, {}, r"inputs must be images .* \(6, 8\)"),
+        ],
+        ids=["one_class", "band_unreachable", "count_zero", "empty", "not_images"],
+    )
+    def test_bad_input_names_fault(self, x, y, count, kwargs, message):
+        ds = dd.Dataset(x, y, 2)
+        with pytest.raises(ValueError, match=f"hard mixed set: {message}"):
+            make_hard_mixed_set(ds, count, np.random.default_rng(0), **kwargs)
 
 
 class TestFgsm:
@@ -174,6 +238,26 @@ class TestOcclusion:
         net = constant_net(2, 784)
         curve = occlusion_eval(net, ds, OcclusionConfig(4, (0.0,)), np.random.default_rng(0))
         assert curve[0] == (0.0, top1_accuracy(net, ds))
+
+    @pytest.mark.parametrize("shape", [(8, 12), (2, 8, 12)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zeroes_k_whole_patches(self, monkeypatch, shape, seed):
+        scored = []
+        monkeypatch.setattr(
+            evaluation, "top1_accuracy", lambda params, ds: scored.append(ds.x) or 0.0
+        )
+        ds = constant_rows(30, shape, 2, seed)
+        ratios = (0.2, 0.5, 1.0)  # 1, 3 and 6 of the 2x3 patches of 4x4
+        occlusion_eval(None, ds, OcclusionConfig(4, ratios), np.random.default_rng(seed))
+        assert len(scored) == 3
+        for x, k in zip(scored, (1, 3, 6)):
+            assert x.shape == ds.x.shape
+            kept = x == ds.x
+            assert np.all(kept | (x == 0.0))
+            patches = kept.reshape(30, -1, 2, 4, 3, 4).transpose(0, 1, 2, 4, 3, 5)
+            whole = patches.reshape(30, -1, 2, 3, 16)
+            assert np.all(whole.all(axis=-1) | ~whole.any(axis=-1))
+            assert np.all((~whole.any(axis=-1)).sum(axis=(-2, -1)) == k)
 
     def test_ratio_one_is_all_zero_input(self):
         ds = dd.make_image_classes(40, num_classes=4, seed=0)

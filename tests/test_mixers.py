@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,12 @@ from demix.mixers import (
     Targets,
     apply_mask,
     asymmetric_pair,
+    cutmix_ratios,
     make_cutmix_mask,
     make_resizemix,
     mix_batch,
     mix_linear,
+    sample_cutmix_boxes,
     sample_lambda,
 )
 
@@ -28,6 +32,26 @@ class _FixedCenter:
 
     def integers(self, *_args, **_kw):
         return self.value
+
+
+def box_mask(height, width, lam, cy, cx):
+    """Reference CutMix mask for a given center, written with scalar slices."""
+    cut = math.sqrt(1.0 - lam)
+    half_h, half_w = int(height * cut) // 2, int(width * cut) // 2
+    values = np.ones((height, width))
+    values[max(cy - half_h, 0) : min(cy + half_h, height),
+           max(cx - half_w, 0) : min(cx + half_w, width)] = 0.0
+    return values
+
+
+def scalar_cutmix_mask(height, width, lam, rng):
+    """Reference CutMix draw: a scalar center row, then a scalar center
+    column, and no draw when the box has a zero side."""
+    cut = math.sqrt(1.0 - lam)
+    if int(height * cut) > 0 and int(width * cut) > 0:
+        cy = int(rng.integers(height))
+        return box_mask(height, width, lam, cy, int(rng.integers(width)))
+    return np.ones((height, width))
 
 
 class TestSampleLambda:
@@ -123,6 +147,31 @@ class TestCutMixMask:
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             make_cutmix_mask(0, 28, Lambda(0.5), np.random.default_rng(0))
+
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=30),
+    )
+    @settings(max_examples=200)
+    def test_one_row_sampler_equals_scalar_reference(self, seed, lam, h, w):
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        reference = scalar_cutmix_mask(h, w, lam, rngs[0])
+        y1, y2, x1, x2, ratio = sample_cutmix_boxes(h, w, np.array([lam]), rngs[1])
+        boxed = np.ones((h, w))
+        boxed[y1[0] : y2[0], x1[0] : x2[0]] = 0.0
+        mask, adj = make_cutmix_mask(h, w, Lambda(lam), rngs[2])
+        assert np.array_equal(boxed, reference)
+        assert np.array_equal(mask.values, reference)
+        assert ratio[0] == adj.value == reference.mean()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+
+    @pytest.mark.parametrize("h, w, lam", [(28, 28, 0.5), (7, 12, 0.3), (5, 5, 0.99), (9, 4, 0.0)])
+    def test_reachable_ratios_cover_every_center(self, h, w, lam):
+        means = {box_mask(h, w, lam, cy, cx).mean() for cy in range(h) for cx in range(w)}
+        assert set(cutmix_ratios(h, w, lam).tolist()) == means
 
 
 class TestApplyMask:
@@ -241,10 +290,23 @@ class TestMixBatch:
             lams = [sample_lambda(0.5, replay)] * 6
         else:
             lams = [sample_lambda(0.5, replay) for _ in range(6)]
+        if policy == "cutmix" and not per_batch:
+            # one size-m draw of box center rows, then one of center columns,
+            # over the m rows whose box has no zero side
+            sides = [int(8 * math.sqrt(1.0 - t.value)) for t in lams]
+            boxed = [i for i in range(6) if sides[i] > 0]
+            centers = dict(zip(boxed, zip(replay.integers(8, size=len(boxed)),
+                                          replay.integers(8, size=len(boxed)))))
+            masks = [
+                MixMask(box_mask(8, 8, lams[i].value, *centers[i]) if i in centers else np.ones((8, 8)))
+                for i in range(6)
+            ]
         adjusted = []
         for i in range(6):
             if per_batch and i > 0 and policy in ("cutmix", "resizemix"):
                 adjusted.append(adjusted[0])
+            elif policy == "cutmix" and not per_batch:
+                adjusted.append(Lambda(masks[i].area_ratio))
             elif policy == "cutmix":
                 adjusted.append(make_cutmix_mask(8, 8, lams[i], replay)[1])
             elif policy == "resizemix":
@@ -261,6 +323,9 @@ class TestMixBatch:
         assert rng.bit_generator.state == replay.bit_generator.state
         if policy == "linear":
             rows = [mix_linear(x[i], x[pairing[i]], lams[i]) for i in range(6)]
+            assert np.array_equal(mb.inputs, np.stack(rows))
+        if policy == "cutmix" and not per_batch:
+            rows = [apply_mask(x[i], x[pairing[i]], masks[i]) for i in range(6)]
             assert np.array_equal(mb.inputs, np.stack(rows))
 
 
