@@ -19,14 +19,10 @@ from .losses import (
 from .mixers import (
     Lambda,
     MixConfig,
-    MixMask,
     MixedBatch,
     MixedTarget,
     Targets,
-    apply_mask,
     asymmetric_pair,
-    make_cutmix_mask,
-    make_resizemix,
     mix_batch,
     mix_linear,
     sample_lambda,
@@ -46,6 +42,6 @@ from .network import (
     sgd_step,
     train_supervised,
 )
-from .semisup import PseudoLabel, SSLConfig, pseudo_label, ssl_step, train_ssl
+from .semisup import SSLConfig, ssl_step, train_ssl
 
 __version__ = "0.1.0"

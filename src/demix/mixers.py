@@ -2,8 +2,8 @@
 
 Every operation here is a pure function of its arguments and an explicit
 ``numpy.random.Generator``, so independent streams may run concurrently.
-Cut-based policies report the realized mixing ratio recomputed from the
-mask, never the requested one.
+Cut-based policies report the realized mixing ratio, the share of the image
+outside the pasted box, never the requested one.
 """
 
 from __future__ import annotations
@@ -46,34 +46,6 @@ class MixConfig:
             raise ValueError(f"unknown mixing policy {self.policy!r}")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class MixMask:
-    """Spatial mixing mask; entry 1 keeps the first image, 0 the second."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError("mask must be a non-empty 2-D grid")
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise ValueError("mask entries must lie in [0, 1]")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def area_ratio(self) -> float:
-        """Mean mask value: the fraction of content kept from the first image."""
-        return float(self.values.mean())
 
 
 @dataclass(frozen=True)
@@ -147,11 +119,15 @@ class MixedBatch:
     def __post_init__(self):
         if not isinstance(self.targets, Targets):
             self.targets = Targets.from_records(self.targets)
-        n = len(self.inputs)
-        if len(self.targets) != n:
-            raise ValueError("one target per sample required")
-        if sorted(self.pairing.tolist()) != list(range(n)):
-            raise ValueError("pairing must be a permutation of the batch indices")
+        _check_rows(len(self.inputs), len(self.targets), self.pairing)
+
+
+def _check_rows(n: int, n_targets: int, pairing: np.ndarray) -> None:
+    """One target per sample, and a pairing that permutes the n sample indices."""
+    if n_targets != n:
+        raise ValueError(f"one target per sample required, got {n_targets} for {n}")
+    if sorted(pairing.tolist()) != list(range(n)):
+        raise ValueError("pairing must be a permutation of the batch indices")
 
 
 def sample_lambda(alpha: float, rng: np.random.Generator) -> Lambda:
@@ -177,7 +153,7 @@ def mix_linear(x_a: np.ndarray, x_b: np.ndarray, lam: Lambda) -> np.ndarray:
 def _cut_sides(height: int, width: int, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Box height and width per ratio: sqrt(1-lam) of each dimension, floored."""
     if height < 1 or width < 1:
-        raise ValueError("mask dimensions must be at least 1")
+        raise ValueError("image dimensions must be at least 1")
     if lam.size and not (lam.min() >= 0.0 and lam.max() <= 1.0):
         raise ValueError("mixing ratios must lie in [0, 1]")
     cut = np.sqrt(1.0 - lam)
@@ -228,11 +204,47 @@ def cutmix_ratios(height: int, width: int, lam: float) -> np.ndarray:
     return _clip_boxes(height, width, cut_h, cut_w, cy, cx)[4].ravel()
 
 
+def sample_resizemix_boxes(
+    height: int, width: int, lam: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One ResizeMix paste box per ratio in ``lam``: edges ``y1, y2, x1, x2``
+    and the realized ratios, each of shape (n,).
+
+    Box side is sqrt(1-lam) of each dimension, floored, at a uniform position
+    inside the image. Rows whose box has a zero side draw nothing and get an
+    empty box; the others draw their top then their left edge, row by row,
+    in one ``rng.integers`` call. The realized ratio is 1 - box area / image
+    area.
+    """
+    lam = np.asarray(lam, dtype=float)
+    th, tw = _cut_sides(height, width, lam)
+    boxed = (th > 0) & (tw > 0)
+    top, left = np.zeros_like(th), np.zeros_like(tw)
+    if boxed.any():
+        highs = np.stack([height - th[boxed] + 1, width - tw[boxed] + 1], axis=1)
+        top[boxed], left[boxed] = rng.integers(highs).T
+    return top, top + th, left, left + tw, 1.0 - (th * tw) / (height * width)
+
+
+def _paste_inputs(x_a, x_b, y1) -> tuple[np.ndarray, np.ndarray]:
+    """The two image batches as floats, checked against each other and the box count."""
+    x_a = np.asarray(x_a, dtype=float)
+    x_b = np.asarray(x_b, dtype=float)
+    if x_a.shape != x_b.shape:
+        raise ValueError(f"shape mismatch: {x_a.shape} vs {x_b.shape}")
+    if x_a.ndim < 3:
+        raise ValueError(f"images must have shape (n, ..., height, width), got {x_a.shape}")
+    n = len(x_a)
+    if len(y1) not in (1, n):
+        raise ValueError(f"{len(y1)} boxes for {n} images: need 1 or {n}")
+    return x_a, x_b
+
+
 def paste_boxes(x_a: np.ndarray, x_b: np.ndarray, y1, y2, x1, x2) -> np.ndarray:
     """Row i of ``x_a`` with row i of ``x_b`` inside box i, whose edges come
     from :func:`sample_cutmix_boxes`; the images are the trailing two
-    dimensions."""
-    x_a = np.asarray(x_a, dtype=float)
+    dimensions. One box applies to every row."""
+    x_a, x_b = _paste_inputs(x_a, x_b, y1)
     h, w = x_a.shape[-2:]
     rows, cols = np.arange(h)[:, None], np.arange(w)
     edge = (-1,) + (1,) * (x_a.ndim - 1)  # one box per row, broadcast over pixels
@@ -243,64 +255,24 @@ def paste_boxes(x_a: np.ndarray, x_b: np.ndarray, y1, y2, x1, x2) -> np.ndarray:
     return np.where(inside, x_b, x_a)
 
 
-def make_cutmix_mask(
-    height: int, width: int, lam: Lambda, rng: np.random.Generator
-) -> tuple[MixMask, Lambda]:
-    """Binary mask with one zero rectangle of area about (1-lam) of the image.
-
-    The one-row case of :func:`sample_cutmix_boxes`. Returns the mask and the
-    realized ratio, which equals mean(mask) exactly.
-    """
-    y1, y2, x1, x2, ratio = sample_cutmix_boxes(height, width, np.array([lam.value]), rng)
-    values = np.ones((height, width), dtype=float)
-    values[y1[0] : y2[0], x1[0] : x2[0]] = 0.0
-    return MixMask(values), Lambda(float(ratio[0]))
+def _nearest_source(size: int, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Per box, the index into [0, size) that a nearest-neighbour downscale
+    onto [start, stop) reads at each of the size positions; clipped outside
+    the box."""
+    offset = np.arange(size) - start[:, None]
+    return np.clip(offset * size // np.maximum(stop - start, 1)[:, None], 0, size - 1)
 
 
-def apply_mask(x_a: np.ndarray, x_b: np.ndarray, mask: MixMask) -> np.ndarray:
-    """Per-pixel H*x_a + (1-H)*x_b; leading (batch/channel) dims broadcast."""
-    x_a = np.asarray(x_a, dtype=float)
-    x_b = np.asarray(x_b, dtype=float)
-    if x_a.shape != x_b.shape:
-        raise ValueError(f"shape mismatch: {x_a.shape} vs {x_b.shape}")
-    if x_a.shape[-2:] != mask.values.shape:
-        raise ValueError(
-            f"trailing image dims {x_a.shape[-2:]} do not match mask "
-            f"{mask.values.shape}"
-        )
-    h = mask.values
-    return h * x_a + (1.0 - h) * x_b
-
-
-def _nearest_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    h, w = img.shape[-2:]
-    rows = (np.arange(out_h) * h) // out_h
-    cols = (np.arange(out_w) * w) // out_w
-    return img[..., rows[:, None], cols[None, :]]
-
-
-def make_resizemix(
-    x_a: np.ndarray, x_b: np.ndarray, lam: Lambda, rng: np.random.Generator
-) -> tuple[np.ndarray, Lambda]:
-    """Paste a nearest-neighbor downscale of x_b into x_a.
-
-    The paste box covers about (1-lam) of the area at a uniform position; the
-    returned ratio is 1 - paste_area/total.
-    """
-    x_a = np.asarray(x_a, dtype=float)
-    x_b = np.asarray(x_b, dtype=float)
-    if x_a.shape != x_b.shape:
-        raise ValueError(f"shape mismatch: {x_a.shape} vs {x_b.shape}")
-    h, w = x_a.shape[-2:]
-    scale = math.sqrt(1.0 - lam.value)
-    th = int(h * scale)
-    tw = int(w * scale)
-    out = x_a.copy()
-    if th > 0 and tw > 0:
-        top = int(rng.integers(h - th + 1))
-        left = int(rng.integers(w - tw + 1))
-        out[..., top : top + th, left : left + tw] = _nearest_resize(x_b, th, tw)
-    return out, Lambda(1.0 - (th * tw) / (h * w))
+def paste_resized(x_a: np.ndarray, x_b: np.ndarray, y1, y2, x1, x2) -> np.ndarray:
+    """Row i of ``x_a`` with a nearest-neighbour downscale of the whole of row
+    i of ``x_b`` filling box i, whose edges come from
+    :func:`sample_resizemix_boxes`. One box applies to every row."""
+    x_a, x_b = _paste_inputs(x_a, x_b, y1)
+    h, w = x_b.shape[-2:]
+    lead = (len(y1),) + (1,) * (x_b.ndim - 3)
+    x_b = np.take_along_axis(x_b, _nearest_source(h, y1, y2).reshape(lead + (h, 1)), axis=-2)
+    x_b = np.take_along_axis(x_b, _nearest_source(w, x1, x2).reshape(lead + (1, w)), axis=-1)
+    return paste_boxes(x_a, x_b, y1, y2, x1, x2)
 
 
 def mix_batch(
@@ -313,6 +285,8 @@ def mix_batch(
 ) -> MixedBatch:
     """Pair sample i with sample pairing[i] and apply the configured policy.
 
+    ``per_batch_lambda`` draws one ratio (and one box) for the whole batch,
+    otherwise each sample draws its own; policy `manifold` always draws one.
     ``pairing`` and ``lam`` override the random draws (used by tests and the
     semi-supervised loop). Policy `manifold` leaves the inputs untouched: the
     hidden-layer mix happens inside the network, this only records lam and
@@ -323,49 +297,30 @@ def mix_batch(
     n = len(inputs)
     if n == 0:
         raise ValueError("empty batch")
-    if pairing is None:
-        pairing = rng.permutation(n)
-    else:
-        pairing = np.asarray(pairing)
+    pairing = rng.permutation(n) if pairing is None else np.asarray(pairing)
+    _check_rows(n, len(labels), pairing)
 
-    per_sample = not config.per_batch_lambda and config.policy != "manifold"
+    k = 1 if config.per_batch_lambda or config.policy == "manifold" else n
     if lam is not None:
-        lams = np.full(n, lam.value)
-    elif per_sample:
-        lams = rng.beta(config.alpha, config.alpha, size=n)
+        lams = np.full(k, lam.value)
     else:
-        lams = np.full(n, sample_lambda(config.alpha, rng).value)
+        lams = rng.beta(config.alpha, config.alpha, size=k)
 
     partners = inputs[pairing]
     ratios = lams
     if config.policy == "linear":
-        if per_sample:
-            w = lams.reshape((n,) + (1,) * (inputs.ndim - 1))
-            mixed = w * inputs + (1.0 - w) * partners
-        else:
-            mixed = mix_linear(inputs, partners, Lambda(lams[0]))
+        w = lams.reshape((k,) + (1,) * (inputs.ndim - 1))
+        mixed = w * inputs + (1.0 - w) * partners
     elif config.policy == "cutmix":
-        h, w = inputs.shape[-2:]
-        if per_sample:
-            *edges, ratios = sample_cutmix_boxes(h, w, lams, rng)
-            mixed = paste_boxes(inputs, partners, *edges)
-        else:
-            mask, adj = make_cutmix_mask(h, w, Lambda(lams[0]), rng)
-            mixed = apply_mask(inputs, partners, mask)
-            ratios = np.full(n, adj.value)
+        *edges, ratios = sample_cutmix_boxes(*inputs.shape[-2:], lams, rng)
+        mixed = paste_boxes(inputs, partners, *edges)
     elif config.policy == "resizemix":
-        if per_sample:
-            mixed = np.empty_like(inputs)
-            ratios = np.empty(n)
-            for i in range(n):
-                mixed[i], adj = make_resizemix(inputs[i], partners[i], Lambda(lams[i]), rng)
-                ratios[i] = adj.value
-        else:
-            mixed, adj = make_resizemix(inputs, partners, Lambda(lams[0]), rng)
-            ratios = np.full(n, adj.value)
+        *edges, ratios = sample_resizemix_boxes(*inputs.shape[-2:], lams, rng)
+        mixed = paste_resized(inputs, partners, *edges)
     else:  # manifold: mixing deferred to the network's hidden layers
         mixed = inputs.copy()
 
+    ratios = np.broadcast_to(ratios, n).copy()
     return MixedBatch(mixed, Targets(labels, labels[pairing], ratios), pairing)
 
 

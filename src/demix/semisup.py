@@ -57,13 +57,6 @@ class SSLConfig:
             raise ValueError("eval_interval must be positive")
 
 
-@dataclass(frozen=True)
-class PseudoLabel:
-    class_index: int
-    confidence: float
-    accepted: bool
-
-
 def pseudo_label_batch(
     logits: np.ndarray, tau: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -72,12 +65,6 @@ def pseudo_label_batch(
     classes = np.argmax(p, axis=1)
     conf = p[np.arange(len(p)), classes]
     return classes, conf, conf >= tau
-
-
-def pseudo_label(logits: np.ndarray, tau: float) -> PseudoLabel:
-    """``pseudo_label_batch`` of a single row of logits."""
-    classes, conf, accepted = pseudo_label_batch(np.atleast_2d(logits), tau)
-    return PseudoLabel(int(classes[0]), float(conf[0]), bool(accepted[0]))
 
 
 def ssl_step(

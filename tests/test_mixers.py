@@ -9,18 +9,17 @@ from scipy import stats
 from demix.mixers import (
     Lambda,
     MixConfig,
-    MixMask,
     MixedTarget,
     Targets,
-    apply_mask,
     asymmetric_pair,
     cutmix_ratios,
-    make_cutmix_mask,
-    make_resizemix,
     mix_batch,
     mix_linear,
+    paste_boxes,
+    paste_resized,
     sample_cutmix_boxes,
     sample_lambda,
+    sample_resizemix_boxes,
 )
 
 
@@ -52,6 +51,75 @@ def scalar_cutmix_mask(height, width, lam, rng):
         cy = int(rng.integers(height))
         return box_mask(height, width, lam, cy, int(rng.integers(width)))
     return np.ones((height, width))
+
+
+def scalar_resizemix(x_a, x_b, lam, rng):
+    """Reference ResizeMix with one box for all of ``x_a``: a scalar top row,
+    then a scalar left column, and no draw when the box has a zero side.
+    Returns the mixed images and the realized ratio."""
+    h, w = x_a.shape[-2:]
+    cut = math.sqrt(1.0 - lam)
+    th, tw = int(h * cut), int(w * cut)
+    out = x_a.copy()
+    if th > 0 and tw > 0:
+        top, left = int(rng.integers(h - th + 1)), int(rng.integers(w - tw + 1))
+        rows, cols = (np.arange(th) * h) // th, (np.arange(tw) * w) // tw
+        out[..., top : top + th, left : left + tw] = x_b[..., rows[:, None], cols[None, :]]
+    return out, 1.0 - (th * tw) / (h * w)
+
+
+def replay_list_form(policy, per_batch, shape):
+    """Replay the draws of mix_batch on a copy of its generator with the scalar
+    references above, one row at a time, and compare inputs, targets and the
+    generator state bit for bit."""
+    rng = np.random.default_rng(17)
+    replay = np.random.default_rng(17)
+    x = rng.random(shape)
+    replay.random(shape)
+    n, (h, w) = shape[0], shape[-2:]
+    y = np.array([0, 1, 2, 1, 0, 3], dtype=np.uint8)
+    mb = mix_batch(x, y, MixConfig(policy, 0.5, per_batch_lambda=per_batch), rng)
+
+    pairing = replay.permutation(n)
+    if per_batch or policy == "manifold":
+        lams = [sample_lambda(0.5, replay)] * n
+    else:
+        lams = [sample_lambda(0.5, replay) for _ in range(n)]
+    if policy == "cutmix":
+        if per_batch:
+            masks = [scalar_cutmix_mask(h, w, lams[0].value, replay)] * n
+        else:
+            # one size-m draw of box center rows, then one of center columns,
+            # over the m rows whose box has no zero side
+            sides = [(int(h * math.sqrt(1.0 - t.value)), int(w * math.sqrt(1.0 - t.value)))
+                     for t in lams]
+            boxed = [i for i in range(n) if min(sides[i]) > 0]
+            centers = dict(zip(boxed, zip(replay.integers(h, size=len(boxed)),
+                                          replay.integers(w, size=len(boxed)))))
+            masks = [box_mask(h, w, lams[i].value, *centers[i]) if i in centers
+                     else np.ones((h, w)) for i in range(n)]
+        rows = [np.where(masks[i] == 1.0, x[i], x[pairing[i]]) for i in range(n)]
+        adjusted = [Lambda(masks[i].mean()) for i in range(n)]
+    elif policy == "resizemix":
+        if per_batch:
+            out, ratio = scalar_resizemix(x, x[pairing], lams[0].value, replay)
+            rows, adjusted = list(out), [Lambda(ratio)] * n
+        else:
+            pairs = [scalar_resizemix(x[i], x[pairing[i]], lams[i].value, replay)
+                     for i in range(n)]
+            rows, adjusted = [p[0] for p in pairs], [Lambda(p[1]) for p in pairs]
+    elif policy == "linear":
+        rows = [mix_linear(x[i], x[pairing[i]], lams[i]) for i in range(n)]
+        adjusted = lams
+    else:
+        rows, adjusted = list(x), lams
+    expected = [MixedTarget(int(y[i]), int(y[pairing[i]]), adjusted[i]) for i in range(n)]
+    assert isinstance(mb.targets, Targets)
+    assert np.array_equal(mb.pairing, pairing)
+    assert list(mb.targets) == expected
+    assert [mb.targets[i] for i in range(len(mb.targets))] == expected
+    assert rng.bit_generator.state == replay.bit_generator.state
+    assert mb.inputs.tobytes() == np.stack(rows).tobytes()
 
 
 class TestSampleLambda:
@@ -125,28 +193,38 @@ class TestMixLinear:
 
 
 class TestCutMixMask:
+    """CutMix boxes as arrays (:func:`sample_cutmix_boxes`); a box is the zero
+    rectangle of a binary mask."""
+
     def test_lambda_one_degenerate(self):
-        mask, adj = make_cutmix_mask(28, 28, Lambda(1.0), np.random.default_rng(0))
-        assert np.array_equal(mask.values, np.ones((28, 28)))
-        assert adj.value == 1.0
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        y1, y2, x1, x2, ratio = sample_cutmix_boxes(28, 28, np.array([1.0]), rng)
+        x_a, x_b = np.ones((2, 28, 28)), np.zeros((2, 28, 28))
+        assert np.array_equal(paste_boxes(x_a, x_b, y1, y2, x1, x2), x_a)
+        assert ratio[0] == 1.0
+        assert rng.bit_generator.state == state
 
     def test_unclipped_box_area(self):
-        # Center pinned to (14, 14): a 14x14 zero box inside 28x28.
-        mask, adj = make_cutmix_mask(28, 28, Lambda(0.75), _FixedCenter(14))
-        assert (mask.values == 0).sum() == 196
-        assert adj.value == 1.0 - 196.0 / 784.0 == 0.75
+        # Center pinned to (14, 14): a 14x14 box inside 28x28.
+        y1, y2, x1, x2, ratio = sample_cutmix_boxes(28, 28, np.array([0.75]), _FixedCenter(14))
+        out = paste_boxes(np.ones((1, 28, 28)), np.zeros((1, 28, 28)), y1, y2, x1, x2)
+        assert (out == 0).sum() == 196
+        assert ratio[0] == 1.0 - 196.0 / 784.0 == 0.75
 
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=60)
     def test_adjusted_equals_mask_mean(self, seed, lam):
+        # The realized ratio is the share of pixels kept from the first image.
         rng = np.random.default_rng(seed)
-        mask, adj = make_cutmix_mask(14, 22, Lambda(lam), rng)
-        assert adj.value == mask.values.mean()
-        assert adj.value == mask.area_ratio
+        *edges, ratio = sample_cutmix_boxes(14, 22, np.full(3, lam), rng)
+        kept = paste_boxes(np.ones((3, 14, 22)), np.zeros((3, 14, 22)), *edges)
+        assert np.array_equal(kept.mean(axis=(1, 2)), ratio)
 
     def test_invalid_dims(self):
-        with pytest.raises(ValueError):
-            make_cutmix_mask(0, 28, Lambda(0.5), np.random.default_rng(0))
+        for sampler in (sample_cutmix_boxes, sample_resizemix_boxes):
+            with pytest.raises(ValueError, match="image dimensions"):
+                sampler(0, 28, np.array([0.5]), np.random.default_rng(0))
 
     @given(
         st.integers(min_value=0, max_value=2**31 - 1),
@@ -156,17 +234,14 @@ class TestCutMixMask:
     )
     @settings(max_examples=200)
     def test_one_row_sampler_equals_scalar_reference(self, seed, lam, h, w):
-        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
         reference = scalar_cutmix_mask(h, w, lam, rngs[0])
         y1, y2, x1, x2, ratio = sample_cutmix_boxes(h, w, np.array([lam]), rngs[1])
         boxed = np.ones((h, w))
         boxed[y1[0] : y2[0], x1[0] : x2[0]] = 0.0
-        mask, adj = make_cutmix_mask(h, w, Lambda(lam), rngs[2])
         assert np.array_equal(boxed, reference)
-        assert np.array_equal(mask.values, reference)
-        assert ratio[0] == adj.value == reference.mean()
+        assert ratio[0] == reference.mean()
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-        assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
 
     @pytest.mark.parametrize("h, w, lam", [(28, 28, 0.5), (7, 12, 0.3), (5, 5, 0.99), (9, 4, 0.0)])
     def test_reachable_ratios_cover_every_center(self, h, w, lam):
@@ -175,53 +250,82 @@ class TestCutMixMask:
 
 
 class TestApplyMask:
+    """:func:`paste_boxes`, which applies each row's box as a binary mask."""
+
+    def _edges(self, *box):
+        return [np.array([v]) for v in box]
+
     def test_all_ones_keeps_first(self):
-        x_a, x_b = np.full((4, 4), 2.0), np.full((4, 4), 9.0)
-        out = apply_mask(x_a, x_b, MixMask(np.ones((4, 4))))
+        x_a, x_b = np.full((3, 4, 4), 2.0), np.full((3, 4, 4), 9.0)
+        out = paste_boxes(x_a, x_b, *self._edges(0, 0, 0, 0))
         assert np.array_equal(out, x_a)
 
     def test_all_zeros_keeps_second(self):
-        x_a, x_b = np.full((4, 4), 2.0), np.full((4, 4), 9.0)
-        out = apply_mask(x_a, x_b, MixMask(np.zeros((4, 4))))
+        x_a, x_b = np.full((3, 4, 4), 2.0), np.full((3, 4, 4), 9.0)
+        out = paste_boxes(x_a, x_b, *self._edges(0, 4, 0, 4))
         assert np.array_equal(out, x_b)
 
-    def test_checkerboard_mean_is_mask_mean(self):
-        mask = np.indices((6, 6)).sum(axis=0) % 2
-        out = apply_mask(np.ones((6, 6)), np.zeros((6, 6)), MixMask(mask.astype(float)))
-        assert out.mean() == mask.mean()
-
-    def test_channel_broadcast(self):
-        x_a = np.ones((3, 4, 4))
-        x_b = np.zeros((3, 4, 4))
-        mask = MixMask(np.ones((4, 4)))
-        assert apply_mask(x_a, x_b, mask).shape == (3, 4, 4)
-
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_mask(np.ones((4, 4)), np.ones((4, 4)), MixMask(np.ones((5, 5))))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            paste_boxes(np.ones((1, 4, 4)), np.ones((1, 5, 5)), *self._edges(0, 2, 0, 2))
+
+    @pytest.mark.parametrize("partner", [(1, 4, 4), (4,)], ids=["one_row", "vector"])
+    def test_broadcast_partner_rejected(self, partner):
+        with pytest.raises(ValueError, match=r"shape mismatch: \(3, 4, 4\) vs"):
+            paste_boxes(np.ones((3, 4, 4)), np.zeros(partner), *self._edges(0, 2, 0, 2))
+
+    def test_box_count_neither_one_nor_n(self):
+        edges = [np.zeros(2, dtype=np.int64)] * 4
+        with pytest.raises(ValueError, match="2 boxes for 3 images: need 1 or 3"):
+            paste_boxes(np.ones((3, 4, 4)), np.zeros((3, 4, 4)), *edges)
 
 
 class TestResizeMix:
+    """:func:`sample_resizemix_boxes` and :func:`paste_resized`."""
+
+    def _mix(self, x_a, x_b, lam, rng):
+        *edges, ratio = sample_resizemix_boxes(*x_a.shape[-2:], np.array([lam]), rng)
+        return paste_resized(x_a, x_b, *edges), ratio[0]
+
     def test_lambda_one_unchanged(self):
         rng = np.random.default_rng(0)
-        x_a, x_b = rng.random((28, 28)), rng.random((28, 28))
-        out, adj = make_resizemix(x_a, x_b, Lambda(1.0), rng)
+        x_a, x_b = rng.random((2, 28, 28)), rng.random((2, 28, 28))
+        out, ratio = self._mix(x_a, x_b, 1.0, rng)
         assert np.array_equal(out, x_a)
-        assert adj.value == 1.0
+        assert ratio == 1.0
 
     def test_lambda_zero_full_resize(self):
         rng = np.random.default_rng(1)
-        x_a, x_b = rng.random((28, 28)), rng.random((28, 28))
-        out, adj = make_resizemix(x_a, x_b, Lambda(0.0), rng)
+        x_a, x_b = rng.random((2, 28, 28)), rng.random((2, 28, 28))
+        out, ratio = self._mix(x_a, x_b, 0.0, rng)
         assert np.array_equal(out, x_b)  # same-size nearest resize is identity
-        assert adj.value == 0.0
+        assert ratio == 0.0
 
     def test_area_oracle(self):
         rng = np.random.default_rng(2)
-        x_a, x_b = rng.random((28, 28)), rng.random((28, 28))
-        out, adj = make_resizemix(x_a, x_b, Lambda(0.75), rng)
-        assert adj.value == 0.75  # 14x14 paste box in 28x28
-        assert (out != x_a).sum() <= 196
+        x_a, x_b = rng.random((2, 28, 28)), rng.random((2, 28, 28))
+        out, ratio = self._mix(x_a, x_b, 0.75, rng)
+        assert ratio == 0.75  # 14x14 paste box in 28x28
+        assert (out != x_a).sum(axis=(1, 2)).max() <= 196
+
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=1, max_value=20),
+    )
+    @settings(max_examples=100)
+    def test_rows_equal_scalar_reference(self, seed, h, w):
+        data = np.random.default_rng(seed)
+        x_a, x_b = data.random((5, 2, h, w)), data.random((5, 2, h, w))
+        lam = data.random(5)
+        lam[0] = 1.0
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        pairs = [scalar_resizemix(x_a[i], x_b[i], lam[i], rngs[0]) for i in range(5)]
+        *edges, ratio = sample_resizemix_boxes(h, w, lam, rngs[1])
+        out = paste_resized(x_a, x_b, *edges)
+        assert np.array_equal(out, np.stack([p[0] for p in pairs]))
+        assert np.array_equal(ratio, [p[1] for p in pairs])
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 class TestMixBatch:
@@ -272,61 +376,25 @@ class TestMixBatch:
         mb = mix_batch(x, y, MixConfig("manifold", 2.0), rng)
         assert np.array_equal(mb.inputs, x)
 
+    def test_pairing_out_of_range_rejected(self):
+        x, y = np.zeros((4, 3, 3)), np.array([0, 1, 0, 1])
+        with pytest.raises(ValueError, match="pairing must be a permutation"):
+            mix_batch(x, y, MixConfig(), np.random.default_rng(0), pairing=[0, 1, 2, 7])
+
+    def test_label_count_rejected(self):
+        x, y = np.zeros((4, 3, 3)), np.array([0, 1, 0])
+        with pytest.raises(ValueError, match="one target per sample required, got 3 for 4"):
+            mix_batch(x, y, MixConfig(), np.random.default_rng(0))
+
     @pytest.mark.parametrize("per_batch", [True, False])
     @pytest.mark.parametrize("policy", ["linear", "cutmix", "manifold", "resizemix"])
     def test_targets_equal_list_form(self, policy, per_batch):
-        # Replays the draws of mix_batch on a copy of its generator and builds
-        # one MixedTarget per row with the realized ratio of that row.
-        rng = np.random.default_rng(17)
-        replay = np.random.default_rng(17)
-        x = rng.random((6, 8, 8))
-        replay.random((6, 8, 8))
-        y = np.array([0, 1, 2, 1, 0, 3], dtype=np.uint8)
-        config = MixConfig(policy, 0.5, per_batch_lambda=per_batch)
-        mb = mix_batch(x, y, config, rng)
+        replay_list_form(policy, per_batch, (6, 8, 8))
 
-        pairing = replay.permutation(6)
-        if per_batch or policy == "manifold":
-            lams = [sample_lambda(0.5, replay)] * 6
-        else:
-            lams = [sample_lambda(0.5, replay) for _ in range(6)]
-        if policy == "cutmix" and not per_batch:
-            # one size-m draw of box center rows, then one of center columns,
-            # over the m rows whose box has no zero side
-            sides = [int(8 * math.sqrt(1.0 - t.value)) for t in lams]
-            boxed = [i for i in range(6) if sides[i] > 0]
-            centers = dict(zip(boxed, zip(replay.integers(8, size=len(boxed)),
-                                          replay.integers(8, size=len(boxed)))))
-            masks = [
-                MixMask(box_mask(8, 8, lams[i].value, *centers[i]) if i in centers else np.ones((8, 8)))
-                for i in range(6)
-            ]
-        adjusted = []
-        for i in range(6):
-            if per_batch and i > 0 and policy in ("cutmix", "resizemix"):
-                adjusted.append(adjusted[0])
-            elif policy == "cutmix" and not per_batch:
-                adjusted.append(Lambda(masks[i].area_ratio))
-            elif policy == "cutmix":
-                adjusted.append(make_cutmix_mask(8, 8, lams[i], replay)[1])
-            elif policy == "resizemix":
-                adjusted.append(make_resizemix(x[i], x[pairing[i]], lams[i], replay)[1])
-            else:
-                adjusted.append(lams[i])
-        expected = [
-            MixedTarget(int(y[i]), int(y[pairing[i]]), adjusted[i]) for i in range(6)
-        ]
-        assert isinstance(mb.targets, Targets)
-        assert np.array_equal(mb.pairing, pairing)
-        assert list(mb.targets) == expected
-        assert [mb.targets[i] for i in range(len(mb.targets))] == expected
-        assert rng.bit_generator.state == replay.bit_generator.state
-        if policy == "linear":
-            rows = [mix_linear(x[i], x[pairing[i]], lams[i]) for i in range(6)]
-            assert np.array_equal(mb.inputs, np.stack(rows))
-        if policy == "cutmix" and not per_batch:
-            rows = [apply_mask(x[i], x[pairing[i]], masks[i]) for i in range(6)]
-            assert np.array_equal(mb.inputs, np.stack(rows))
+    def test_channel_images_equal_list_form(self):
+        for policy in ("linear", "cutmix", "manifold", "resizemix"):
+            for per_batch in (True, False):
+                replay_list_form(policy, per_batch, (6, 2, 8, 8))
 
 
 class TestTargets:
@@ -374,7 +442,3 @@ class TestLambdaType:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             Lambda(bad)
-
-    def test_mask_area_ratio_definitional(self):
-        values = np.random.default_rng(0).random((5, 7))
-        assert MixMask(values).area_ratio == values.mean()

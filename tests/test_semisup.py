@@ -17,7 +17,6 @@ from demix.network import (
 )
 from demix.semisup import (
     SSLConfig,
-    pseudo_label,
     pseudo_label_batch,
     ssl_step,
     train_ssl,
@@ -31,31 +30,21 @@ def _moons(n, seed, noise=0.1):
 
 class TestPseudoLabel:
     def test_confident_accepted(self):
-        logits = np.log(np.array([0.96, 0.02, 0.02]))
-        pl = pseudo_label(logits, tau=0.95)
-        assert pl.class_index == 0
-        assert pl.accepted
-        assert pl.confidence == pytest.approx(0.96)
+        logits = np.log(np.array([[0.96, 0.02, 0.02]]))
+        classes, conf, accepted = pseudo_label_batch(logits, tau=0.95)
+        assert classes[0] == 0
+        assert accepted[0]
+        assert conf[0] == pytest.approx(0.96)
 
     def test_unconfident_rejected(self):
-        logits = np.log(np.array([0.5, 0.3, 0.2]))
-        pl = pseudo_label(logits, tau=0.95)
-        assert pl.class_index == 0
-        assert not pl.accepted
+        logits = np.log(np.array([[0.5, 0.3, 0.2]]))
+        classes, _, accepted = pseudo_label_batch(logits, tau=0.95)
+        assert classes[0] == 0
+        assert not accepted[0]
 
     def test_tau_one_rejects_nondegenerate(self):
-        pl = pseudo_label(np.array([2.0, 1.0, 0.0]), tau=1.0)
-        assert not pl.accepted
-
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=(20, 4))
-        classes, conf, acc = pseudo_label_batch(z, 0.6)
-        for i in range(20):
-            pl = pseudo_label(z[i], 0.6)
-            assert classes[i] == pl.class_index
-            assert conf[i] == pytest.approx(pl.confidence)
-            assert acc[i] == pl.accepted
+        _, _, accepted = pseudo_label_batch(np.array([[2.0, 1.0, 0.0]]), tau=1.0)
+        assert not accepted[0]
 
     def test_accepted_implies_threshold(self):
         rng = np.random.default_rng(1)
