@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from demix.losses import RescaleParams, rescale
-from demix.mixers import Lambda
 
 
 def main():
@@ -24,10 +23,10 @@ def main():
 
     settings = [(1.0, 1.0), (0.0, 0.0), (1.0, 0.8), (0.5, 1.0), (2.0, 0.8), (0.3, 1.0)]
     rows = ["t,xi,ratio,rescaled"]
+    lams = np.linspace(0.0, 1.0, args.points)
     for t, xi in settings:
-        params = RescaleParams(t=t, xi=xi)
-        for lam in np.linspace(0.0, 1.0, args.points):
-            rows.append(f"{t:g},{xi:g},{lam:.6f},{rescale(Lambda(float(lam)), params):.6f}")
+        curve = rescale(lams, RescaleParams(t=t, xi=xi))
+        rows.extend(f"{t:g},{xi:g},{lam:.6f},{r:.6f}" for lam, r in zip(lams, curve))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(rows) + "\n")

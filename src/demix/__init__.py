@@ -5,14 +5,7 @@ from .losses import (
     LossResult,
     LossSpec,
     RescaleParams,
-    asymmetric_dm_loss,
     batch_loss,
-    build_mixed_bce_targets,
-    decoupled_softmax,
-    dm_ce_loss,
-    dm_regularizer,
-    mbce_loss,
-    mce_loss,
     rescale,
     softmax,
 )
@@ -22,10 +15,7 @@ from .mixers import (
     MixedBatch,
     MixedTarget,
     Targets,
-    asymmetric_pair,
     mix_batch,
-    mix_linear,
-    sample_lambda,
 )
 from .network import (
     HiddenMixSpec,

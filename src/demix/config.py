@@ -152,6 +152,14 @@ def _flatten(cfg: ExperimentConfig) -> dict[str, object]:
 _DEFAULTS = _flatten(ExperimentConfig())
 _PARSERS = {key: _parser(default) for key, default in _DEFAULTS.items()}
 
+# Settings that cut, paste or convolve over image rows and columns.
+_IMAGE_ONLY = {
+    "mixer.policy": ("cutmix", "resizemix"),
+    "network.arch": ("conv",),
+    "eval.mixed_pairs": (True,),
+    "eval.occlusion": (True,),
+}
+
 
 def _build_section(name: str, proto, values: dict[str, object]):
     """The inverse of ``_section_items``: ``proto`` with the flat values put in."""
@@ -169,7 +177,8 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat config format; any unknown key raises before any work.
 
     A section's own check fails with the section name and the line of each
-    key of that section the text set.
+    key of that section the text set. A setting that needs images on a
+    vector dataset fails with the lines of both keys.
     """
     values = dict(_DEFAULTS)
     seen: dict[str, int] = {}  # key -> line of its last setting
@@ -207,6 +216,15 @@ def parse_config(text: str) -> ExperimentConfig:
             keys = sorted((n, k) for k, n in seen.items() if k.startswith(f"{f.name}."))
             where = ", ".join(f"line {n}: {k}" for n, k in keys)
             raise ValueError(f"config section {f.name!r} ({where}): {e}") from e
+    source = values["dataset.source"]
+    if source in ("blobs", "two_moons"):
+        for key, image_values in _IMAGE_ONLY.items():
+            if values[key] in image_values:
+                where = f"line {seen['dataset.source']}: dataset.source, line {seen[key]}: {key}"
+                raise ValueError(
+                    f"config ({where}): {key} = {_fmt(values[key])} needs image inputs, "
+                    f"but dataset.source = {source} gives vectors"
+                )
     return ExperimentConfig(**sections)
 
 

@@ -9,7 +9,7 @@ outside the pasted box, never the requested one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,26 +128,6 @@ def _check_rows(n: int, n_targets: int, pairing: np.ndarray) -> None:
         raise ValueError(f"one target per sample required, got {n_targets} for {n}")
     if sorted(pairing.tolist()) != list(range(n)):
         raise ValueError("pairing must be a permutation of the batch indices")
-
-
-def sample_lambda(alpha: float, rng: np.random.Generator) -> Lambda:
-    """Draw a mixing ratio from Beta(alpha, alpha).
-
-    One scalar ``rng.beta`` call; a size-n ``rng.beta`` call draws the same n
-    values and leaves the generator in the same state as n of these.
-    """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    return Lambda(float(rng.beta(alpha, alpha)))
-
-
-def mix_linear(x_a: np.ndarray, x_b: np.ndarray, lam: Lambda) -> np.ndarray:
-    """Elementwise convex combination lam*x_a + (1-lam)*x_b."""
-    x_a = np.asarray(x_a, dtype=float)
-    x_b = np.asarray(x_b, dtype=float)
-    if x_a.shape != x_b.shape:
-        raise ValueError(f"shape mismatch: {x_a.shape} vs {x_b.shape}")
-    return lam.value * x_a + lam.complement * x_b
 
 
 def _cut_sides(height: int, width: int, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,14 +303,3 @@ def mix_batch(
     ratios = np.broadcast_to(ratios, n).copy()
     return MixedBatch(mixed, Targets(labels, labels[pairing], ratios), pairing)
 
-
-def asymmetric_pair(
-    x_labeled: np.ndarray, x_unlabeled: np.ndarray, lam: Lambda
-) -> tuple[np.ndarray, Lambda]:
-    """Linear mix where the labeled sample always gets the smaller coefficient.
-
-    The ratio is clamped to min(lam, 1-lam), so the unlabeled content
-    dominates the pixels while only the labeled class is trusted.
-    """
-    effective = Lambda(min(lam.value, lam.complement))
-    return mix_linear(x_labeled, x_unlabeled, effective), effective

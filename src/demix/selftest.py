@@ -1,18 +1,31 @@
 """Verification suites: gradient oracles, stationarity, form equivalence.
 
 Each suite draws the cases of one acceptance criterion (1 to 4) and returns
-what it measured. ``run_all`` checks the numbers for ``demix selftest``; the
-acceptance tests call the same suites and apply their own bounds.
+what it measured. The suites call the row kernels that training runs
+(``mce_rows`` and ``_dm_rows``), on one row per case or per descent run.
+``run_all`` checks the numbers for ``demix selftest``; the acceptance tests
+call the same suites and apply their own bounds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .losses import dm_regularizer, mce_loss, softmax
-from .mixers import Lambda, MixedTarget
+from .losses import _dm_rows, mce_rows, softmax
 
 RATIOS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+def _mce(z: np.ndarray, a: int, b: int, lam: float) -> tuple[float, np.ndarray]:
+    """Value and gradient of the mixed CE on one logit vector."""
+    value, grad = mce_rows(z[None], a, b, lam)
+    return value[0], grad[0]
+
+
+def _dm(z: np.ndarray, a: int, b: int) -> tuple[float, np.ndarray]:
+    """Value and gradient of the decoupled regularizer on one logit vector."""
+    value, grad = _dm_rows(z[None], np.array([a]), np.array([b]))
+    return value[0], grad[0]
 
 
 def _central_diff(f, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -40,7 +53,6 @@ def gradient_oracle_suite() -> tuple[float, float, int]:
             z = rng.normal(scale=2.0, size=c)
             a, b = (int(v) for v in rng.choice(c, size=2, replace=False))
             lam = float(rng.uniform())
-            target = MixedTarget(a, b, Lambda(lam))
 
             # naive closed forms, written straight from the definitions
             e = np.exp(z)
@@ -53,10 +65,8 @@ def gradient_oracle_suite() -> tuple[float, float, int]:
             dm_closed[b] = -1.0 + e[b] / no_a
 
             for grad, closed, f in (
-                (mce_loss(z, target).grad_logits, mce_closed,
-                 lambda v: mce_loss(v, target).value),
-                (dm_regularizer(z, a, b).grad_logits, dm_closed,
-                 lambda v: dm_regularizer(v, a, b).value),
+                (_mce(z, a, b, lam)[1], mce_closed, lambda v: _mce(v, a, b, lam)[0]),
+                (_dm(z, a, b)[1], dm_closed, lambda v: _dm(v, a, b)[0]),
             ):
                 worst_closed = max(worst_closed, float(np.abs(grad - closed).max()))
                 fd = _central_diff(f, z)
@@ -69,39 +79,38 @@ def gradient_oracle_suite() -> tuple[float, float, int]:
 def mce_stationarity_suite() -> float:
     """Descent on free logits under the mixed CE, at each ratio in RATIOS.
 
-    Returns the worst |p - target weight| over both mixed classes.
+    Each ratio descends in its own row of one kernel call; rows do not
+    interact, so each row retraces a run of its own bit for bit. Returns the
+    worst |p - target weight| over both mixed classes.
     """
-    worst = 0.0
-    for lam in RATIOS:
-        target = MixedTarget(0, 1, Lambda(lam))
-        z = np.zeros(3)
-        for _ in range(4000):
-            z -= 0.5 * mce_loss(z, target).grad_logits
-        p = softmax(z)
-        worst = max(worst, abs(p[0] - lam), abs(p[1] - (1.0 - lam)))
-    return worst
+    lam = np.array(RATIOS)
+    z = np.zeros((len(lam), 3))
+    for _ in range(4000):
+        z -= 0.5 * mce_rows(z, 0, 1, lam)[1]
+    p = softmax(z)
+    return float(max(np.abs(p[:, 0] - lam).max(), np.abs(p[:, 1] - (1.0 - lam)).max()))
 
 
 def dm_mutual_boost_suite() -> tuple[float, bool]:
-    """Descent under the decoupled regularizer alone, once per ratio in RATIOS.
+    """Descent under the decoupled regularizer alone, once per ratio in RATIOS,
+    each in its own row of one kernel call.
 
     The regularizer takes no ratio, so every run must retrace the first bit
     for bit. Returns the lowest p_a + p_b after descent and whether the value
     and gradient trajectories are bit-identical.
     """
-    trajectories = []
-    for _ in RATIOS:
-        z = np.zeros(4)
-        values, grads = [], []
-        for _ in range(1500):
-            res = dm_regularizer(z, 0, 1)
-            values.append(res.value)
-            grads.append(res.grad_logits.tobytes())
-            z -= 0.8 * res.grad_logits
-        trajectories.append((values, grads, softmax(z)))
-    ref_v, ref_g, _ = trajectories[0]
-    identical = all(v == ref_v and g == ref_g for v, g, _ in trajectories[1:])
-    return min(p[0] + p[1] for _, _, p in trajectories), identical
+    z = np.zeros((len(RATIOS), 4))
+    a, b = np.zeros(len(z), dtype=np.int64), np.ones(len(z), dtype=np.int64)
+    values, grads = [], []
+    for _ in range(1500):
+        value, grad = _dm_rows(z, a, b)
+        values.append(value)
+        grads.append(grad)
+        z -= 0.8 * grad
+    values, grads = np.array(values), np.array(grads)  # step, run[, class]
+    identical = bool((values == values[:, :1]).all() and (grads == grads[:, :1]).all())
+    p = softmax(z)
+    return float((p[:, 0] + p[:, 1]).min()), identical
 
 
 def dm_form_equivalence_suite() -> float:
@@ -115,7 +124,7 @@ def dm_form_equivalence_suite() -> float:
         a, b = (int(v) for v in rng.choice(c, size=2, replace=False))
         p = softmax(z)
         ratio_form = -(np.log(p[a] / (1 - p[b])) + np.log(p[b] / (1 - p[a])))
-        worst = max(worst, abs(dm_regularizer(z, a, b).value - ratio_form))
+        worst = max(worst, abs(_dm(z, a, b)[0] - ratio_form))
     return worst
 
 

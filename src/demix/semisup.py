@@ -118,7 +118,7 @@ def ssl_step(
     if len(acc_idx) and config.asymmetric_mixing:
         partners = rng.choice(acc_idx, size=n_l, replace=True)
         lam = rng.beta(config.alpha, config.alpha, size=n_l)
-        eff = np.minimum(lam, 1.0 - lam)  # as asymmetric_pair, row by row
+        eff = np.minimum(lam, 1.0 - lam)  # the labeled row gets the smaller share
         w = eff.reshape((n_l,) + (1,) * (x_l.ndim - 1))
         mixed = w * x_l + (1.0 - w) * unlabeled_x[partners]
         z_m, cache_m = forward(params, adapt_inputs(specs, mixed))

@@ -224,6 +224,37 @@ class TestSchema:
         assert str(info.value) == message
 
 
+class TestImageOnlySettings:
+    @pytest.mark.parametrize(
+        "source, line, setting",
+        [
+            ("two_moons", "mixer.policy = cutmix", "mixer.policy = cutmix"),
+            ("blobs", "mixer.policy = resizemix", "mixer.policy = resizemix"),
+            ("blobs", "network.arch = conv", "network.arch = conv"),
+            ("two_moons", "eval.mixed_pairs = yes", "eval.mixed_pairs = true"),
+            ("blobs", "eval.occlusion = true", "eval.occlusion = true"),
+        ],
+    )
+    def test_rejected_on_vector_sources(self, source, line, setting):
+        key = setting.partition(" = ")[0]
+        with pytest.raises(ValueError) as info:
+            parse_config(f"dataset.source = {source}\ntrain.epochs = 3\n{line}")
+        assert str(info.value) == (
+            f"config (line 1: dataset.source, line 3: {key}): {setting} needs image "
+            f"inputs, but dataset.source = {source} gives vectors"
+        )
+
+    @pytest.mark.parametrize("source", ["images", "idx"])
+    def test_accepted_on_image_sources(self, source):
+        text = "\n".join(
+            [f"dataset.source = {source}", "mixer.policy = cutmix", "network.arch = conv",
+             "eval.mixed_pairs = true", "eval.occlusion = true"]
+        )
+        cfg = parse_config(text)
+        assert (cfg.mixer.policy, cfg.network.arch) == ("cutmix", "conv")
+        assert cfg.eval.mixed_pairs and cfg.eval.occlusion
+
+
 class TestDmBceCurveDefault:
     @pytest.mark.parametrize(
         "policy, curve",

@@ -1,29 +1,33 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demix import selftest
 from demix.losses import (
     LOSS_KINDS,
     DMConfig,
     LossResult,
     LossSpec,
     RescaleParams,
-    asymmetric_dm_loss,
+    _decoupled_rows,
     asymmetric_dm_rows,
     batch_loss,
-    build_mixed_bce_targets,
-    decoupled_softmax,
-    dm_ce_loss,
-    dm_regularizer,
-    mbce_loss,
-    mce_loss,
     rescale,
     softmax,
 )
 from demix.mixers import Lambda, MixedTarget, Targets
+from oracles import (
+    asymmetric_dm_loss,
+    build_mixed_bce_targets,
+    dm_ce_loss,
+    dm_regularizer,
+    mbce_loss,
+    mce_loss,
+)
 
 finite_logits = st.lists(
     st.floats(min_value=-20, max_value=20), min_size=2, max_size=8
@@ -57,6 +61,12 @@ class TestSoftmax:
         assert abs(softmax(z).sum() - 1.0) < 1e-12
 
 
+def decoupled_softmax(z, excluded):
+    """One row of ``_decoupled_rows``: the softmax of ``z`` with class
+    ``excluded`` removed from the normalizer (and scored 0)."""
+    return _decoupled_rows(np.asarray(z, dtype=float)[None], np.array([excluded]))[0][0]
+
+
 class TestDecoupledSoftmax:
     def test_two_equal_survivors(self):
         phi = decoupled_softmax(np.zeros(3), 2)
@@ -65,10 +75,6 @@ class TestDecoupledSoftmax:
     def test_hand_value(self):
         phi = decoupled_softmax(np.array([1.0, 0.0, 0.0]), 2)
         assert phi[0] == pytest.approx(math.e / (math.e + 1), abs=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            decoupled_softmax(np.zeros(3), 3)
 
     def test_dominant_excluded_logit_is_finite(self):
         with np.errstate(all="raise", under="ignore"):
@@ -221,18 +227,19 @@ class TestAsymmetricDmLoss:
 
 class TestRescale:
     def test_linear_anchor(self):
-        assert rescale(Lambda(0.5), RescaleParams(t=1.0, xi=1.0)) == 0.5
+        assert rescale(0.5, RescaleParams(t=1.0, xi=1.0)) == 0.5
 
     def test_two_hot_anchor(self):
-        assert rescale(Lambda(0.3), RescaleParams(t=0.0, xi=0.0)) == 1.0
-        assert rescale(Lambda(0.0), RescaleParams(t=0.0, xi=0.0)) == 0.0
+        np.testing.assert_array_equal(
+            rescale(np.array([0.3, 0.0, 1.0]), RescaleParams(t=0.0, xi=0.0)), [1.0, 0.0, 1.0]
+        )
 
     def test_truncation(self):
-        assert rescale(Lambda(0.9), RescaleParams(t=1.0, xi=0.8)) == 1.0
+        assert rescale(0.9, RescaleParams(t=1.0, xi=0.8)) == 1.0
 
     def test_threshold_saturates(self):
         for t in (0.5, 1.0, 2.0):
-            assert rescale(Lambda(0.8), RescaleParams(t=t, xi=0.8)) == 1.0
+            assert rescale(0.8, RescaleParams(t=t, xi=0.8)) == 1.0
 
     @given(st.floats(0.01, 3.0), st.floats(0.1, 1.0), st.data())
     @settings(max_examples=60)
@@ -240,9 +247,8 @@ class TestRescale:
         lams = sorted(
             data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6))
         )
-        params = RescaleParams(t=t, xi=xi)
-        vals = [rescale(Lambda(v), params) for v in lams]
-        assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
+        vals = rescale(np.array(lams), RescaleParams(t=t, xi=xi))
+        assert np.all(np.diff(vals) >= 0)
 
 
 class TestMbceLoss:
@@ -321,6 +327,13 @@ class TestBatchLoss:
     def test_empty_batch(self):
         with pytest.raises(ValueError):
             batch_loss(np.empty((0, 3)), [], LossSpec("mce"))
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 2)])
+    def test_logits_must_be_2d(self, shape):
+        targets = Targets([0, 0, 0], [0, 0, 0], [1.0, 1.0, 1.0])
+        message = f"logits must have shape (n, classes), got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            batch_loss(np.zeros(shape), targets, LossSpec())
 
     @pytest.mark.parametrize("kind", ["mce", "dm_ce", "mbce_one", "mbce_two", "dm_bce"])
     def test_gradient_matches_finite_differences(self, kind):
@@ -462,3 +475,21 @@ class TestScalarLargeGaps:
             res = mbce_loss(z, t)
         assert res.value == 0.0
         assert np.array_equal(res.grad_logits, [0.0, 0.0])
+
+
+class TestSelftestReadsKernels:
+    """The criterion 1 suite measures the row kernels that train: a 1e-9 error
+    in one gradient entry of either kernel shows past criterion 1's bound."""
+
+    @pytest.mark.parametrize("kernel", ["mce_rows", "_dm_rows"])
+    def test_perturbed_kernel_fails_closed_form_bound(self, monkeypatch, kernel):
+        original = getattr(selftest, kernel)
+
+        def perturbed(*args):
+            value, grad = original(*args)
+            grad[:, 0] += 1e-9
+            return value, grad
+
+        monkeypatch.setattr(selftest, kernel, perturbed)
+        worst_closed, _, _ = selftest.gradient_oracle_suite()
+        assert worst_closed > 1e-12

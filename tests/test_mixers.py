@@ -11,16 +11,14 @@ from demix.mixers import (
     MixConfig,
     MixedTarget,
     Targets,
-    asymmetric_pair,
     cutmix_ratios,
     mix_batch,
-    mix_linear,
     paste_boxes,
     paste_resized,
     sample_cutmix_boxes,
-    sample_lambda,
     sample_resizemix_boxes,
 )
+from oracles import asymmetric_pair, mix_linear, sample_lambda
 
 
 class _FixedCenter:
