@@ -18,13 +18,11 @@ from .mixers import (
     mix_batch,
 )
 from .network import (
-    HiddenMixSpec,
     Parameters,
     TrainConfig,
     TrainingDiverged,
     backward,
     forward,
-    forward_manifold_mix,
     load_checkpoint,
     make_conv,
     make_mlp,

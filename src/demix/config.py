@@ -36,6 +36,11 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset source {self.source!r}")
         if not (0.0 < self.label_fraction <= 1.0):
             raise ValueError("label_fraction must lie in (0, 1]")
+        for key in ("size", "val_size", "num_classes"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        if self.shift < 0:
+            raise ValueError(f"shift must be nonnegative, got {self.shift}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,8 @@ class NetworkConfig:
     def __post_init__(self):
         if self.arch not in ("mlp", "conv"):
             raise ValueError(f"unknown architecture {self.arch!r}")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be positive, got {self.hidden}")
 
 
 @dataclass(frozen=True)

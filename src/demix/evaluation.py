@@ -23,7 +23,7 @@ import numpy as np
 from .data import Dataset
 from .losses import batch_loss, softmax, LossSpec
 from .mixers import MixedBatch, Targets, cutmix_ratios, paste_boxes, sample_cutmix_boxes
-from .network import Parameters, adapt_inputs, backward, forward, plain_targets
+from .network import Parameters, backward, forward, plain_targets
 
 _CE = LossSpec(kind="mce")
 
@@ -70,7 +70,6 @@ def _eval_threads() -> int:
 
 def predict_logits(params: Parameters, x: np.ndarray, chunk: int = 1024) -> np.ndarray:
     """Forward pass in fixed-order chunks, optionally threaded."""
-    x = adapt_inputs(params.specs, np.asarray(x, dtype=float))
     pieces = [x[i : i + chunk] for i in range(0, len(x), chunk)]
     threads = _eval_threads()
     if threads > 1 and len(pieces) > 1:
@@ -172,12 +171,10 @@ def make_hard_mixed_set(
 
 
 def input_gradients(params: Parameters, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d(mean CE)/d(inputs), reshaped back to the raw input shape."""
-    adapted = adapt_inputs(params.specs, np.asarray(x, dtype=float))
-    z, cache = forward(params, adapted)
+    """d(mean CE)/d(inputs), in the raw input shape."""
+    z, cache = forward(params, x)
     res = batch_loss(z, plain_targets(y), _CE)
-    _, gx = backward(params, cache, res.grad_logits)
-    return gx.reshape(np.asarray(x).shape)
+    return backward(params, cache, res.grad_logits)[1]
 
 
 def fgsm_attack(

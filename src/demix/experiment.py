@@ -126,6 +126,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     train_ds, val_ds, labeled_ds, unlabeled_x = load_dataset(cfg.dataset)
     specs = build_specs(cfg, train_ds)
 
+    # The step of the final and probe rows: the last SSL step or epoch.
+    last = cfg.ssl.steps - 1 if cfg.ssl is not None else max(cfg.train.epochs - 1, 0)
     rows: list[tuple] = []
     finals: dict[str, float] = {}
     for seed in cfg.run.seeds:
@@ -137,9 +139,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             for metric, step, value in log:
                 rows.append(metric_row(cfg.run.name, seed, step, metric, value))
             best = max(v for m, _, v in log if m == "test_top1")
-            rows.append(
-                metric_row(cfg.run.name, seed, cfg.ssl.steps - 1, "best_top1", best)
-            )
+            rows.append(metric_row(cfg.run.name, seed, last, "best_top1", best))
             finals[str(seed)] = best
         else:
             params, log = train_supervised(
@@ -149,10 +149,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
                 rows.append(metric_row(cfg.run.name, seed, epoch, metric, value))
             curve = [v for m, _, v in log if m == "val_top1"]
             final = _median_last(curve) if curve else deval.top1_accuracy(params, val_ds)
-            last = cfg.train.epochs - 1 if cfg.train.epochs else 0
             rows.append(metric_row(cfg.run.name, seed, last, "final_top1", final))
             finals[str(seed)] = final
-        rows.extend(_eval_rows(cfg, seed, params, val_ds))
+        rows.extend(_eval_rows(cfg, seed, last, params, val_ds))
         save_checkpoint(params, out / f"seed_{seed}.dmx")
 
     values = [finals[str(s)] for s in cfg.run.seeds]
@@ -168,11 +167,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     return summary
 
 
-def _eval_rows(cfg: ExperimentConfig, seed: int, params, val_ds) -> list[tuple]:
+def _eval_rows(cfg: ExperimentConfig, seed: int, last: int, params, val_ds) -> list[tuple]:
     rows = []
     e = cfg.eval
     name = cfg.run.name
-    last = (cfg.ssl.steps if cfg.ssl else cfg.train.epochs) - 1
     any_eval = e.mixed_pairs or e.fgsm or e.occlusion or e.confidence_bins > 0
     if not any_eval:
         return rows

@@ -267,10 +267,10 @@ def mix_batch(
 
     ``per_batch_lambda`` draws one ratio (and one box) for the whole batch,
     otherwise each sample draws its own; policy `manifold` always draws one.
-    ``pairing`` and ``lam`` override the random draws (used by tests and the
-    semi-supervised loop). Policy `manifold` leaves the inputs untouched: the
-    hidden-layer mix happens inside the network, this only records lam and
-    the pairing.
+    ``pairing`` and ``lam`` override the random draws, so a test can pin
+    them; training always draws both. Policy `manifold` leaves the inputs
+    untouched: the hidden-layer mix happens inside the network, this only
+    records lam and the pairing.
     """
     inputs = np.asarray(inputs, dtype=float)
     labels = np.asarray(labels)

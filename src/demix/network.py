@@ -6,8 +6,10 @@ Two fixed architectures: an MLP (in-256-C, ReLU) and a small conv net
 gradients for every parameter and, on request, for the inputs (the FGSM
 probe asks; training does not, so it skips the first layer's input
 gradient).
-Hidden-layer mixing for ManifoldMix is a linear operation recorded in the
-cache so the chain rule routes lam to each sample and 1-lam to its partner.
+:func:`forward` takes a raw batch and shapes it for the first layer. Its
+optional hidden mix for ManifoldMix is a linear operation on the input of one
+layer, recorded in the cache so the chain rule routes lam to each sample and
+1-lam to its partner.
 
 Conv layers run on im2col: the patch matrix is one ``sliding_window_view``
 of the padded input, and the forward and both gradients are batched BLAS
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LossSpec, batch_loss
-from .mixers import Lambda, MixConfig, Targets, mix_batch
+from .mixers import MixConfig, Targets, mix_batch
 
 
 ACTIVATIONS = ("relu", "none")
@@ -116,11 +118,9 @@ class Parameters:
 class ActivationCache:
     """Per-layer values kept by a forward pass for the matching backward."""
 
-    num_layers: int
-    batch_size: int
-    input_shape: tuple[int, ...]
+    input_shape: tuple[int, ...]  # of the raw batch
     layer_io: list
-    mix: tuple | None = None  # (site, lam_value, pairing) when hidden-mixed
+    mix: tuple | None = None  # (site, lam, pairing) when hidden-mixed
 
 
 @dataclass(frozen=True)
@@ -144,15 +144,6 @@ class TrainConfig:
             raise ValueError("weight_decay must be nonnegative")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be positive and epochs nonnegative")
-
-
-@dataclass(eq=False)
-class HiddenMixSpec:
-    """Where to mix hidden activations: site 0 is the input, k is after layer k."""
-
-    layer_index: int
-    lam: Lambda
-    pairing: np.ndarray
 
 
 def make_mlp(in_dim: int, hidden: int, num_classes: int) -> tuple[LayerSpec, ...]:
@@ -207,10 +198,9 @@ def zeros_like_params(params: Parameters) -> Parameters:
     )
 
 
-def adapt_inputs(specs: tuple[LayerSpec, ...], x: np.ndarray) -> np.ndarray:
-    """Reshape a raw batch to what the first layer expects."""
-    x = np.asarray(x, dtype=float)
-    first = specs[0]
+def _adapt_inputs(first: LayerSpec, x: np.ndarray) -> np.ndarray:
+    """Reshape a raw batch to what the first layer expects; a pool- or
+    flatten-first network takes it as it is."""
     if isinstance(first, DenseSpec):
         flat = x.reshape(len(x), -1)
         if flat.shape[1] != first.in_dim:
@@ -218,7 +208,8 @@ def adapt_inputs(specs: tuple[LayerSpec, ...], x: np.ndarray) -> np.ndarray:
                 f"input dim {flat.shape[1]} does not match layer 0 ({first.in_dim})"
             )
         return flat
-    assert isinstance(first, ConvSpec)
+    if not isinstance(first, ConvSpec):
+        return x
     if x.ndim == 3:
         x = x[:, None, :, :]
     if x.ndim != 4 or x.shape[1] != first.in_ch:
@@ -318,44 +309,31 @@ def _layer_backward(spec, w, cache, grad, input_grad=True):
     return None, None, grad.reshape(x_shape)
 
 
-def _mix_hidden(h: np.ndarray, lam: Lambda, pairing: np.ndarray) -> np.ndarray:
-    return lam.value * h + lam.complement * h[pairing]
-
-
-def forward(params: Parameters, x: np.ndarray) -> tuple[np.ndarray, ActivationCache]:
-    """Run the batch through every layer; keep what backward needs."""
-    return forward_manifold_mix(params, x, None)
-
-
-def forward_manifold_mix(
-    params: Parameters, x: np.ndarray, spec: HiddenMixSpec | None
+def forward(
+    params: Parameters, x: np.ndarray, mix: tuple | None = None
 ) -> tuple[np.ndarray, ActivationCache]:
-    """Forward pass that mixes activations at ``spec.layer_index`` with a partner.
+    """Run a raw batch through every layer; keep what backward needs.
 
-    Site 0 mixes the inputs themselves (plain input-space mixup); site k mixes
-    the output of layer k. Mixing with lam=1 or an identity pairing is a
-    no-op and is skipped so those cases match the plain forward exactly.
+    ``mix = (site, lam, pairing)`` mixes the input of layer ``site`` with its
+    partner rows: site 0 mixes the inputs themselves (plain input-space
+    mixup). Mixing with lam=1 or an identity pairing is a no-op and is
+    skipped so those cases match the unmixed forward exactly.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    mix_record = None
-    if spec is not None:
-        if not (0 <= spec.layer_index < len(params.specs)):
-            raise ValueError(f"mix site {spec.layer_index} outside the network depth")
-        identity = bool(np.array_equal(spec.pairing, np.arange(n)))
-        if spec.lam.value != 1.0 and not identity:
-            mix_record = (spec.layer_index, spec.lam, np.asarray(spec.pairing))
-
-    h = x
-    if mix_record is not None and mix_record[0] == 0:
-        h = _mix_hidden(h, mix_record[1], mix_record[2])
+    if mix is not None:
+        site, lam, pairing = mix
+        if not (0 <= site < len(params.specs)):
+            raise ValueError(f"mix site {site} outside the network depth")
+        if lam == 1.0 or np.array_equal(pairing, np.arange(len(x))):
+            mix = None
+    h = _adapt_inputs(params.specs[0], x)
     layer_io = []
     for i, lspec in enumerate(params.specs):
+        if mix is not None and mix[0] == i:
+            h = lam * h + (1.0 - lam) * h[pairing]
         h, cache = _layer_forward(lspec, params.weights[i], params.biases[i], h)
         layer_io.append(cache)
-        if mix_record is not None and mix_record[0] == i + 1:
-            h = _mix_hidden(h, mix_record[1], mix_record[2])
-    return h, ActivationCache(len(params.specs), n, x.shape, layer_io, mix_record)
+    return h, ActivationCache(x.shape, layer_io, mix)
 
 
 def backward(
@@ -366,38 +344,31 @@ def backward(
 ) -> tuple[Parameters, np.ndarray | None]:
     """Exact gradients of the scalar batch loss w.r.t. parameters and inputs.
 
-    With ``input_grad=False`` the first layer's input gradient is not
-    computed and None is returned in its place; the parameter gradients are
-    the same either way.
+    The input gradient has the shape of the raw batch. With
+    ``input_grad=False`` the first layer's input gradient is not computed and
+    None is returned in its place; the parameter gradients are the same
+    either way.
     """
-    if cache.num_layers != len(params.specs):
+    if len(cache.layer_io) != len(params.specs):
         raise ValueError("cache does not match these parameters")
     grad_logits = np.asarray(grad_logits, dtype=float)
-    if len(grad_logits) != cache.batch_size:
+    if len(grad_logits) != cache.input_shape[0]:
         raise ValueError("gradient batch does not match the cached forward")
     n = len(params.specs)
     weights: list[np.ndarray | None] = [None] * n
     biases: list[np.ndarray | None] = [None] * n
     g = grad_logits
     for i in range(n - 1, -1, -1):
-        if cache.mix is not None and cache.mix[0] == i + 1:
-            g = _unmix_grad(g, cache.mix[1], cache.mix[2])
         weights[i], biases[i], g = _layer_backward(
             params.specs[i], params.weights[i], cache.layer_io[i], g, input_grad or i > 0
         )
+        if cache.mix is not None and cache.mix[0] == i and g is not None:
+            # h_mixed[k] = lam*h[k] + (1-lam)*h[pairing[k]]; pairing is a bijection.
+            _, lam, pairing = cache.mix
+            g, g_mixed = lam * g, g
+            g[pairing] += (1.0 - lam) * g_mixed
     grads = Parameters(params.specs, weights, biases)
-    if not input_grad:
-        return grads, None
-    if cache.mix is not None and cache.mix[0] == 0:
-        g = _unmix_grad(g, cache.mix[1], cache.mix[2])
-    return grads, g.reshape(cache.input_shape)
-
-
-def _unmix_grad(g: np.ndarray, lam: Lambda, pairing: np.ndarray) -> np.ndarray:
-    # h_mixed[i] = lam*h[i] + (1-lam)*h[pairing[i]]; pairing is a bijection.
-    out = lam.value * g
-    out[pairing] += lam.complement * g
-    return out
+    return grads, g.reshape(cache.input_shape) if input_grad else None
 
 
 def manifold_mix_sites(specs: tuple[LayerSpec, ...]) -> list[int]:
@@ -470,9 +441,9 @@ def _batches(n: int, batch: int, rng: np.random.Generator):
             yield order[start : start + batch]
 
 
-def _loss_and_grads(params, x, targets, loss_spec, hidden_mix=None):
+def _loss_and_grads(params, x, targets, loss_spec, mix=None):
     """Batch loss and parameter gradients of one forward and backward pass."""
-    z, cache = forward_manifold_mix(params, adapt_inputs(params.specs, x), hidden_mix)
+    z, cache = forward(params, x, mix)
     res = batch_loss(z, targets, loss_spec)
     grads, _ = backward(params, cache, res.grad_logits, input_grad=False)
     return res.value, grads
@@ -504,7 +475,7 @@ def _train_loop(
             window.append(logged)
             if (step + 1) % eval_every == 0 or step + 1 == total_steps:
                 # [0] frees the eval set's activation cache before the next step.
-                z = forward(params, adapt_inputs(params.specs, eval_ds.x))[0]
+                z = forward(params, eval_ds.x)[0]
                 top1 = float(np.mean(np.argmax(z, axis=1) == eval_ds.y))
                 log.extend(entries(step, float(np.mean(window)), top1))
                 window = []
@@ -537,16 +508,15 @@ def train_supervised(
 
     def step_fn():
         idx = next(batches)
-        x, y, hidden = train_ds.x[idx], train_ds.y[idx], None
+        x, y, mix = train_ds.x[idx], train_ds.y[idx], None
         if mix_config is None:
             targets = plain_targets(y)
         else:
             mb = mix_batch(x, y, mix_config, mix_rng)
             x, targets = mb.inputs, mb.targets
             if mix_config.policy == "manifold":
-                site = int(mix_rng.choice(sites))
-                hidden = HiddenMixSpec(site, targets[0].lam, mb.pairing)
-        loss, grads = _loss_and_grads(params, x, targets, loss_spec, hidden)
+                mix = (int(mix_rng.choice(sites)), targets.lam[0], mb.pairing)
+        loss, grads = _loss_and_grads(params, x, targets, loss_spec, mix)
         return loss, grads, loss
 
     def entries(step, loss, top1):

@@ -22,7 +22,6 @@ from .network import (
     _batches,
     _loss_and_grads,
     _train_loop,
-    adapt_inputs,
     backward,
     forward,
     init_params,
@@ -55,6 +54,10 @@ class SSLConfig:
             raise ValueError("steps must be positive")
         if self.eval_interval < 1:
             raise ValueError("eval_interval must be positive")
+        if self.labeled_batch < 0:
+            raise ValueError(f"labeled_batch must be nonnegative, got {self.labeled_batch}")
+        if self.unlabeled_batch < 1:
+            raise ValueError(f"unlabeled_batch must be positive, got {self.unlabeled_batch}")
 
 
 def pseudo_label_batch(
@@ -94,9 +97,8 @@ def ssl_step(
     n_l, n_u = len(x_l), len(unlabeled_x)
     if n_l == 0 or n_u == 0:
         raise ValueError("both batches must be nonempty")
-    specs = params.specs
 
-    z, cache = forward(params, adapt_inputs(specs, np.concatenate([x_l, unlabeled_x])))
+    z, cache = forward(params, np.concatenate([x_l, unlabeled_x]))
     classes, _, accepted = pseudo_label_batch(z[n_l:], config.tau)
     w_u = config.unlabeled_weight
     acc_idx = np.flatnonzero(accepted) if w_u > 0.0 else np.empty(0, dtype=np.intp)
@@ -121,7 +123,7 @@ def ssl_step(
         eff = np.minimum(lam, 1.0 - lam)  # the labeled row gets the smaller share
         w = eff.reshape((n_l,) + (1,) * (x_l.ndim - 1))
         mixed = w * x_l + (1.0 - w) * unlabeled_x[partners]
-        z_m, cache_m = forward(params, adapt_inputs(specs, mixed))
+        z_m, cache_m = forward(params, mixed)
         pseudo = classes[partners]
         value_m, grad_m = mce_rows(z_m, y_l, pseudo, eff)
         mix_value = float(value_m.sum()) / n_l
@@ -135,10 +137,8 @@ def ssl_step(
 
     grads, _ = backward(params, cache, grad, input_grad=False)
     if grads_mix is not None:
-        for i in range(len(specs)):
-            if grads.weights[i] is not None:
-                grads.weights[i] += grads_mix.weights[i]
-                grads.biases[i] += grads_mix.biases[i]
+        for g, g_mix in zip(grads.arrays(), grads_mix.arrays()):
+            g += g_mix
     metrics["loss"] = metrics["loss_labeled"] + w_u * (
         metrics["loss_pseudo"] + metrics["loss_mix"]
     )

@@ -216,6 +216,28 @@ class TestSchema:
             ("eval.confidence_bins = -1",
              "config section 'eval' (line 2: eval.confidence_bins): "
              "confidence_bins must be nonnegative"),
+            ("dataset.size = 0",
+             "config section 'dataset' (line 2: dataset.size): size must be positive, got 0"),
+            ("dataset.val_size = 0",
+             "config section 'dataset' (line 2: dataset.val_size): "
+             "val_size must be positive, got 0"),
+            ("dataset.source = blobs\ndataset.num_classes = 0",
+             "config section 'dataset' (line 2: dataset.source, line 3: dataset.num_classes): "
+             "num_classes must be positive, got 0"),
+            ("dataset.shift = -1",
+             "config section 'dataset' (line 2: dataset.shift): "
+             "shift must be nonnegative, got -1"),
+            ("network.hidden = 0",
+             "config section 'network' (line 2: network.hidden): hidden must be positive, got 0"),
+            ("ssl.enabled = true\nssl.unlabeled_batch = 0",
+             "config section 'ssl' (line 2: ssl.enabled, line 3: ssl.unlabeled_batch): "
+             "unlabeled_batch must be positive, got 0"),
+            ("ssl.enabled = true\nssl.unlabeled_batch = -5",
+             "config section 'ssl' (line 2: ssl.enabled, line 3: ssl.unlabeled_batch): "
+             "unlabeled_batch must be positive, got -5"),
+            ("ssl.enabled = true\nssl.labeled_batch = -1",
+             "config section 'ssl' (line 2: ssl.enabled, line 3: ssl.labeled_batch): "
+             "labeled_batch must be nonnegative, got -1"),
         ],
     )
     def test_section_check_names_section_lines_and_keys(self, text, message):

@@ -93,6 +93,15 @@ class TestRunExperiment:
         # initial parameters on a 3-class problem: near-chance accuracy
         assert 0.0 <= summary["seeds"]["1"] <= 1.0
 
+    def test_zero_epochs_probe_rows_share_the_final_step(self, tmp_path):
+        text = FAST_BLOBS.format(kind="mce", eta="0.0", name="z").replace(
+            "train.epochs = 4", "train.epochs = 0"
+        ) + "eval.fgsm = true\neval.confidence_bins = 2\n"
+        run_experiment(parse_config(text), tmp_path / "z")
+        rows = [r.split(",") for r in (tmp_path / "z/metrics.csv").read_text().splitlines()[1:]]
+        assert {r[3] for r in rows} >= {"final_top1", "clean_top1", "fgsm_top1"}
+        assert {r[2] for r in rows} == {"0"}
+
     def test_checkpoints_written(self, tmp_path):
         cfg = parse_config(FAST_BLOBS.format(kind="mce", eta="0.0", name="c"))
         run_experiment(cfg, tmp_path / "c")

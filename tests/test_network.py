@@ -11,16 +11,13 @@ from demix.mixers import Lambda, MixConfig, MixedTarget
 from demix.network import (
     ConvSpec,
     DenseSpec,
-    HiddenMixSpec,
     Parameters,
     PoolSpec,
     TrainConfig,
     TrainingDiverged,
-    adapt_inputs,
     backward,
     cosine_lr,
     forward,
-    forward_manifold_mix,
     init_params,
     load_checkpoint,
     make_conv,
@@ -77,7 +74,7 @@ class TestForward:
     def test_dimension_mismatch(self):
         specs = make_mlp(6, 5, 3)
         with pytest.raises(ValueError):
-            adapt_inputs(specs, np.zeros((2, 7)))
+            forward(init_params(specs, np.random.default_rng(0)), np.zeros((2, 7)))
 
 
 class TestBackward:
@@ -200,11 +197,9 @@ class TestBackward:
         specs = make_mlp(6, 8, 3) if arch == "mlp" else make_conv(1, 3, (8, 8))
         params = init_params(specs, np.random.default_rng(4))
         rng = np.random.default_rng(5)
-        x = adapt_inputs(specs, rng.normal(size=(5, 6) if arch == "mlp" else (5, 8, 8)))
-        hspec = None
-        if site is not None:
-            hspec = HiddenMixSpec(site, Lambda(0.3), np.array([2, 0, 4, 1, 3]))
-        z, cache = forward_manifold_mix(params, x, hspec)
+        x = rng.normal(size=(5, 6) if arch == "mlp" else (5, 8, 8))
+        mix = None if site is None else (site, 0.3, np.array([2, 0, 4, 1, 3]))
+        z, cache = forward(params, x, mix)
         res = batch_loss(z, random_targets(rng, 5, 3), LossSpec("dm_ce", DMConfig(0.25)))
         full, gx = backward(params, cache, res.grad_logits)
         grads, none = backward(params, cache, res.grad_logits, input_grad=False)
@@ -369,42 +364,36 @@ class TestManifoldMix:
 
     def test_site_zero_equals_input_mixing(self):
         lam = Lambda(0.3)
-        z1, _ = forward_manifold_mix(self.params, self.x, HiddenMixSpec(0, lam, self.perm))
+        z1, _ = forward(self.params, self.x, (0, lam.value, self.perm))
         z2, _ = forward(self.params, mix_linear(self.x, self.x[self.perm], lam))
         assert np.array_equal(z1, z2)
 
     def test_lambda_one_is_plain_forward(self):
-        z1, _ = forward_manifold_mix(
-            self.params, self.x, HiddenMixSpec(1, Lambda(1.0), self.perm)
-        )
+        z1, _ = forward(self.params, self.x, (1, 1.0, self.perm))
         z2, _ = forward(self.params, self.x)
         assert np.array_equal(z1, z2)
 
     def test_identity_pairing_is_plain_forward(self):
-        z1, _ = forward_manifold_mix(
-            self.params, self.x, HiddenMixSpec(1, Lambda(0.37), np.arange(5))
-        )
+        z1, _ = forward(self.params, self.x, (1, 0.37, np.arange(5)))
         z2, _ = forward(self.params, self.x)
         assert np.array_equal(z1, z2)
 
     def test_invalid_site(self):
         with pytest.raises(ValueError):
-            forward_manifold_mix(
-                self.params, self.x, HiddenMixSpec(5, Lambda(0.5), self.perm)
-            )
+            forward(self.params, self.x, (5, 0.5, self.perm))
 
     def test_hidden_mix_gradients_vs_fd(self):
         rng = np.random.default_rng(3)
         targets = random_targets(rng, 5, 3)
         spec = LossSpec("dm_ce", DMConfig(0.25))
-        hspec = HiddenMixSpec(1, Lambda(0.42), self.perm)
+        mix = (1, 0.42, self.perm)
 
-        z, cache = forward_manifold_mix(self.params, self.x, hspec)
+        z, cache = forward(self.params, self.x, mix)
         res = batch_loss(z, targets, spec)
         grads, gx = backward(self.params, cache, res.grad_logits)
 
         def value():
-            zz, _ = forward_manifold_mix(self.params, self.x, hspec)
+            zz, _ = forward(self.params, self.x, mix)
             return batch_loss(zz, targets, spec).value
 
         h = 1e-6
@@ -432,6 +421,54 @@ class TestManifoldMix:
         assert manifold_mix_sites(make_mlp(8, 4, 2)) == [0, 1]
         conv_sites = manifold_mix_sites(make_conv(1, 2, (8, 8)))
         assert conv_sites[0] == 0 and len(conv_sites) >= 2
+
+
+class TestRawBatches:
+    """``forward`` shapes a raw (n, H, W) batch for the first layer itself."""
+
+    @pytest.mark.parametrize("arch", ["mlp", "conv"])
+    def test_raw_batch_matches_shaped_batch(self, arch):
+        specs = make_mlp(64, 8, 3) if arch == "mlp" else make_conv(1, 3, (8, 8))
+        params = init_params(specs, np.random.default_rng(6))
+        x = np.random.default_rng(7).uniform(size=(4, 8, 8))
+        shaped = x.reshape(4, 64) if arch == "mlp" else x[:, None]
+        z, cache = forward(params, x)
+        z_shaped, cache_shaped = forward(params, shaped)
+        assert np.array_equal(z, z_shaped)
+        g = np.random.default_rng(8).normal(size=z.shape)
+        _, gx = backward(params, cache, g)
+        _, gx_shaped = backward(params, cache_shaped, g)
+        assert gx.shape == x.shape and gx_shaped.shape == shaped.shape
+        assert np.array_equal(gx, gx_shaped.reshape(x.shape))
+
+    def test_input_mix_on_raw_conv_batch(self):
+        params = init_params(make_conv(1, 3, (8, 8)), np.random.default_rng(6))
+        x = np.random.default_rng(7).uniform(size=(4, 8, 8))
+        perm = np.array([1, 3, 0, 2])
+        z, cache = forward(params, x, (0, 0.3, perm))
+        assert np.array_equal(z, forward(params, 0.3 * x + 0.7 * x[perm])[0])
+        g = np.random.default_rng(8).normal(size=z.shape)
+        _, gx = backward(params, cache, g)
+        assert gx.shape == x.shape
+        # The input gradient goes through the mix: d sum(g * z) / dx by
+        # central differences.
+        h = 1e-6
+        for idx in [(0, 3, 4), (2, 5, 1)]:
+            orig = x[idx]
+            x[idx] = orig + h
+            vp = np.sum(g * forward(params, x, (0, 0.3, perm))[0])
+            x[idx] = orig - h
+            vm = np.sum(g * forward(params, x, (0, 0.3, perm))[0])
+            x[idx] = orig
+            assert abs(gx[idx] - (vp - vm) / (2 * h)) < 1e-6
+
+    def test_pool_first_network_takes_4d_input_as_is(self):
+        params = Parameters((PoolSpec(2),), [None], [None])
+        x = np.random.default_rng(9).normal(size=(2, 3, 4, 4))
+        out, cache = forward(params, x)
+        assert out.shape == (2, 3, 2, 2)
+        _, dx = backward(params, cache, np.ones(out.shape))
+        assert dx.shape == x.shape
 
 
 class TestSgd:

@@ -7,7 +7,6 @@ from demix.mixers import Lambda, MixedTarget
 from demix.network import (
     TrainConfig,
     TrainingDiverged,
-    adapt_inputs,
     backward,
     forward,
     make_mlp,
@@ -79,7 +78,7 @@ class TestSslStep:
         from demix.network import plain_targets
         from demix.losses import batch_loss
 
-        z, cache = forward(p2, adapt_inputs(specs, labeled.x))
+        z, cache = forward(p2, labeled.x)
         res = batch_loss(z, plain_targets(labeled.y), LossSpec("mce"))
         grads, _ = backward(p2, cache, res.grad_logits)
         sgd_step(p2, grads, zeros_like_params(p2), 0, 10, tcfg)
@@ -131,7 +130,7 @@ def _scalar_ssl_step(params, labeled, unlabeled, cfg, tcfg, rng, velocity, step)
     def backward_sum(x, rows):
         # Mean over the rows of the per-sample results; returns the parameter
         # gradients and the mean value.
-        z, cache = forward(params, adapt_inputs(specs, x))
+        z, cache = forward(params, x)
         results = [fn(z[i]) for i, fn in enumerate(rows)]
         grad = np.stack([r.grad_logits for r in results]) / len(x)
         return backward(params, cache, grad)[0], sum(r.value for r in results) / len(x)
@@ -145,7 +144,7 @@ def _scalar_ssl_step(params, labeled, unlabeled, cfg, tcfg, rng, velocity, step)
     x_l, y_l = labeled.x, labeled.y
     ce = lambda c: lambda z: mce_loss(z, MixedTarget(int(c), int(c), Lambda(1.0)))
     grads, loss_l = backward_sum(x_l, [ce(c) for c in y_l])
-    z_u, _ = forward(params, adapt_inputs(specs, unlabeled))
+    z_u, _ = forward(params, unlabeled)
     classes, _, accepted = pseudo_label_batch(z_u, cfg.tau)
     zero = lambda z: LossResult(0.0, np.zeros_like(z))
     g_u, loss_u = backward_sum(
