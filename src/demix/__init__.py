@@ -18,6 +18,7 @@ from .mixers import (
     mix_batch,
 )
 from .network import (
+    CheckpointError,
     Parameters,
     TrainConfig,
     TrainingDiverged,

@@ -9,6 +9,7 @@ errors, and parse -> serialize -> parse is the identity on the config object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .evaluation import AttackConfig, OcclusionConfig
@@ -84,6 +85,8 @@ class RunConfig:
     def __post_init__(self):
         if len(self.seeds) == 0:
             raise ValueError("at least one seed required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +109,22 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {s!r}")
+    return v
+
+
 def _parser(default):
     """The value parser a key gets from the type of its dataclass default."""
     if isinstance(default, bool):
         return _parse_bool
+    if isinstance(default, float):
+        return _parse_float
     if isinstance(default, tuple):
-        return lambda s: tuple(type(default[0])(p) for p in s.split(",") if p.strip())
+        item = _parser(default[0])
+        return lambda s: tuple(item(p) for p in s.split(",") if p.strip())
     return type(default)
 
 
@@ -188,7 +201,7 @@ def parse_config(text: str) -> ExperimentConfig:
     vector dataset fails with the lines of both keys.
     """
     values = dict(_DEFAULTS)
-    seen: dict[str, int] = {}  # key -> line of its last setting
+    seen: dict[str, int] = {}  # key -> line of its setting
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -199,6 +212,8 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in _PARSERS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ValueError(f"line {lineno}: {key} is already set on line {seen[key]}")
         try:
             values[key] = _PARSERS[key](val.strip())
         except ValueError as e:

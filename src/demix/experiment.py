@@ -213,6 +213,9 @@ def _eval_rows(cfg: ExperimentConfig, seed: int, last: int, params, val_ds) -> l
 
 def compare_runs(summary_a: dict, summary_b: dict) -> dict:
     """Seed-keyed paired comparison of two summaries (B minus A)."""
+    for name, summary in (("A", summary_a), ("B", summary_b)):
+        if not summary.get("seeds"):
+            raise ValueError(f"summary {name} has no per-seed results ('seeds')")
     seeds_a = set(summary_a["seeds"])
     seeds_b = set(summary_b["seeds"])
     if seeds_a != seeds_b:

@@ -28,10 +28,6 @@ class Lambda:
             raise ValueError(f"mixing ratio must lie in [0, 1], got {self.value!r}")
         object.__setattr__(self, "value", v)
 
-    @property
-    def complement(self) -> float:
-        return 1.0 - self.value
-
 
 @dataclass(frozen=True)
 class MixConfig:
@@ -65,9 +61,7 @@ class MixedTarget:
 class Targets:
     """Label arrays of a mixed batch: source classes ``a``, ``b`` and ratio ``lam``.
 
-    Each field has shape (n,); row i is the target of sample i. ``len``,
-    indexing and iteration yield the same rows as :class:`MixedTarget`
-    records.
+    Each field has shape (n,); row i is the target of sample i.
     """
 
     a: np.ndarray
@@ -100,25 +94,16 @@ class Targets:
     def __len__(self) -> int:
         return len(self.a)
 
-    def __getitem__(self, i: int) -> MixedTarget:
-        return MixedTarget(int(self.a[i]), int(self.b[i]), Lambda(float(self.lam[i])))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
 
 @dataclass(eq=False)
 class MixedBatch:
-    """Mixed inputs, their targets and the pairing; a list of records becomes
-    :class:`Targets`."""
+    """Mixed inputs, their targets and the pairing."""
 
     inputs: np.ndarray
     targets: Targets
     pairing: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.targets, Targets):
-            self.targets = Targets.from_records(self.targets)
         _check_rows(len(self.inputs), len(self.targets), self.pairing)
 
 
@@ -261,7 +246,7 @@ def mix_batch(
     config: MixConfig,
     rng: np.random.Generator,
     pairing: np.ndarray | None = None,
-    lam: Lambda | None = None,
+    lam: float | None = None,
 ) -> MixedBatch:
     """Pair sample i with sample pairing[i] and apply the configured policy.
 
@@ -282,7 +267,7 @@ def mix_batch(
 
     k = 1 if config.per_batch_lambda or config.policy == "manifold" else n
     if lam is not None:
-        lams = np.full(k, lam.value)
+        lams = np.full(k, float(lam))
     else:
         lams = rng.beta(config.alpha, config.alpha, size=k)
 

@@ -18,6 +18,10 @@ kernel offsets. Max-pool takes the elementwise maximum of the s*s strided
 views ``x[:, :, i::s, j::s]`` and routes the gradient to the first maximum of
 each window in row-major order. ``sgd_step`` updates parameters and velocity
 in place.
+
+The layer specs are the schema of DMX1 checkpoints: a layer's token is its
+kind and its fields, and ``_param_shapes`` gives the shapes that
+:func:`init_params` draws and :func:`load_checkpoint` checks the file against.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -100,19 +105,6 @@ class Parameters:
                 out.append(b)
         return out
 
-    @property
-    def num_classes(self) -> int:
-        last = self.specs[-1]
-        assert isinstance(last, DenseSpec)
-        return last.out_dim
-
-    def copy(self) -> "Parameters":
-        return Parameters(
-            self.specs,
-            [None if w is None else w.copy() for w in self.weights],
-            [None if b is None else b.copy() for b in self.biases],
-        )
-
 
 @dataclass(eq=False)
 class ActivationCache:
@@ -166,27 +158,29 @@ def make_conv(
     )
 
 
+def _param_shapes(spec: LayerSpec):
+    """(W shape, b shape) of a parametric layer; None for pool and flatten."""
+    if isinstance(spec, DenseSpec):
+        return (spec.in_dim, spec.out_dim), (spec.out_dim,)
+    if isinstance(spec, ConvSpec):
+        return (spec.out_ch, spec.in_ch, spec.ksize, spec.ksize), (spec.out_ch,)
+    return None
+
+
 def init_params(specs: tuple[LayerSpec, ...], rng: np.random.Generator) -> Parameters:
     """He-uniform weights, zero biases; fully determined by the generator."""
     weights: list[np.ndarray | None] = []
     biases: list[np.ndarray | None] = []
     for spec in specs:
-        if isinstance(spec, DenseSpec):
-            limit = math.sqrt(6.0 / spec.in_dim)
-            weights.append(rng.uniform(-limit, limit, size=(spec.in_dim, spec.out_dim)))
-            biases.append(np.zeros(spec.out_dim))
-        elif isinstance(spec, ConvSpec):
-            fan_in = spec.in_ch * spec.ksize * spec.ksize
-            limit = math.sqrt(6.0 / fan_in)
-            weights.append(
-                rng.uniform(
-                    -limit, limit, size=(spec.out_ch, spec.in_ch, spec.ksize, spec.ksize)
-                )
-            )
-            biases.append(np.zeros(spec.out_ch))
-        else:
+        shapes = _param_shapes(spec)
+        if shapes is None:
             weights.append(None)
             biases.append(None)
+            continue
+        w_shape, b_shape = shapes
+        limit = math.sqrt(6.0 / (math.prod(w_shape) // b_shape[0]))  # fan-in
+        weights.append(rng.uniform(-limit, limit, size=w_shape))
+        biases.append(np.zeros(b_shape))
     return Parameters(tuple(specs), weights, biases)
 
 
@@ -531,40 +525,35 @@ def train_supervised(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: 4-byte magic, a layer-spec token, shapes, then little-endian
-# float64 payload.
+# Checkpoints: 4-byte magic, layer tokens (``dense:784:256:relu;...``),
+# shapes, then little-endian float64 payload.
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"DMX1"
+_LAYER_KINDS = {"dense": DenseSpec, "conv": ConvSpec, "pool": PoolSpec, "flatten": FlattenSpec}
+
+
+class CheckpointError(ValueError):
+    """A DMX1 file that is malformed or does not match its own layer tokens."""
 
 
 def _spec_token(spec: LayerSpec) -> str:
-    if isinstance(spec, DenseSpec):
-        return f"dense:{spec.in_dim}:{spec.out_dim}:{spec.activation}"
-    if isinstance(spec, ConvSpec):
-        return f"conv:{spec.in_ch}:{spec.out_ch}:{spec.ksize}:{spec.pad}:{spec.activation}"
-    if isinstance(spec, PoolSpec):
-        return f"pool:{spec.size}"
-    return "flatten"
+    kind = next(k for k, cls in _LAYER_KINDS.items() if type(spec) is cls)
+    return ":".join([kind, *(str(getattr(spec, f.name)) for f in fields(spec))])
 
 
 def _parse_spec_token(token: str) -> LayerSpec:
-    kind, *fields = token.split(":")
+    kind, *values = token.split(":")
+    if kind not in _LAYER_KINDS:
+        raise CheckpointError(f"unknown layer token {token!r}")
+    cls = _LAYER_KINDS[kind]
+    names, types = [f.name for f in fields(cls)], get_type_hints(cls)
     try:
-        if kind == "dense":
-            in_dim, out_dim, activation = fields
-            return DenseSpec(int(in_dim), int(out_dim), activation)
-        if kind == "conv":
-            in_ch, out_ch, ksize, pad, activation = fields
-            return ConvSpec(int(in_ch), int(out_ch), int(ksize), int(pad), activation)
-        if kind == "pool":
-            (size,) = fields
-            return PoolSpec(int(size))
+        if len(values) != len(names):
+            raise ValueError(f"{kind} takes {len(names)} fields, got {len(values)}")
+        return cls(*(types[n](v) for n, v in zip(names, values)))
     except ValueError as exc:
-        raise ValueError(f"malformed layer token {token!r}: {exc}") from exc
-    if token == "flatten":
-        return FlattenSpec()
-    raise ValueError(f"unknown layer token {token!r}")
+        raise CheckpointError(f"malformed layer token {token!r}: {exc}") from exc
 
 
 def save_checkpoint(params: Parameters, path) -> None:
@@ -586,47 +575,37 @@ def _read_exact(f, n: int) -> bytes:
     # Checked against the file size first, so a corrupt length never
     # becomes a huge read.
     if n > os.fstat(f.fileno()).st_size - f.tell():
-        raise ValueError("truncated checkpoint file")
+        raise CheckpointError("truncated checkpoint file")
     return f.read(n)
 
 
 def load_checkpoint(path) -> Parameters:
+    """Read a :func:`save_checkpoint` file. Any fault in it raises
+    :class:`CheckpointError`; no file makes it allocate more than its size."""
     with open(path, "rb") as f:
         if _read_exact(f, 4) != CHECKPOINT_MAGIC:
-            raise ValueError("not a DMX1 checkpoint (bad magic)")
+            raise CheckpointError("not a DMX1 checkpoint (bad magic)")
         (arch_len,) = struct.unpack("<I", _read_exact(f, 4))
-        specs = tuple(
-            _parse_spec_token(t)
-            for t in _read_exact(f, arch_len).decode("ascii").split(";")
-        )
+        # A non-ASCII byte becomes U+FFFD, which no token parse accepts.
+        arch = _read_exact(f, arch_len).decode("ascii", "replace")
+        specs = tuple(_parse_spec_token(t) for t in arch.split(";"))
+        layer_shapes = [_param_shapes(s) for s in specs]
+        expected = [shape for pair in layer_shapes if pair for shape in pair]
         (count,) = struct.unpack("<I", _read_exact(f, 4))
-        shapes = []
-        for _ in range(count):
+        if count != len(expected):
+            raise CheckpointError("checkpoint arrays do not match the architecture")
+        for shape in expected:
             (ndim,) = struct.unpack("<B", _read_exact(f, 1))
-            shapes.append(struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim)))
-        arrays = []
-        for shape in shapes:
-            arrays.append(
-                np.frombuffer(_read_exact(f, 8 * math.prod(shape)), dtype="<f8")
-                .astype(float)
-                .reshape(shape)
-            )
+            if struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim)) != shape:
+                raise CheckpointError("checkpoint shapes do not match the architecture")
+        arrays = [
+            np.frombuffer(_read_exact(f, 8 * math.prod(s)), dtype="<f8").astype(float).reshape(s)
+            for s in expected
+        ]
         if f.read(1):
-            raise ValueError("trailing bytes after the checkpoint payload")
-    if not all(np.isfinite(arr).all() for arr in arrays):
-        raise ValueError("checkpoint holds non-finite weights")
-    params = init_params(specs, np.random.default_rng(0))
-    expected = params.arrays()
-    if len(expected) != len(arrays):
-        raise ValueError("checkpoint arrays do not match the architecture")
+            raise CheckpointError("trailing bytes after the checkpoint payload")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise CheckpointError("checkpoint holds non-finite weights")
     it = iter(arrays)
-    for i in range(len(params.specs)):
-        if params.weights[i] is None:
-            continue
-        w = next(it)
-        b = next(it)
-        if w.shape != params.weights[i].shape or b.shape != params.biases[i].shape:
-            raise ValueError("checkpoint shapes do not match the architecture")
-        params.weights[i] = w
-        params.biases[i] = b
-    return params
+    pairs = [(next(it), next(it)) if p else (None, None) for p in layer_shapes]
+    return Parameters(specs, [w for w, _ in pairs], [b for _, b in pairs])

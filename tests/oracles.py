@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from demix.losses import DMConfig, LossResult, RescaleParams, log_softmax
-from demix.mixers import Lambda, MixedTarget
+from demix.mixers import Lambda, MixedTarget, Targets
 
 BCE_TARGET_MODES = ("one", "two", "rescaled")
 
@@ -31,6 +31,14 @@ def _decoupled(z: np.ndarray, j: int) -> tuple[np.ndarray, float]:
     return np.exp(masked - lse), lse
 
 
+def target_records(targets: Targets) -> list[MixedTarget]:
+    """The rows of a :class:`Targets` batch as one record per sample."""
+    return [
+        MixedTarget(int(a), int(b), Lambda(float(lam)))
+        for a, b, lam in zip(targets.a, targets.b, targets.lam)
+    ]
+
+
 def mce_loss(z: np.ndarray, target: MixedTarget) -> LossResult:
     """Mixed cross-entropy: -(lam*log p_a + (1-lam)*log p_b).
 
@@ -40,10 +48,10 @@ def mce_loss(z: np.ndarray, target: MixedTarget) -> LossResult:
     z = np.asarray(z, dtype=float)
     a, b, lam = target.class_a, target.class_b, target.lam
     logp = log_softmax(z)
-    value = -(lam.value * logp[a] + lam.complement * logp[b])
+    value = -(lam.value * logp[a] + (1.0 - lam.value) * logp[b])
     grad = np.exp(logp)
     grad[a] -= lam.value
-    grad[b] -= lam.complement
+    grad[b] -= 1.0 - lam.value
     return LossResult(float(value), grad)
 
 
@@ -130,7 +138,7 @@ def build_mixed_bce_targets(
     out = np.zeros(num_classes, dtype=float)
     if mode == "one":
         out[a] += lam.value
-        out[b] += lam.complement
+        out[b] += 1.0 - lam.value
     elif a == b:
         out[a] = 1.0
     elif mode == "two":
@@ -139,7 +147,7 @@ def build_mixed_bce_targets(
     else:
         assert params is not None, "rescaled mode needs RescaleParams"
         out[a] = _rescale(lam, params)
-        out[b] = _rescale(Lambda(lam.complement), params)
+        out[b] = _rescale(Lambda(1.0 - lam.value), params)
     return out
 
 
@@ -178,7 +186,7 @@ def mix_linear(x_a: np.ndarray, x_b: np.ndarray, lam: Lambda) -> np.ndarray:
     x_b = np.asarray(x_b, dtype=float)
     if x_a.shape != x_b.shape:
         raise ValueError(f"shape mismatch: {x_a.shape} vs {x_b.shape}")
-    return lam.value * x_a + lam.complement * x_b
+    return lam.value * x_a + (1.0 - lam.value) * x_b
 
 
 def asymmetric_pair(
@@ -189,5 +197,5 @@ def asymmetric_pair(
     The ratio is clamped to min(lam, 1-lam), so the unlabeled content
     dominates the pixels while only the labeled class is trusted.
     """
-    effective = Lambda(min(lam.value, lam.complement))
+    effective = Lambda(min(lam.value, 1.0 - lam.value))
     return mix_linear(x_labeled, x_unlabeled, effective), effective

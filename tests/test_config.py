@@ -180,11 +180,21 @@ class TestSchema:
             ("run.seeds = 1,x", "bad value for run.seeds"),
             ("eval.occlusion_ratios = 0,half", "bad value for eval.occlusion_ratios"),
             ("dataset.size = 1.5", "bad value for dataset.size"),
+            ("train.base_lr = nan", "bad value for train.base_lr: not a finite number"),
+            ("loss.eta = inf", "bad value for loss.eta: not a finite number"),
+            ("dataset.noise = nan", "bad value for dataset.noise: not a finite number"),
+            ("eval.fgsm_epsilon = nan", "bad value for eval.fgsm_epsilon: not a finite number"),
+            ("eval.occlusion_ratios = 0,nan",
+             "bad value for eval.occlusion_ratios: not a finite number"),
         ],
     )
     def test_bad_value_names_line_and_key(self, line, message):
         with pytest.raises(ValueError, match=f"line 3: {message}"):
             parse_config(f"# header\n\n{line}")
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ValueError, match="line 3: train.epochs is already set on line 1"):
+            parse_config("train.epochs = 1\nmixer.alpha = 0.4\ntrain.epochs = 2")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -211,8 +221,6 @@ class TestSchema:
              "ratios must lie in [0, 1]"),
             ("eval.fgsm_epsilon = -0.1",
              "config section 'eval' (line 2: eval.fgsm_epsilon): epsilon must be nonnegative"),
-            ("eval.fgsm_epsilon = nan",
-             "config section 'eval' (line 2: eval.fgsm_epsilon): epsilon must be nonnegative"),
             ("eval.confidence_bins = -1",
              "config section 'eval' (line 2: eval.confidence_bins): "
              "confidence_bins must be nonnegative"),
@@ -227,6 +235,8 @@ class TestSchema:
             ("dataset.shift = -1",
              "config section 'dataset' (line 2: dataset.shift): "
              "shift must be nonnegative, got -1"),
+            ("run.seeds = 1,1",
+             "config section 'run' (line 2: run.seeds): seeds must be distinct, got (1, 1)"),
             ("network.hidden = 0",
              "config section 'network' (line 2: network.hidden): hidden must be positive, got 0"),
             ("ssl.enabled = true\nssl.unlabeled_batch = 0",

@@ -18,8 +18,7 @@ from demix.evaluation import (
     top1_accuracy,
 )
 from demix.losses import LossSpec
-from demix.mixers import Lambda, MixedBatch, MixedTarget
-from demix.mixers import MixConfig
+from demix.mixers import MixConfig, MixedBatch, Targets
 from demix.network import TrainConfig, init_params, make_mlp, train_supervised
 
 
@@ -96,7 +95,7 @@ class TestMixedPairEval:
         # top-2 set {0, 1} is not equal to it.
         net = identity_net(3)
         x = np.array([[2.0, 1.0, 0.0]])
-        mb = MixedBatch(x, [MixedTarget(0, 2, Lambda(0.5))], np.arange(1))
+        mb = MixedBatch(x, Targets([0], [2], [0.5]), np.arange(1))
         res = mixed_pair_eval(net, mb)
         assert res.top1_pair_acc == 1.0
         assert res.top2_pair_acc == 0.0
@@ -104,7 +103,7 @@ class TestMixedPairEval:
     def test_exact_pair_tops(self):
         net = identity_net(4)
         x = np.array([[3.0, 0.0, 2.0, 0.0], [0.0, 2.0, 0.0, 3.0]])
-        targets = [MixedTarget(0, 2, Lambda(0.5)), MixedTarget(3, 1, Lambda(0.5))]
+        targets = Targets([0, 3], [2, 1], [0.5, 0.5])
         res = mixed_pair_eval(net, MixedBatch(x, targets, np.arange(2)))
         assert res.top1_pair_acc == 1.0
         assert res.top2_pair_acc == 1.0
@@ -112,7 +111,7 @@ class TestMixedPairEval:
     def test_third_class_argmax_scores_zero(self):
         net = identity_net(3)
         x = np.array([[0.0, 0.0, 5.0]])
-        res = mixed_pair_eval(net, MixedBatch(x, [MixedTarget(0, 1, Lambda(0.5))], np.arange(1)))
+        res = mixed_pair_eval(net, MixedBatch(x, Targets([0], [1], [0.5]), np.arange(1)))
         assert res.top1_pair_acc == 0.0
         assert res.top2_pair_acc == 0.0
 
@@ -120,8 +119,8 @@ class TestMixedPairEval:
         net = identity_net(4)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(20, 4))
-        t_ab = [MixedTarget(0, 2, Lambda(0.4))] * 20
-        t_ba = [MixedTarget(2, 0, Lambda(0.6))] * 20
+        t_ab = Targets([0] * 20, [2] * 20, [0.4] * 20)
+        t_ba = Targets([2] * 20, [0] * 20, [0.6] * 20)
         r1 = mixed_pair_eval(net, MixedBatch(x, t_ab, np.arange(20)))
         r2 = mixed_pair_eval(net, MixedBatch(x, t_ba, np.arange(20)))
         assert r1 == r2
@@ -130,7 +129,7 @@ class TestMixedPairEval:
         ds = dd.make_image_classes(60, num_classes=3, seed=1)
         mb = make_hard_mixed_set(ds, 25, np.random.default_rng(2))
         assert len(mb.targets) == 25
-        assert all(t.class_a != t.class_b for t in mb.targets)
+        assert np.all(mb.targets.a != mb.targets.b)
 
 
 def constant_rows(n, shape, num_classes, seed):

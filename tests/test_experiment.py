@@ -177,6 +177,14 @@ class TestCompare:
         with pytest.raises(ValueError, match="seed sets"):
             compare_runs({"seeds": {"1": 0.1}}, {"seeds": {"2": 0.1}})
 
+    def test_summary_without_seeds_named(self):
+        with pytest.raises(ValueError, match="summary B has no per-seed results"):
+            compare_runs({"seeds": {"1": 0.1}}, {"run": "b", "mean": 0.1})
+
+    def test_empty_seed_sets_rejected(self):
+        with pytest.raises(ValueError, match="summary A has no per-seed results"):
+            compare_runs({"seeds": {}}, {"seeds": {}})
+
 
 class TestDatasetArg:
     def test_two_moons_spec(self):

@@ -27,6 +27,7 @@ from oracles import (
     dm_regularizer,
     mbce_loss,
     mce_loss,
+    target_records,
 )
 
 finite_logits = st.lists(
@@ -411,13 +412,14 @@ class TestBatchedOracle:
         spec = LossSpec(kind, DMConfig(eta), RescaleParams(*rescale_params))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             res = batch_loss(z, targets, spec)
-            ref = [per_sample_reference(z[i], t, spec) for i, t in enumerate(targets)]
+            records = target_records(targets)
+            ref = [per_sample_reference(z[i], t, spec) for i, t in enumerate(records)]
         n = len(z)
         ref_value = sum(r.value for r in ref) / n
         ref_grad = np.stack([r.grad_logits for r in ref]) / n
         assert res.value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(res.grad_logits, ref_grad, rtol=1e-12, atol=1e-12)
-        assert batch_loss(z, list(targets), spec).value == res.value
+        assert batch_loss(z, records, spec).value == res.value
 
     @given(mixed_batches())
     @settings(max_examples=200, deadline=None)

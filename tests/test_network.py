@@ -1,4 +1,6 @@
+import copy
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from demix import data as dd
 from demix.losses import DMConfig, LossSpec, RescaleParams, batch_loss
 from demix.mixers import Lambda, MixConfig, MixedTarget
 from demix.network import (
+    CheckpointError,
     ConvSpec,
     DenseSpec,
     Parameters,
@@ -501,7 +504,7 @@ class TestSgd:
         rng = np.random.default_rng(4)
         params = init_params(specs, rng)
         vel = zeros_like_params(params)
-        ref_p, ref_v = params.copy(), vel.copy()
+        ref_p, ref_v = copy.deepcopy(params), copy.deepcopy(vel)
         ids = [id(a) for a in params.arrays() + vel.arrays()]
         cfg = TrainConfig(base_lr=0.3, min_lr=0.01, momentum=0.9, weight_decay=1e-3)
         for step in range(5):
@@ -660,6 +663,32 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         try:
             params = load_checkpoint(path)
-        except ValueError:
+        except CheckpointError:
             return
         assert all(np.isfinite(a).all() for a in params.arrays())
+
+    def test_token_sizes_allocate_nothing_before_the_checks(self, tmp_path):
+        # 50 bytes that name two 3000-wide dense layers and hold no arrays.
+        arch = b"dense:3000:3000:relu;dense:3000:2:none"
+        path = tmp_path / "m.dmx"
+        path.write_bytes(b"DMX1" + struct.pack("<I", len(arch)) + arch + struct.pack("<I", 0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="arrays do not match"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_conv_shape_table_checked_before_the_payload(self, tmp_path):
+        # The table claims a 65535x65535x3x3 kernel for conv:1:2:3:1 (2x1x3x3)
+        # and the file ends there: the table, not the missing payload, fails.
+        arch = b"conv:1:2:3:1:relu"
+        table = struct.pack("<B4I", 4, 65535, 65535, 3, 3) + struct.pack("<BI", 1, 2)
+        path = tmp_path / "m.dmx"
+        path.write_bytes(
+            b"DMX1" + struct.pack("<I", len(arch)) + arch + struct.pack("<I", 2) + table
+        )
+        with pytest.raises(CheckpointError, match="shapes do not match"):
+            load_checkpoint(path)

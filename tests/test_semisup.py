@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ class TestSslStep:
         tcfg = TrainConfig(base_lr=0.1, epochs=1, batch_size=20, seed=0)
 
         p1 = init_params(specs, np.random.default_rng(7))
-        p2 = p1.copy()
+        p2 = copy.deepcopy(p1)
         grads_ssl, _ = ssl_step(
             p1, (labeled.x, labeled.y), unlabeled, cfg, np.random.default_rng(0)
         )
@@ -102,7 +104,7 @@ class TestSslStep:
         cfg = SSLConfig(tau=0.5, unlabeled_weight=0.7, eta=eta, alpha=0.4, steps=5)
         tcfg = TrainConfig(base_lr=0.2, epochs=1, batch_size=12, seed=0)
         p_batched = init_params(specs, np.random.default_rng(3))
-        p_scalar = p_batched.copy()
+        p_scalar = copy.deepcopy(p_batched)
         v_batched, v_scalar = zeros_like_params(p_batched), zeros_like_params(p_scalar)
         rng_batched, rng_scalar = np.random.default_rng(8), np.random.default_rng(8)
         for step in range(cfg.steps):
