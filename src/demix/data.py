@@ -14,23 +14,7 @@ IDX_LABEL_MAGIC = 0x00000801
 
 
 class IdxError(ValueError):
-    """Base error for malformed IDX files."""
-
-
-class IdxMagicError(IdxError):
-    pass
-
-
-class IdxTruncatedError(IdxError):
-    pass
-
-
-class IdxCountMismatchError(IdxError):
-    pass
-
-
-class IdxHeaderError(IdxError):
-    """A header field is out of range or disagrees with the file's size."""
+    """A malformed IDX file, or an image and label file that disagree."""
 
 
 @dataclass(eq=False)
@@ -61,25 +45,25 @@ def _read_idx(path, magic: int, kind: str, fields: tuple[str, ...]) -> np.ndarra
         size = os.fstat(f.fileno()).st_size
         header = f.read(4 + 4 * len(fields))
         if len(header) != 4 + 4 * len(fields):
-            raise IdxTruncatedError(
+            raise IdxError(
                 f"{path}: {kind} header (magic, {', '.join(fields)}) is cut short "
                 f"at {len(header)} bytes"
             )
         found, *shape = struct.unpack(f">{1 + len(fields)}i", header)
         if found != magic:
-            raise IdxMagicError(f"{path}: bad {kind} magic 0x{found & 0xFFFFFFFF:08x}")
+            raise IdxError(f"{path}: bad {kind} magic 0x{found & 0xFFFFFFFF:08x}")
         for name, value in zip(fields, shape):
             if value < 1:
-                raise IdxHeaderError(f"{path}: header field {name} is {value}, must be positive")
+                raise IdxError(f"{path}: header field {name} is {value}, must be positive")
         need = math.prod(shape)
         have = size - len(header)
         declared = f"{' x '.join(fields)} = {' x '.join(map(str, shape))}"
         if have < need:
-            raise IdxTruncatedError(
+            raise IdxError(
                 f"{path}: header fields {declared} need {need} payload bytes, file has {have}"
             )
         if have > need:
-            raise IdxHeaderError(
+            raise IdxError(
                 f"{path}: {have - need} trailing bytes after the {need}-byte payload "
                 f"of header fields {declared}"
             )
@@ -91,7 +75,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     images = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", ("count", "rows", "cols"))
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", ("count",))
     if len(labels) != len(images):
-        raise IdxCountMismatchError(
+        raise IdxError(
             f"header field count: {len(images)} images in {images_path} "
             f"but {len(labels)} labels in {labels_path}"
         )

@@ -25,7 +25,7 @@ from .losses import batch_loss, softmax, LossSpec
 from .mixers import MixedBatch, Targets, cutmix_ratios, paste_boxes, sample_cutmix_boxes
 from .network import Parameters, backward, forward, plain_targets
 
-_CE = LossSpec(kind="mce")
+_CHUNK = 1024  # rows per forward pass in predict_logits
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,6 @@ class MixedPairEval:
 @dataclass(frozen=True)
 class AttackConfig:
     epsilon: float = 8.0 / 255.0
-    pixel_bounds: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
         if not self.epsilon >= 0:  # also rejects NaN
@@ -68,9 +67,9 @@ def _eval_threads() -> int:
     return threads
 
 
-def predict_logits(params: Parameters, x: np.ndarray, chunk: int = 1024) -> np.ndarray:
+def predict_logits(params: Parameters, x: np.ndarray) -> np.ndarray:
     """Forward pass in fixed-order chunks, optionally threaded."""
-    pieces = [x[i : i + chunk] for i in range(0, len(x), chunk)]
+    pieces = [x[i : i + _CHUNK] for i in range(0, len(x), _CHUNK)]
     threads = _eval_threads()
     if threads > 1 and len(pieces) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -173,7 +172,7 @@ def make_hard_mixed_set(
 def input_gradients(params: Parameters, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """d(mean CE)/d(inputs), in the raw input shape."""
     z, cache = forward(params, x)
-    res = batch_loss(z, plain_targets(y), _CE)
+    res = batch_loss(z, plain_targets(y), LossSpec())
     return backward(params, cache, res.grad_logits)[1]
 
 
@@ -183,11 +182,12 @@ def fgsm_attack(
     """Single-step sign attack; returns (adversarial accuracy, error rate).
 
     The attack gradient always comes from the clean cross-entropy. A zero
-    gradient component leaves its pixel untouched (sign(0) = 0).
+    gradient component leaves its input untouched (sign(0) = 0). Only image
+    inputs (``ndim >= 3``) are clamped, to the pixel range [0, 1].
     """
     gx = input_gradients(params, dataset.x, dataset.y)
-    lo, hi = config.pixel_bounds
-    x_adv = np.clip(dataset.x + config.epsilon * np.sign(gx), lo, hi)
+    x_adv = dataset.x + config.epsilon * np.sign(gx)
+    x_adv = np.clip(x_adv, 0.0, 1.0) if x_adv.ndim >= 3 else x_adv
     acc = top1_accuracy(params, Dataset(x_adv, dataset.y, dataset.num_classes))
     return acc, 1.0 - acc
 
@@ -195,6 +195,15 @@ def fgsm_attack(
 def patches_to_mask(ratio: float, n_patches: int) -> int:
     """How many of the n_patches get occluded at a given ratio (floor)."""
     return int(ratio * n_patches)
+
+
+def occlusion_grid(dataset: Dataset, patch_size: int) -> tuple[int, int]:
+    """Rows and columns of the patch grid; ``ValueError`` unless it tiles images."""
+    _require_images(dataset, "occlusion")
+    h, w = dataset.x.shape[-2:]
+    if h % patch_size or w % patch_size:
+        raise ValueError(f"patch size {patch_size} does not tile {h}x{w}")
+    return h // patch_size, w // patch_size
 
 
 def occlusion_eval(
@@ -210,12 +219,8 @@ def occlusion_eval(
     row and patch and zeroes the ``k`` patches with the smallest keys of each
     row, a uniform choice of ``k`` of them.
     """
-    _require_images(dataset, "occlusion")
-    h, w = dataset.x.shape[-2:]
+    grid_h, grid_w = occlusion_grid(dataset, config.patch_size)
     p = config.patch_size
-    if h % p or w % p:
-        raise ValueError(f"patch size {p} does not tile {h}x{w}")
-    grid_h, grid_w = h // p, w // p
     n_patches = grid_h * grid_w
     x = np.asarray(dataset.x, dtype=float)
     n = len(x)
@@ -231,7 +236,7 @@ def occlusion_eval(
         # patch (r, c) covers pixels [r*p:(r+1)*p, c*p:(c+1)*p]
         pixels = np.broadcast_to(
             grid.reshape(n, grid_h, 1, grid_w, 1), (n, grid_h, p, grid_w, p)
-        ).reshape((n,) + (1,) * (x.ndim - 3) + (h, w))
+        ).reshape((n,) + (1,) * (x.ndim - 3) + x.shape[-2:])
         occluded = np.where(pixels, 0.0, x)
         acc = top1_accuracy(params, Dataset(occluded, dataset.y, dataset.num_classes))
         out.append((ratio, acc))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import data as ddata
 from . import evaluation as deval
-from .config import DatasetSpec, ExperimentConfig
+from .config import DatasetSpec, ExperimentConfig, _parser
 from .losses import LossSpec
 from .network import (
     make_conv,
@@ -62,6 +62,15 @@ def rows_to_csv(rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _generate(spec: DatasetSpec, n: int) -> ddata.Dataset:
+    """n samples of a generated source: `images`, `blobs` or `two_moons`."""
+    if spec.source == "images":
+        return ddata.make_image_classes(
+            n, num_classes=spec.num_classes, noise=spec.noise, shift=spec.shift, seed=spec.seed
+        )
+    return ddata.make_synthetic(spec.source, n, spec.noise, spec.seed, spec.num_classes)
+
+
 def load_dataset(spec: DatasetSpec):
     """Materialize (train, val, labeled, unlabeled_x) per the dataset spec.
 
@@ -69,18 +78,8 @@ def load_dataset(spec: DatasetSpec):
     chosen stratified so every class keeps labeled examples.
     """
     total = spec.size + spec.val_size
-    if spec.source == "images":
-        full = ddata.make_image_classes(
-            total,
-            num_classes=spec.num_classes,
-            noise=spec.noise,
-            shift=spec.shift,
-            seed=spec.seed,
-        )
-    elif spec.source in ("blobs", "two_moons"):
-        full = ddata.make_synthetic(
-            spec.source, total, spec.noise, spec.seed, num_classes=spec.num_classes
-        )
+    if spec.source != "idx":
+        full = _generate(spec, total)
     else:
         full = ddata.load_idx(spec.images, spec.labels)
         top = int(full.y.max())
@@ -109,11 +108,6 @@ def build_specs(cfg: ExperimentConfig, train_ds):
     return make_mlp(int(np.prod(sample.shape)), cfg.network.hidden, train_ds.num_classes)
 
 
-def _median_last(values: list[float], k: int = 10) -> float:
-    tail = values[-k:] if len(values) >= k else values
-    return float(np.median(tail))
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Train and evaluate once per seed; write metrics.csv and summary.json.
 
@@ -125,39 +119,32 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     out.mkdir(parents=True, exist_ok=True)
     train_ds, val_ds, labeled_ds, unlabeled_x = load_dataset(cfg.dataset)
     specs = build_specs(cfg, train_ds)
+    hard = _check_probes(cfg, val_ds)
 
     # The step of the final and probe rows: the last SSL step or epoch.
     last = cfg.ssl.steps - 1 if cfg.ssl is not None else max(cfg.train.epochs - 1, 0)
+    final_metric = "best_top1" if cfg.ssl is not None else "final_top1"
     rows: list[tuple] = []
     finals: dict[str, float] = {}
     for seed in cfg.run.seeds:
         tcfg = replace(cfg.train, seed=seed)
         if cfg.ssl is not None:
-            params, log = train_ssl(
-                labeled_ds, unlabeled_x, val_ds, specs, cfg.ssl, tcfg
-            )
-            for metric, step, value in log:
-                rows.append(metric_row(cfg.run.name, seed, step, metric, value))
-            best = max(v for m, _, v in log if m == "test_top1")
-            rows.append(metric_row(cfg.run.name, seed, last, "best_top1", best))
-            finals[str(seed)] = best
+            params, log = train_ssl(labeled_ds, unlabeled_x, val_ds, specs, cfg.ssl, tcfg)
+            final = max(v for m, _, v in log if m == "test_top1")
         else:
-            params, log = train_supervised(
-                train_ds, val_ds, specs, cfg.mixer, cfg.loss, tcfg
-            )
-            for metric, epoch, value in log:
-                rows.append(metric_row(cfg.run.name, seed, epoch, metric, value))
+            params, log = train_supervised(train_ds, val_ds, specs, cfg.mixer, cfg.loss, tcfg)
             curve = [v for m, _, v in log if m == "val_top1"]
-            final = _median_last(curve) if curve else deval.top1_accuracy(params, val_ds)
-            rows.append(metric_row(cfg.run.name, seed, last, "final_top1", final))
-            finals[str(seed)] = final
-        rows.extend(_eval_rows(cfg, seed, last, params, val_ds))
+            final = float(np.median(curve[-10:])) if curve else deval.top1_accuracy(params, val_ds)
+        finals[str(seed)] = final
+        at_last = [(final_metric, final), *_probe_values(cfg, seed, params, val_ds, hard)]
+        entries = log + [(m, last, v) for m, v in at_last]
+        rows.extend(metric_row(cfg.run.name, seed, step, m, v) for m, step, v in entries)
         save_checkpoint(params, out / f"seed_{seed}.dmx")
 
     values = [finals[str(s)] for s in cfg.run.seeds]
     summary = {
         "run": cfg.run.name,
-        "metric": "best_top1" if cfg.ssl is not None else "final_top1",
+        "metric": final_metric,
         "seeds": finals,
         "mean": float(np.mean(values)),
         "std": float(np.std(values)),
@@ -167,48 +154,43 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     return summary
 
 
-def _eval_rows(cfg: ExperimentConfig, seed: int, last: int, params, val_ds) -> list[tuple]:
-    rows = []
+def _check_probes(cfg: ExperimentConfig, val_ds):
+    """Check the eval probes before any seed trains and build the hard mixed
+    set that every seed shares (None when off); a fault names its key."""
+    e, key = cfg.eval, "eval.occlusion_patch"
+    try:
+        if e.occlusion:
+            deval.occlusion_grid(val_ds, e.occlusion_patch)
+        key = "eval.mixed_pairs"
+        if e.mixed_pairs:
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.dataset.seed, 1)))
+            return deval.make_hard_mixed_set(val_ds, e.mixed_pair_count, rng)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def _probe_values(cfg: ExperimentConfig, seed: int, params, val_ds, hard) -> list[tuple]:
+    """(metric, value) of every enabled eval probe on the validation set."""
     e = cfg.eval
-    name = cfg.run.name
-    any_eval = e.mixed_pairs or e.fgsm or e.occlusion or e.confidence_bins > 0
-    if not any_eval:
-        return rows
-    rows.append(
-        metric_row(name, seed, last, "clean_top1", deval.top1_accuracy(params, val_ds))
-    )
-    if e.mixed_pairs:
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.dataset.seed, 1)))
-        hard = deval.make_hard_mixed_set(val_ds, e.mixed_pair_count, rng)
+    if not (e.mixed_pairs or e.fgsm or e.occlusion or e.confidence_bins > 0):
+        return []
+    out = [("clean_top1", deval.top1_accuracy(params, val_ds))]
+    if hard is not None:
         res = deval.mixed_pair_eval(params, hard)
-        rows.append(metric_row(name, seed, last, "mixed_top1_pair", res.top1_pair_acc))
-        rows.append(metric_row(name, seed, last, "mixed_top2_pair", res.top2_pair_acc))
-        rows.append(
-            metric_row(name, seed, last, "mixed_mean_conf", res.mean_max_confidence)
-        )
+        out += [("mixed_top1_pair", res.top1_pair_acc), ("mixed_top2_pair", res.top2_pair_acc),
+                ("mixed_mean_conf", res.mean_max_confidence)]
     if e.fgsm:
-        acc, err = deval.fgsm_attack(
-            params, val_ds, deval.AttackConfig(epsilon=e.fgsm_epsilon)
-        )
-        rows.append(metric_row(name, seed, last, "fgsm_top1", acc))
-        rows.append(metric_row(name, seed, last, "fgsm_error", err))
+        acc, err = deval.fgsm_attack(params, val_ds, deval.AttackConfig(e.fgsm_epsilon))
+        out += [("fgsm_top1", acc), ("fgsm_error", err)]
     if e.occlusion:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.dataset.seed, 2, seed)))
-        curve = deval.occlusion_eval(
-            params,
-            val_ds,
-            deval.OcclusionConfig(e.occlusion_patch, e.occlusion_ratios),
-            rng,
-        )
-        for ratio, acc in curve:
-            rows.append(
-                metric_row(name, seed, last, f"occlusion_top1@{format(ratio, 'g')}", acc)
-            )
+        occlusion = deval.OcclusionConfig(e.occlusion_patch, e.occlusion_ratios)
+        curve = deval.occlusion_eval(params, val_ds, occlusion, rng)
+        out += [(f"occlusion_top1@{format(ratio, 'g')}", acc) for ratio, acc in curve]
     if e.confidence_bins > 0:
         counts = deval.confidence_histogram(params, val_ds, e.confidence_bins)
-        for i, c in enumerate(counts):
-            rows.append(metric_row(name, seed, last, f"confidence_hist@{i}", float(c)))
-    return rows
+        out += [(f"confidence_hist@{i}", float(c)) for i, c in enumerate(counts)]
+    return out
 
 
 def compare_runs(summary_a: dict, summary_b: dict) -> dict:
@@ -235,9 +217,13 @@ def compare_runs(summary_a: dict, summary_b: dict) -> dict:
     }
 
 
+_DATASET_OPTIONS = {"n": "size", "noise": "noise", "seed": "seed", "classes": "num_classes"}
+
+
 def parse_dataset_arg(arg: str) -> ddata.Dataset:
     """CLI dataset specs: 'two_moons:n=500,noise=0.1,seed=3', 'blobs:...',
-    'images:n=500,...', or 'idx:<images-path>:<labels-path>'."""
+    'images:n=500,...', or 'idx:<images-path>:<labels-path>'. Each option is
+    parsed and checked as its DatasetSpec field; an error names it."""
     kind, _, rest = arg.partition(":")
     if kind == "idx":
         img, _, lbl = rest.partition(":")
@@ -251,12 +237,15 @@ def parse_dataset_arg(arg: str) -> ddata.Dataset:
             if not _:
                 raise ValueError(f"bad dataset option {piece!r}")
             opts[k.strip()] = v.strip()
-    n = int(opts.pop("n", 500))
-    noise = float(opts.pop("noise", 0.25 if kind == "images" else 0.1))
-    seed = int(opts.pop("seed", 0))
-    classes = int(opts.pop("classes", 10 if kind == "images" else 3))
-    if opts:
-        raise ValueError(f"unknown dataset options {sorted(opts)}")
-    if kind == "images":
-        return ddata.make_image_classes(n, num_classes=classes, noise=noise, seed=seed)
-    return ddata.make_synthetic(kind, n, noise, seed, num_classes=classes)
+    unknown = opts.keys() - _DATASET_OPTIONS.keys()
+    if unknown:
+        raise ValueError(f"unknown dataset options {sorted(unknown)}")
+    images = kind == "images"
+    spec = DatasetSpec(kind, 500, noise=0.25 if images else 0.1, num_classes=10 if images else 3)
+    for option, value in opts.items():
+        key = _DATASET_OPTIONS[option]
+        try:
+            spec = replace(spec, **{key: _parser(getattr(spec, key))(value)})
+        except ValueError as exc:
+            raise ValueError(f"dataset option {option}={value!r}: {exc}") from exc
+    return _generate(spec, spec.size)

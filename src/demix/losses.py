@@ -158,18 +158,18 @@ def rescale(lam: np.ndarray, params: RescaleParams) -> np.ndarray:
 
 
 def _bce_target_rows(
-    targets: Targets, num_classes: int, mode: str, params: RescaleParams
+    targets: Targets, num_classes: int, kind: str, params: RescaleParams
 ) -> np.ndarray:
-    """(n, C) sigmoid targets. `one`: lam at a and 1-lam at b. `two`: 1 at
-    both. `rescaled`: the rescaling curve applied to each coefficient. A
-    same-class row gets a single 1 (mode `one` reaches it by summing)."""
+    """(n, C) sigmoid targets of a BCE kind. `mbce_one`: lam at a, 1-lam at b.
+    `mbce_two`: 1 at both. `dm_bce`: the rescaling curve of each coefficient.
+    A same-class row gets a single 1 (`mbce_one` reaches it by summing)."""
     rows = np.arange(len(targets))
     a, b, lam = targets.a, targets.b, targets.lam
     out = np.zeros((len(targets), num_classes))
-    if mode == "one":
+    if kind == "mbce_one":
         out[rows, a] += lam
         out[rows, b] += 1.0 - lam
-    elif mode == "two":
+    elif kind == "mbce_two":
         out[rows, a] = 1.0
         out[rows, b] = 1.0
     else:
@@ -211,8 +211,7 @@ def batch_loss(
     if spec.kind in ("mce", "dm_ce"):
         value, grad = mce_rows(z_batch, targets.a, targets.b, targets.lam)
     else:
-        mode = {"mbce_one": "one", "mbce_two": "two", "dm_bce": "rescaled"}[spec.kind]
-        vec = _bce_target_rows(targets, z_batch.shape[1], mode, spec.rescale)
+        vec = _bce_target_rows(targets, z_batch.shape[1], spec.kind, spec.rescale)
         value, grad = _mbce_rows(z_batch, vec)
     # dm_bce: rescaled-target BCE; the eta hook stays off unless configured.
     if spec.kind in ("dm_ce", "dm_bce") and spec.dm.eta > 0.0:

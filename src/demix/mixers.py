@@ -245,31 +245,24 @@ def mix_batch(
     labels: np.ndarray,
     config: MixConfig,
     rng: np.random.Generator,
-    pairing: np.ndarray | None = None,
-    lam: float | None = None,
 ) -> MixedBatch:
-    """Pair sample i with sample pairing[i] and apply the configured policy.
+    """Pair each sample with a random partner and apply the configured policy.
 
     ``per_batch_lambda`` draws one ratio (and one box) for the whole batch,
     otherwise each sample draws its own; policy `manifold` always draws one.
-    ``pairing`` and ``lam`` override the random draws, so a test can pin
-    them; training always draws both. Policy `manifold` leaves the inputs
-    untouched: the hidden-layer mix happens inside the network, this only
-    records lam and the pairing.
+    Policy `manifold` leaves the inputs untouched: the hidden-layer mix
+    happens inside the network, this only records lam and the pairing.
     """
     inputs = np.asarray(inputs, dtype=float)
     labels = np.asarray(labels)
     n = len(inputs)
     if n == 0:
         raise ValueError("empty batch")
-    pairing = rng.permutation(n) if pairing is None else np.asarray(pairing)
+    pairing = rng.permutation(n)
     _check_rows(n, len(labels), pairing)
 
     k = 1 if config.per_batch_lambda or config.policy == "manifold" else n
-    if lam is not None:
-        lams = np.full(k, float(lam))
-    else:
-        lams = rng.beta(config.alpha, config.alpha, size=k)
+    lams = rng.beta(config.alpha, config.alpha, size=k)
 
     partners = inputs[pairing]
     ratios = lams

@@ -21,7 +21,8 @@ in place.
 
 The layer specs are the schema of DMX1 checkpoints: a layer's token is its
 kind and its fields, and ``_param_shapes`` gives the shapes that
-:func:`init_params` draws and :func:`load_checkpoint` checks the file against.
+:func:`init_params` draws and :func:`load_checkpoint` checks the file against,
+after it has checked that each layer takes what the one before it gives.
 """
 
 from __future__ import annotations
@@ -579,6 +580,26 @@ def _read_exact(f, n: int) -> bytes:
     return f.read(n)
 
 
+def _check_chain(specs: tuple[LayerSpec, ...], tokens: list[str]) -> None:
+    """Each dense or conv layer takes what the last one before it gives; after
+    a conv (pools and flatten keep its channels) a dense takes a multiple."""
+    last = None  # index of the last dense or conv layer
+    for i, s in enumerate(specs):
+        p = specs[last] if last is not None else None
+        if isinstance(s, ConvSpec) and isinstance(p, ConvSpec) and s.in_ch != p.out_ch:
+            fault = f"in_ch {s.in_ch} is not the out_ch {p.out_ch}"
+        elif isinstance(s, DenseSpec) and isinstance(p, DenseSpec) and s.in_dim != p.out_dim:
+            fault = f"in_dim {s.in_dim} is not the out_dim {p.out_dim}"
+        elif isinstance(s, DenseSpec) and isinstance(p, ConvSpec) and s.in_dim % p.out_ch:
+            fault = f"in_dim {s.in_dim} is not a multiple of the out_ch {p.out_ch}"
+        else:
+            fault = None
+        if fault:
+            raise CheckpointError(f"layer {tokens[i]!r} does not follow {tokens[last]!r}: {fault}")
+        if _param_shapes(s):
+            last = i
+
+
 def load_checkpoint(path) -> Parameters:
     """Read a :func:`save_checkpoint` file. Any fault in it raises
     :class:`CheckpointError`; no file makes it allocate more than its size."""
@@ -588,7 +609,9 @@ def load_checkpoint(path) -> Parameters:
         (arch_len,) = struct.unpack("<I", _read_exact(f, 4))
         # A non-ASCII byte becomes U+FFFD, which no token parse accepts.
         arch = _read_exact(f, arch_len).decode("ascii", "replace")
-        specs = tuple(_parse_spec_token(t) for t in arch.split(";"))
+        tokens = arch.split(";")
+        specs = tuple(_parse_spec_token(t) for t in tokens)
+        _check_chain(specs, tokens)
         layer_shapes = [_param_shapes(s) for s in specs]
         expected = [shape for pair in layer_shapes if pair for shape in pair]
         (count,) = struct.unpack("<I", _read_exact(f, 4))

@@ -128,7 +128,7 @@ def dm_form_equivalence_suite() -> float:
     return worst
 
 
-def run_all(verbose: bool = True) -> bool:
+def run_all() -> bool:
     closed, fd, cases = gradient_oracle_suite()
     stationarity = mce_stationarity_suite()
     boost, identical = dm_mutual_boost_suite()
@@ -149,6 +149,5 @@ def run_all(verbose: bool = True) -> bool:
     ok = True
     for name, passed, detail in checks:
         ok &= passed
-        if verbose:
-            print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
+        print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
     return ok

@@ -28,8 +28,6 @@ from .network import (
     plain_targets,
 )
 
-CE_SPEC = LossSpec(kind="mce")
-
 
 @dataclass(frozen=True)
 class SSLConfig:
@@ -175,7 +173,7 @@ def train_ssl(
         idx = next(labeled_batches)
         x_l, y_l = labeled_ds.x[idx], labeled_ds.y[idx]
         if len(unlabeled_x) == 0:
-            return *_loss_and_grads(params, x_l, plain_targets(y_l), CE_SPEC), 0.0
+            return *_loss_and_grads(params, x_l, plain_targets(y_l), LossSpec()), 0.0
         x_u = unlabeled_x[next(unlabeled_batches)]
         grads, metrics = ssl_step(params, (x_l, y_l), x_u, config, pair_rng)
         return metrics["loss"], grads, metrics["accepted_frac"]

@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 from demix.data import (
     Dataset,
-    IdxCountMismatchError,
     IdxError,
-    IdxHeaderError,
-    IdxMagicError,
-    IdxTruncatedError,
     load_idx,
     make_image_classes,
     make_synthetic,
@@ -53,12 +49,12 @@ class TestIdx:
 
     def test_bad_image_magic(self, tmp_path):
         (img, lbl), _, _ = self.two_image_fixture(tmp_path, image_magic=0x102)
-        with pytest.raises(IdxMagicError):
+        with pytest.raises(IdxError, match=r"images\.idx: bad image magic 0x00000102"):
             load_idx(img, lbl)
 
     def test_bad_label_magic(self, tmp_path):
         (img, lbl), _, _ = self.two_image_fixture(tmp_path, label_magic=0x803)
-        with pytest.raises(IdxMagicError):
+        with pytest.raises(IdxError, match=r"labels\.idx: bad label magic 0x00000803"):
             load_idx(img, lbl)
 
     def test_count_mismatch(self, tmp_path):
@@ -66,7 +62,7 @@ class TestIdx:
         labels = np.array([1, 2, 3], dtype=np.uint8)
         img, lbl = write_fixture(tmp_path, images, labels)
         with pytest.raises(
-            IdxCountMismatchError,
+            IdxError,
             match=r"header field count: 2 images in .*images\.idx but 3 labels in .*labels\.idx",
         ):
             load_idx(img, lbl)
@@ -74,11 +70,11 @@ class TestIdx:
     def test_truncated_file(self, tmp_path):
         (img, lbl), _, _ = self.two_image_fixture(tmp_path)
         img.write_bytes(img.read_bytes()[:-10])
-        with pytest.raises(IdxTruncatedError, match=r"images\.idx: header fields count x rows"):
+        with pytest.raises(IdxError, match=r"images\.idx: header fields count x rows"):
             load_idx(img, lbl)
         (img, lbl), _, _ = self.two_image_fixture(tmp_path)
         lbl.write_bytes(lbl.read_bytes()[:6])
-        with pytest.raises(IdxTruncatedError, match=r"labels\.idx: label header"):
+        with pytest.raises(IdxError, match=r"labels\.idx: label header"):
             load_idx(img, lbl)
 
     @pytest.mark.parametrize(
@@ -94,14 +90,14 @@ class TestIdx:
     def test_bad_image_header_field_named(self, tmp_path, header, field):
         (img, lbl), _, _ = self.two_image_fixture(tmp_path)
         img.write_bytes(struct.pack(">iiii", 0x803, *header))
-        with pytest.raises(IdxHeaderError, match=rf"images\.idx: header field {field} is"):
+        with pytest.raises(IdxError, match=rf"images\.idx: header field {field} is"):
             load_idx(img, lbl)
 
     @pytest.mark.parametrize("count", [-1, 0])
     def test_bad_label_count_named(self, tmp_path, count):
         (img, lbl), _, _ = self.two_image_fixture(tmp_path)
         lbl.write_bytes(struct.pack(">ii", 0x801, count))
-        with pytest.raises(IdxHeaderError, match=r"labels\.idx: header field count is"):
+        with pytest.raises(IdxError, match=r"labels\.idx: header field count is"):
             load_idx(img, lbl)
 
     @pytest.mark.parametrize("which", ["images", "labels"])
@@ -109,7 +105,7 @@ class TestIdx:
         (img, lbl), _, _ = self.two_image_fixture(tmp_path)
         path = img if which == "images" else lbl
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(IdxHeaderError, match=rf"{which}\.idx: 1 trailing bytes .* count"):
+        with pytest.raises(IdxError, match=rf"{which}\.idx: 1 trailing bytes .* count"):
             load_idx(img, lbl)
 
     @given(

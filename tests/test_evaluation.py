@@ -68,15 +68,15 @@ class TestTop1:
 
     def test_threads_do_not_change_result(self, monkeypatch):
         c = 3
-        x = np.random.default_rng(1).normal(size=(300, 3))
-        y = np.random.default_rng(2).integers(0, c, size=300)
+        x = np.random.default_rng(1).normal(size=(2100, 3))  # three chunks
+        y = np.random.default_rng(2).integers(0, c, size=2100)
         ds = dd.Dataset(x, y, c)
         net = identity_net(c)
         base = top1_accuracy(net, ds)
         monkeypatch.setenv("DEMIX_THREADS", "4")
-        logits = predict_logits(net, x, chunk=64)
+        logits = predict_logits(net, x)
         assert top1_accuracy(net, ds) == base
-        assert np.array_equal(logits, predict_logits(net, x, chunk=64))
+        assert np.array_equal(logits, predict_logits(net, x))
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "1.5", "two", ""])
@@ -203,6 +203,18 @@ class TestFgsm:
         assert acc == clean
         assert err == 1.0 - acc
 
+    def test_epsilon_zero_leaves_vectors_unclamped(self):
+        # Two-moons coordinates reach outside [0, 1]; only images are clamped.
+        ds = dd.make_synthetic("two_moons", 300, 0.1, seed=0)
+        train, val = dd.split(ds, (200, 100), 0)
+        cfg = TrainConfig(epochs=20, batch_size=20, seed=1)
+        params, _ = train_supervised(
+            train, val, make_mlp(2, 16, 2), None, LossSpec("mce"), cfg
+        )
+        assert np.abs(val.x).max() > 1.0
+        acc, _ = fgsm_attack(params, val, AttackConfig(epsilon=0.0))
+        assert acc == top1_accuracy(params, val)
+
     def test_attack_degrades_accuracy(self):
         params, val = self._trained()
         clean = top1_accuracy(params, val)
@@ -211,7 +223,7 @@ class TestFgsm:
 
     def test_bounds_respected(self):
         params, val = self._trained()
-        cfg = AttackConfig(epsilon=0.1, pixel_bounds=(0.0, 1.0))
+        cfg = AttackConfig(epsilon=0.1)
         from demix.evaluation import input_gradients
 
         gx = input_gradients(params, val.x, val.y)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,22 @@ run.name = sslrun
         csv = (tmp_path / "ssl/metrics.csv").read_text()
         assert "accepted_frac" in csv and "test_top1" in csv
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ("eval.occlusion = true\neval.occlusion_patch = 5",
+             "eval.occlusion_patch: patch size 5 does not tile 28x28"),
+            ("eval.mixed_pairs = true\ndataset.num_classes = 1",
+             "eval.mixed_pairs: hard mixed set: pairs need two classes"),
+        ],
+    )
+    def test_probe_faults_named_before_training(self, tmp_path, monkeypatch, settings, message):
+        monkeypatch.setattr(
+            "demix.experiment.train_supervised", lambda *_: pytest.fail("a seed trained")
+        )
+        text = "dataset.size = 20\ndataset.val_size = 20\nnetwork.hidden = 8\n" + settings
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(parse_config(text), tmp_path / "p")
 
     def test_ssl_run_shorter_than_eval_interval(self, tmp_path):
         # 50 steps with the default interval of 100 still log an evaluation.
@@ -221,6 +238,18 @@ class TestDatasetArg:
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError, match="unknown dataset options"):
             parse_dataset_arg("blobs:n=10,frobnicate=1")
+
+    @pytest.mark.parametrize(
+        "arg, message",
+        [
+            ("blobs:classes=0", "dataset option classes='0': num_classes must be positive, got 0"),
+            ("blobs:n=abc", "dataset option n='abc': invalid literal for int()"),
+            ("two_moons:noise=x", "dataset option noise='x': could not convert string to float"),
+        ],
+    )
+    def test_bad_option_named(self, arg, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_dataset_arg(arg)
 
 
 class TestCli:

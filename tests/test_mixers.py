@@ -9,6 +9,7 @@ from scipy import stats
 from demix.mixers import (
     Lambda,
     MixConfig,
+    MixedBatch,
     MixedTarget,
     Targets,
     cutmix_ratios,
@@ -325,20 +326,26 @@ class TestResizeMix:
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
-class TestMixBatch:
-    def test_identity_pairing_same_classes(self):
-        rng = np.random.default_rng(0)
-        x = rng.random((4, 8, 8))
-        y = np.array([0, 1, 2, 3])
-        mb = mix_batch(x, y, MixConfig("linear", 0.2), rng, pairing=np.arange(4))
-        assert np.array_equal(mb.targets.a, mb.targets.b)
+class _BetaOnes:
+    """Generator whose Beta draws are all 1; every other draw is real."""
 
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def beta(self, _a, _b, size):
+        return np.ones(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestMixBatch:
     @pytest.mark.parametrize("policy", ["linear", "cutmix", "manifold", "resizemix"])
     def test_lambda_one_preserves_inputs(self, policy):
         rng = np.random.default_rng(3)
         x = rng.random((4, 8, 8))
         y = np.array([0, 1, 0, 1])
-        mb = mix_batch(x, y, MixConfig(policy, 0.2), rng, lam=1.0)
+        mb = mix_batch(x, y, MixConfig(policy, 0.2), _BetaOnes(3))
         assert np.array_equal(mb.inputs, x)
         assert np.all(mb.targets.lam == 1.0)
 
@@ -376,7 +383,7 @@ class TestMixBatch:
     def test_pairing_out_of_range_rejected(self):
         x, y = np.zeros((4, 3, 3)), np.array([0, 1, 0, 1])
         with pytest.raises(ValueError, match="pairing must be a permutation"):
-            mix_batch(x, y, MixConfig(), np.random.default_rng(0), pairing=[0, 1, 2, 7])
+            MixedBatch(x, Targets(y, y, np.ones(4)), np.array([0, 1, 2, 7]))
 
     def test_label_count_rejected(self):
         x, y = np.zeros((4, 3, 3)), np.array([0, 1, 0])

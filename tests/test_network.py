@@ -14,6 +14,7 @@ from demix.network import (
     CheckpointError,
     ConvSpec,
     DenseSpec,
+    FlattenSpec,
     Parameters,
     PoolSpec,
     TrainConfig,
@@ -691,4 +692,21 @@ class TestCheckpoint:
             b"DMX1" + struct.pack("<I", len(arch)) + arch + struct.pack("<I", 2) + table
         )
         with pytest.raises(CheckpointError, match="shapes do not match"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "specs, first, second, fault",
+        [
+            ((DenseSpec(4, 3), DenseSpec(5, 2, "none")),
+             "dense:4:3:relu", "dense:5:2:none", "in_dim 5 is not the out_dim 3"),
+            ((ConvSpec(1, 8), PoolSpec(2), ConvSpec(4, 16)),
+             "conv:1:8:3:1:relu", "conv:4:16:3:1:relu", "in_ch 4 is not the out_ch 8"),
+            ((ConvSpec(1, 8), PoolSpec(2), FlattenSpec(), DenseSpec(30, 2, "none")),
+             "conv:1:8:3:1:relu", "dense:30:2:none", "in_dim 30 is not a multiple of the out_ch 8"),
+        ],
+    )
+    def test_layers_that_do_not_chain_named(self, tmp_path, specs, first, second, fault):
+        path = tmp_path / "m.dmx"
+        save_checkpoint(init_params(specs, np.random.default_rng(0)), path)
+        with pytest.raises(CheckpointError, match=f"'{second}' does not follow '{first}': {fault}"):
             load_checkpoint(path)
