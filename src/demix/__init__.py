@@ -1,5 +1,6 @@
 """Decoupled-mixup objectives, static mixers, and a small training core."""
 
+from .config import ConfigError
 from .losses import (
     DMConfig,
     LossResult,

@@ -19,6 +19,11 @@ from .network import TrainConfig
 from .semisup import SSLConfig
 
 
+class ConfigError(ValueError):
+    """A config text that :func:`parse_config` rejects; the message names the
+    line of each key at fault."""
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     source: str = "images"  # images | blobs | two_moons | idx
@@ -42,6 +47,10 @@ class DatasetSpec:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if self.shift < 0:
             raise ValueError(f"shift must be nonnegative, got {self.shift}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.source in ("blobs", "two_moons") and self.size < 2:
+            raise ValueError(f"size must be at least 2 for {self.source}, got {self.size}")
 
 
 @dataclass(frozen=True)
@@ -194,7 +203,8 @@ def _build_section(name: str, proto, values: dict[str, object]):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat config format; any unknown key raises before any work.
+    """Parse the flat config format; any fault raises :class:`ConfigError`
+    before any work.
 
     A section's own check fails with the section name and the line of each
     key of that section the text set. A setting that needs images on a
@@ -207,17 +217,17 @@ def parse_config(text: str) -> ExperimentConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'section.key = value'")
+            raise ConfigError(f"line {lineno}: expected 'section.key = value'")
         key, _, val = line.partition("=")
         key = key.strip()
         if key not in _PARSERS:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in seen:
-            raise ValueError(f"line {lineno}: {key} is already set on line {seen[key]}")
+            raise ConfigError(f"line {lineno}: {key} is already set on line {seen[key]}")
         try:
             values[key] = _PARSERS[key](val.strip())
         except ValueError as e:
-            raise ValueError(f"line {lineno}: bad value for {key}: {e}") from e
+            raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
         seen[key] = lineno
     # Rescaled-target BCE ships the recommended curve per mixer family unless
     # the curve was set explicitly: cut-based (1, 0.8), interpolation (0.5, 1).
@@ -237,13 +247,13 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as e:
             keys = sorted((n, k) for k, n in seen.items() if k.startswith(f"{f.name}."))
             where = ", ".join(f"line {n}: {k}" for n, k in keys)
-            raise ValueError(f"config section {f.name!r} ({where}): {e}") from e
+            raise ConfigError(f"config section {f.name!r} ({where}): {e}") from e
     source = values["dataset.source"]
     if source in ("blobs", "two_moons"):
         for key, image_values in _IMAGE_ONLY.items():
             if values[key] in image_values:
                 where = f"line {seen['dataset.source']}: dataset.source, line {seen[key]}: {key}"
-                raise ValueError(
+                raise ConfigError(
                     f"config ({where}): {key} = {_fmt(values[key])} needs image inputs, "
                     f"but dataset.source = {source} gives vectors"
                 )

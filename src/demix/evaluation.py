@@ -1,12 +1,8 @@
 """Read-only metrics and robustness probes over trained parameters.
 
 All evaluators leave the parameters untouched and may run concurrently with
-each other. ``DEMIX_THREADS`` (default 1) caps the thread pool used for the
-chunked forward passes; chunk order is fixed so results are identical at any
-thread count. The pool pays off on the conv net, whose forward is mostly
-single-threaded numpy work: on a 2-core host with one BLAS thread, two
-threads scored 8192 conv samples in 0.93 s instead of 1.75 s. A value
-that is not an integer of at least 1 raises ``ValueError``.
+each other. They score through ``network.predict_logits`` (re-exported here),
+and the sign attack takes its input gradients in the same chunks.
 
 The hard mixed set and the occlusion curve build their masks as arrays, with
 no loop over rows.
@@ -14,8 +10,6 @@ no loop over rows.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +17,7 @@ import numpy as np
 from .data import Dataset
 from .losses import batch_loss, softmax, LossSpec
 from .mixers import MixedBatch, Targets, cutmix_ratios, paste_boxes, sample_cutmix_boxes
-from .network import Parameters, backward, forward, plain_targets
-
-_CHUNK = 1024  # rows per forward pass in predict_logits
+from .network import Parameters, backward, chunk_rows, forward, plain_targets, predict_logits
 
 
 @dataclass(frozen=True)
@@ -54,29 +46,6 @@ class OcclusionConfig:
             raise ValueError("patch_size must be positive")
         if any(not (0.0 <= r <= 1.0) for r in self.ratios):
             raise ValueError("ratios must lie in [0, 1]")
-
-
-def _eval_threads() -> int:
-    raw = os.environ.get("DEMIX_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"DEMIX_THREADS must be an integer of at least 1, got {raw!r}")
-    return threads
-
-
-def predict_logits(params: Parameters, x: np.ndarray) -> np.ndarray:
-    """Forward pass in fixed-order chunks, optionally threaded."""
-    pieces = [x[i : i + _CHUNK] for i in range(0, len(x), _CHUNK)]
-    threads = _eval_threads()
-    if threads > 1 and len(pieces) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(lambda p: forward(params, p)[0], pieces))
-    else:
-        outs = [forward(params, p)[0] for p in pieces]
-    return np.concatenate(outs) if len(outs) > 1 else outs[0]
 
 
 def top1_accuracy(params: Parameters, dataset: Dataset) -> float:
@@ -170,10 +139,15 @@ def make_hard_mixed_set(
 
 
 def input_gradients(params: Parameters, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d(mean CE)/d(inputs), in the raw input shape."""
-    z, cache = forward(params, x)
-    res = batch_loss(z, plain_targets(y), LossSpec())
-    return backward(params, cache, res.grad_logits)[1]
+    """d(mean CE)/d(inputs), in the raw input shape, one inference chunk at a
+    time: each chunk's mean-CE gradient is weighted by its share of the rows."""
+    rows = chunk_rows(params, x)
+    out = []
+    for i in range(0, len(x), rows):
+        z, cache = forward(params, x[i : i + rows])
+        res = batch_loss(z, plain_targets(y[i : i + rows]), LossSpec())
+        out.append(backward(params, cache, res.grad_logits * (len(z) / len(x)))[1])
+    return np.concatenate(out)
 
 
 def fgsm_attack(

@@ -11,6 +11,14 @@ optional hidden mix for ManifoldMix is a linear operation on the input of one
 layer, recorded in the cache so the chain rule routes lam to each sample and
 1-lam to its partner.
 
+:func:`predict_logits` is the one inference path: the per-epoch evaluation of
+:func:`_train_loop` and every probe in ``evaluation`` score through it. It
+runs one forward per chunk of rows, sized so that the chunk's widest array
+(the input, a layer's output or a conv layer's patch matrix) fits in 4 MiB of
+float64 (a single pass over 1000 rows of the conv net would build a 113 MB
+patch matrix). ``DEMIX_THREADS`` (default 1) sets how many threads score the
+chunks; chunk order is fixed, so the result is the same at any thread count.
+
 Conv layers run on im2col: the patch matrix is one ``sliding_window_view``
 of the padded input, and the forward and both gradients are batched BLAS
 matmuls over it; ``_col2im`` adds all channels at once for each of the k*k
@@ -30,6 +38,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
@@ -366,6 +375,58 @@ def backward(
     return grads, g.reshape(cache.input_shape) if input_grad else None
 
 
+# Bytes the widest array of one inference chunk may take: the order of an L2 cache.
+_CHUNK_BYTES = 4 << 20
+
+
+def _widest_row(specs: tuple[LayerSpec, ...], row: tuple[int, ...]) -> int:
+    """Float count of the largest per-row array of a forward from a row of shape
+    ``row``: the row itself, a layer's output or a conv layer's patch matrix."""
+    widest = math.prod(row)
+    for s in specs:
+        if isinstance(s, ConvSpec):
+            c, h, w = row
+            row = (s.out_ch, h + 2 * s.pad - s.ksize + 1, w + 2 * s.pad - s.ksize + 1)
+            widest = max(widest, c * s.ksize**2 * row[1] * row[2])
+        elif isinstance(s, PoolSpec):
+            row = (row[0], row[1] // s.size, row[2] // s.size)
+        else:
+            row = (s.out_dim,) if isinstance(s, DenseSpec) else (math.prod(row),)
+        widest = max(widest, math.prod(row))
+    return widest
+
+
+def chunk_rows(params: Parameters, x: np.ndarray) -> int:
+    """Rows per inference chunk of the raw batch ``x``: as many as keep the
+    chunk's widest array within ``_CHUNK_BYTES`` of float64, at least one."""
+    row = _adapt_inputs(params.specs[0], x).shape[1:]
+    return max(1, _CHUNK_BYTES // (8 * _widest_row(params.specs, row)))
+
+
+def _eval_threads() -> int:
+    raw = os.environ.get("DEMIX_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"DEMIX_THREADS must be an integer of at least 1, got {raw!r}")
+    return threads
+
+
+def predict_logits(params: Parameters, x: np.ndarray) -> np.ndarray:
+    """Logits of a raw batch, one forward per :func:`chunk_rows` chunk in fixed order."""
+    rows = chunk_rows(params, x)
+    pieces = [x[i : i + rows] for i in range(0, len(x), rows)]
+    threads = _eval_threads()
+    if threads > 1 and len(pieces) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outs = list(pool.map(lambda p: forward(params, p)[0], pieces))
+    else:
+        outs = [forward(params, p)[0] for p in pieces]
+    return np.concatenate(outs) if len(outs) > 1 else outs[0]
+
+
 def manifold_mix_sites(specs: tuple[LayerSpec, ...]) -> list[int]:
     """Valid hidden-mix sites: the input plus each non-final activation block."""
     sites = [0]
@@ -469,8 +530,7 @@ def _train_loop(
             sgd_step(params, grads, velocity, step, total_steps, config)
             window.append(logged)
             if (step + 1) % eval_every == 0 or step + 1 == total_steps:
-                # [0] frees the eval set's activation cache before the next step.
-                z = forward(params, eval_ds.x)[0]
+                z = predict_logits(params, eval_ds.x)
                 top1 = float(np.mean(np.argmax(z, axis=1) == eval_ds.y))
                 log.extend(entries(step, float(np.mean(window)), top1))
                 window = []

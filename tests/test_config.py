@@ -1,5 +1,6 @@
 import pytest
 
+from demix import ConfigError
 from demix.config import (
     DatasetSpec,
     ExperimentConfig,
@@ -235,6 +236,12 @@ class TestSchema:
             ("dataset.shift = -1",
              "config section 'dataset' (line 2: dataset.shift): "
              "shift must be nonnegative, got -1"),
+            ("dataset.seed = -1",
+             "config section 'dataset' (line 2: dataset.seed): "
+             "seed must be nonnegative, got -1"),
+            ("dataset.source = two_moons\ndataset.size = 1",
+             "config section 'dataset' (line 2: dataset.source, line 3: dataset.size): "
+             "size must be at least 2 for two_moons, got 1"),
             ("run.seeds = 1,1",
              "config section 'run' (line 2: run.seeds): seeds must be distinct, got (1, 1)"),
             ("network.hidden = 0",
@@ -254,6 +261,17 @@ class TestSchema:
         with pytest.raises(ValueError) as info:
             parse_config(f"train.epochs = 3\n{text}")
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["train.epoch = 3", "train.epochs = three", "dataset.shift = -1", "dataset.source = blobs\n"
+     "network.arch = conv"],
+    ids=["bad_key", "bad_value", "section_check", "image_only"],
+)
+def test_every_fault_raises_config_error(text):
+    with pytest.raises(ConfigError):
+        parse_config(text)
 
 
 class TestImageOnlySettings:

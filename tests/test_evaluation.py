@@ -10,6 +10,7 @@ from demix.evaluation import (
     OcclusionConfig,
     confidence_histogram,
     fgsm_attack,
+    input_gradients,
     make_hard_mixed_set,
     mixed_pair_eval,
     occlusion_eval,
@@ -17,9 +18,12 @@ from demix.evaluation import (
     predict_logits,
     top1_accuracy,
 )
-from demix.losses import LossSpec
+from demix.losses import LossSpec, batch_loss
 from demix.mixers import MixConfig, MixedBatch, Targets
-from demix.network import TrainConfig, init_params, make_mlp, train_supervised
+from demix.network import (
+    TrainConfig, backward, forward, init_params, make_conv, make_mlp, plain_targets,
+    train_supervised,
+)
 
 
 def constant_net(num_classes, in_dim=4):
@@ -68,15 +72,12 @@ class TestTop1:
 
     def test_threads_do_not_change_result(self, monkeypatch):
         c = 3
-        x = np.random.default_rng(1).normal(size=(2100, 3))  # three chunks
-        y = np.random.default_rng(2).integers(0, c, size=2100)
-        ds = dd.Dataset(x, y, c)
-        net = identity_net(c)
-        base = top1_accuracy(net, ds)
+        ds = dd.make_image_classes(100, num_classes=c, seed=2)  # chunks of 37, 37, 26
+        net = init_params(make_conv(1, c), np.random.default_rng(1))
+        logits, top1 = predict_logits(net, ds.x), top1_accuracy(net, ds)
         monkeypatch.setenv("DEMIX_THREADS", "4")
-        logits = predict_logits(net, x)
-        assert top1_accuracy(net, ds) == base
-        assert np.array_equal(logits, predict_logits(net, x))
+        assert np.array_equal(predict_logits(net, ds.x), logits)
+        assert top1_accuracy(net, ds) == top1
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "1.5", "two", ""])
@@ -221,11 +222,21 @@ class TestFgsm:
         acc, _ = fgsm_attack(params, val, AttackConfig(epsilon=8 / 255))
         assert acc <= clean
 
+    def test_chunked_gradient_is_the_whole_batch_gradient(self):
+        # 100 conv rows run as chunks of 37, 37 and 26; each chunk's mean-CE
+        # gradient weighted by its share of the rows sums the same terms.
+        ds = dd.make_image_classes(100, num_classes=3, seed=5)
+        params = init_params(make_conv(1, 3), np.random.default_rng(2))
+        z, cache = forward(params, ds.x)
+        res = batch_loss(z, plain_targets(ds.y), LossSpec())
+        whole = backward(params, cache, res.grad_logits)[1]
+        gx = input_gradients(params, ds.x, ds.y)
+        assert gx.shape == ds.x.shape
+        np.testing.assert_allclose(gx, whole, rtol=0, atol=1e-12 * np.abs(whole).max())
+
     def test_bounds_respected(self):
         params, val = self._trained()
         cfg = AttackConfig(epsilon=0.1)
-        from demix.evaluation import input_gradients
-
         gx = input_gradients(params, val.x, val.y)
         adv = np.clip(val.x + cfg.epsilon * np.sign(gx), 0, 1)
         assert adv.min() >= 0.0 and adv.max() <= 1.0

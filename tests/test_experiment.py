@@ -245,6 +245,8 @@ class TestDatasetArg:
             ("blobs:classes=0", "dataset option classes='0': num_classes must be positive, got 0"),
             ("blobs:n=abc", "dataset option n='abc': invalid literal for int()"),
             ("two_moons:noise=x", "dataset option noise='x': could not convert string to float"),
+            ("blobs:n=1", "dataset option n='1': size must be at least 2 for blobs, got 1"),
+            ("two_moons:seed=-1", "dataset option seed='-1': seed must be nonnegative, got -1"),
         ],
     )
     def test_bad_option_named(self, arg, message):

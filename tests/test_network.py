@@ -8,6 +8,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from demix import data as dd
+from demix import network
+from demix.evaluation import top1_accuracy
 from demix.losses import DMConfig, LossSpec, RescaleParams, batch_loss
 from demix.mixers import Lambda, MixConfig, MixedTarget
 from demix.network import (
@@ -27,12 +29,14 @@ from demix.network import (
     make_conv,
     make_mlp,
     manifold_mix_sites,
+    predict_logits,
     save_checkpoint,
     sgd_step,
     train_supervised,
     zeros_like_params,
     _col2im,
     _im2col,
+    _widest_row,
 )
 from oracles import mix_linear
 
@@ -572,6 +576,15 @@ class TestTrainSupervised:
         )
         assert len(log) == 4
 
+    def test_logged_val_top1_is_top1_accuracy(self):
+        ds = dd.make_image_classes(140, num_classes=3, seed=4)
+        train, val = dd.split(ds, (60, 80), 0)  # conv chunks of 37, 37 and 6 rows
+        cfg = TrainConfig(base_lr=0.05, epochs=2, batch_size=20, seed=7)
+        params, log = train_supervised(
+            train, val, make_conv(1, 3), MixConfig("cutmix", 0.2), LossSpec("dm_ce"), cfg
+        )
+        assert log[-1] == ("val_top1", 1, top1_accuracy(params, val))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises(self):
         train = dd.make_synthetic("two_moons", 200, 0.1, 0)
@@ -581,6 +594,30 @@ class TestTrainSupervised:
                 train, train, make_mlp(2, 16, 2), MixConfig("linear", 0.2),
                 LossSpec("dm_ce"), cfg,
             )
+
+
+class TestPredictLogits:
+    @pytest.mark.parametrize(
+        "specs, row, widest, chunks",
+        [
+            # conv-2's patch matrix, 8*9*14*14 floats per row
+            (make_conv(1, 10), (1, 28, 28), 14112, [37] * 27 + [1]),
+            (make_mlp(784, 256, 10), (784,), 784, [668, 332]),
+            (make_mlp(2, 32, 2), (2,), 32, [1000]),
+        ],
+        ids=["conv", "mlp_784_256_10", "mlp_2_32_2"],
+    )
+    def test_chunks_sized_from_the_widest_array(self, monkeypatch, specs, row, widest, chunks):
+        assert _widest_row(specs, row) == widest
+        params = init_params(specs, np.random.default_rng(0))
+        x = np.random.default_rng(1).uniform(size=(1000, *row))
+        sizes = []
+        monkeypatch.setattr(
+            network, "forward", lambda p, c: sizes.append(len(c)) or forward(p, c)
+        )
+        logits = predict_logits(params, x)
+        assert sizes == chunks
+        assert logits.shape == (1000, specs[-1].out_dim)
 
 
 class TestCheckpoint:
