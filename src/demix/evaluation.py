@@ -1,8 +1,8 @@
 """Read-only metrics and robustness probes over trained parameters.
 
 All evaluators leave the parameters untouched and may run concurrently with
-each other. They score through ``network.predict_logits`` (re-exported here),
-and the sign attack takes its input gradients in the same chunks.
+each other. They score through ``network.predict_logits``, and the sign attack
+takes ``network.input_gradients``; both are re-exported here.
 
 The hard mixed set and the occlusion curve build their masks as arrays, with
 no loop over rows.
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .losses import batch_loss, softmax, LossSpec
+from .losses import softmax
 from .mixers import MixedBatch, Targets, cutmix_ratios, paste_boxes, sample_cutmix_boxes
-from .network import Parameters, backward, chunk_rows, forward, plain_targets, predict_logits
+from .network import Parameters, input_gradients, predict_logits
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,6 @@ class OcclusionConfig:
 
 def top1_accuracy(params: Parameters, dataset: Dataset) -> float:
     """Fraction of samples whose argmax logit equals the label."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
     logits = predict_logits(params, dataset.x)
     return float(np.mean(np.argmax(logits, axis=1) == dataset.y))
 
@@ -136,18 +134,6 @@ def make_hard_mixed_set(
     i, j, y1, y2, x1, x2, ratio = (np.concatenate(v)[:count] for v in zip(*rounds))
     inputs = paste_boxes(dataset.x[i], dataset.x[j], y1, y2, x1, x2)
     return MixedBatch(inputs, Targets(y[i], y[j], ratio), np.arange(count))
-
-
-def input_gradients(params: Parameters, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d(mean CE)/d(inputs), in the raw input shape, one inference chunk at a
-    time: each chunk's mean-CE gradient is weighted by its share of the rows."""
-    rows = chunk_rows(params, x)
-    out = []
-    for i in range(0, len(x), rows):
-        z, cache = forward(params, x[i : i + rows])
-        res = batch_loss(z, plain_targets(y[i : i + rows]), LossSpec())
-        out.append(backward(params, cache, res.grad_logits * (len(z) / len(x)))[1])
-    return np.concatenate(out)
 
 
 def fgsm_attack(

@@ -194,10 +194,18 @@ def _probe_values(cfg: ExperimentConfig, seed: int, params, val_ds, hard) -> lis
 
 
 def compare_runs(summary_a: dict, summary_b: dict) -> dict:
-    """Seed-keyed paired comparison of two summaries (B minus A)."""
+    """Seed-keyed paired comparison of two summaries (B minus A), each an object
+    whose ``seeds`` maps every seed to a finite number (else ``ValueError``)."""
     for name, summary in (("A", summary_a), ("B", summary_b)):
-        if not summary.get("seeds"):
+        if not isinstance(summary, dict):
+            raise ValueError(f"summary {name} is not an object: {type(summary).__name__}")
+        seeds = summary.get("seeds")
+        if not seeds or not isinstance(seeds, dict):
             raise ValueError(f"summary {name} has no per-seed results ('seeds')")
+        for seed, value in seeds.items():
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and np.isfinite(value)):
+                raise ValueError(f"summary {name}: seed {seed} has {value!r}, not a finite number")
     seeds_a = set(summary_a["seeds"])
     seeds_b = set(summary_b["seeds"])
     if seeds_a != seeds_b:

@@ -12,12 +12,12 @@ layer, recorded in the cache so the chain rule routes lam to each sample and
 1-lam to its partner.
 
 :func:`predict_logits` is the one inference path: the per-epoch evaluation of
-:func:`_train_loop` and every probe in ``evaluation`` score through it. It
-runs one forward per chunk of rows, sized so that the chunk's widest array
-(the input, a layer's output or a conv layer's patch matrix) fits in 4 MiB of
-float64 (a single pass over 1000 rows of the conv net would build a 113 MB
-patch matrix). ``DEMIX_THREADS`` (default 1) sets how many threads score the
-chunks; chunk order is fixed, so the result is the same at any thread count.
+:func:`_train_loop` and every probe in ``evaluation`` score through it, and
+the sign attack's :func:`input_gradients` takes the same chunks, in order.
+A chunk's widest array (the input, a layer's output or a conv layer's patch
+matrix) fits in 4 MiB of float64 (a single pass over 1000 rows of the conv
+net would build a 113 MB patch matrix). Sizing the chunks also rejects an
+empty batch and rows that a dense layer cannot take.
 
 Conv layers run on im2col: the patch matrix is one ``sliding_window_view``
 of the padded input, and the forward and both gradients are batched BLAS
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
@@ -381,50 +380,52 @@ _CHUNK_BYTES = 4 << 20
 
 def _widest_row(specs: tuple[LayerSpec, ...], row: tuple[int, ...]) -> int:
     """Float count of the largest per-row array of a forward from a row of shape
-    ``row``: the row itself, a layer's output or a conv layer's patch matrix."""
+    ``row``: the row itself, a layer's output or a conv layer's patch matrix.
+    ``ValueError`` when a dense layer cannot take the row it is given."""
     widest = math.prod(row)
-    for s in specs:
+    for i, s in enumerate(specs):
         if isinstance(s, ConvSpec):
             c, h, w = row
             row = (s.out_ch, h + 2 * s.pad - s.ksize + 1, w + 2 * s.pad - s.ksize + 1)
             widest = max(widest, c * s.ksize**2 * row[1] * row[2])
         elif isinstance(s, PoolSpec):
             row = (row[0], row[1] // s.size, row[2] // s.size)
+        elif isinstance(s, DenseSpec):
+            if row != (s.in_dim,):
+                raise ValueError(f"layer {i} needs {s.in_dim} inputs per row, got shape {row}")
+            row = (s.out_dim,)
         else:
-            row = (s.out_dim,) if isinstance(s, DenseSpec) else (math.prod(row),)
+            row = (math.prod(row),)
         widest = max(widest, math.prod(row))
     return widest
 
 
-def chunk_rows(params: Parameters, x: np.ndarray) -> int:
+def _chunk_rows(params: Parameters, x: np.ndarray) -> int:
     """Rows per inference chunk of the raw batch ``x``: as many as keep the
     chunk's widest array within ``_CHUNK_BYTES`` of float64, at least one."""
+    if len(x) == 0:
+        raise ValueError("no rows to run through the network: the batch is empty")
     row = _adapt_inputs(params.specs[0], x).shape[1:]
     return max(1, _CHUNK_BYTES // (8 * _widest_row(params.specs, row)))
 
 
-def _eval_threads() -> int:
-    raw = os.environ.get("DEMIX_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"DEMIX_THREADS must be an integer of at least 1, got {raw!r}")
-    return threads
-
-
 def predict_logits(params: Parameters, x: np.ndarray) -> np.ndarray:
-    """Logits of a raw batch, one forward per :func:`chunk_rows` chunk in fixed order."""
-    rows = chunk_rows(params, x)
-    pieces = [x[i : i + rows] for i in range(0, len(x), rows)]
-    threads = _eval_threads()
-    if threads > 1 and len(pieces) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(lambda p: forward(params, p)[0], pieces))
-    else:
-        outs = [forward(params, p)[0] for p in pieces]
+    """Logits of a raw batch, one forward per :func:`_chunk_rows` chunk in order."""
+    rows = _chunk_rows(params, x)
+    outs = [forward(params, x[i : i + rows])[0] for i in range(0, len(x), rows)]
     return np.concatenate(outs) if len(outs) > 1 else outs[0]
+
+
+def input_gradients(params: Parameters, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d(mean CE)/d(inputs), in the raw input shape, one inference chunk at a
+    time: each chunk's mean-CE gradient is weighted by its share of the rows."""
+    rows = _chunk_rows(params, x)
+    out = []
+    for i in range(0, len(x), rows):
+        z, cache = forward(params, x[i : i + rows])
+        res = batch_loss(z, plain_targets(y[i : i + rows]), LossSpec())
+        out.append(backward(params, cache, res.grad_logits * (len(z) / len(x)))[1])
+    return np.concatenate(out)
 
 
 def manifold_mix_sites(specs: tuple[LayerSpec, ...]) -> list[int]:
@@ -515,8 +516,10 @@ def _train_loop(
     steps and after the last, the log gets ``entries(step, mean logged since
     the last evaluation, top-1 on eval_ds)``. numpy's overflow, invalid and
     divide warnings are off for the whole loop, so a diverging run reports
-    the error alone.
+    the error alone. An empty ``eval_ds`` raises ``ValueError`` before step 0.
     """
+    if len(eval_ds.x) == 0:
+        raise ValueError("empty evaluation set")
     velocity = zeros_like_params(params)
     log: list[tuple[str, int, float]] = []
     window: list[float] = []

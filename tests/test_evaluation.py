@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demix import data as dd
-from demix import evaluation
+from demix import evaluation, network
 from demix.evaluation import (
     AttackConfig,
     OcclusionConfig,
@@ -67,24 +67,57 @@ class TestTop1:
         assert top1_accuracy(identity_net(c), dd.Dataset(x, y, c)) == 0.75
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            top1_accuracy(constant_net(3), dd.Dataset(np.empty((0, 4)), np.empty(0), 3))
+        with pytest.raises(ValueError, match="the batch is empty"):
+            top1_accuracy(constant_net(3), _empty_vectors())
 
-    def test_threads_do_not_change_result(self, monkeypatch):
+    def test_chunked_logits_are_the_whole_batch_logits(self):
         c = 3
-        ds = dd.make_image_classes(100, num_classes=c, seed=2)  # chunks of 37, 37, 26
+        ds = dd.make_image_classes(100, num_classes=c, seed=2)
         net = init_params(make_conv(1, c), np.random.default_rng(1))
-        logits, top1 = predict_logits(net, ds.x), top1_accuracy(net, ds)
-        monkeypatch.setenv("DEMIX_THREADS", "4")
-        assert np.array_equal(predict_logits(net, ds.x), logits)
-        assert top1_accuracy(net, ds) == top1
+        assert network._chunk_rows(net, ds.x) == 37  # chunks of 37, 37 and 26
+        whole = forward(net, ds.x)[0]
+        logits = predict_logits(net, ds.x)
+        np.testing.assert_allclose(logits, whole, rtol=1e-12, atol=0)
+        assert np.array_equal(np.argmax(logits, axis=1), np.argmax(whole, axis=1))
+        assert top1_accuracy(net, ds) == float(np.mean(np.argmax(whole, axis=1) == ds.y))
 
 
-@pytest.mark.parametrize("value", ["0", "-2", "1.5", "two", ""])
-def test_bad_thread_count_names_variable(monkeypatch, value):
-    monkeypatch.setenv("DEMIX_THREADS", value)
-    with pytest.raises(ValueError, match=f"DEMIX_THREADS must be an integer of at least 1, got '{value}'"):
-        predict_logits(identity_net(3), np.zeros((4, 3)))
+def test_inference_passes_are_the_network_functions():
+    # perfbench's tracer patches these names by object identity.
+    assert evaluation.predict_logits is network.predict_logits
+    assert evaluation.input_gradients is network.input_gradients
+
+
+def _empty_vectors():
+    return dd.Dataset(np.empty((0, 4)), np.empty(0, dtype=int), 3)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: predict_logits(constant_net(3), np.empty((0, 4))),
+        lambda: predict_logits(
+            init_params(make_conv(1, 3), np.random.default_rng(0)), np.empty((0, 28, 28))
+        ),
+        lambda: confidence_histogram(constant_net(3), _empty_vectors(), 5),
+        lambda: mixed_pair_eval(
+            constant_net(3), MixedBatch(np.empty((0, 4)), Targets([], [], []), np.arange(0))
+        ),
+        lambda: fgsm_attack(constant_net(3), _empty_vectors(), AttackConfig()),
+    ],
+    ids=["predict_logits_mlp", "predict_logits_conv", "confidence_histogram",
+         "mixed_pair_eval", "fgsm_attack"],
+)
+def test_empty_input_rejected(entry):
+    with pytest.raises(ValueError, match="no rows to run through the network: the batch is empty"):
+        entry()
+
+
+def test_rows_the_dense_layer_cannot_take_rejected():
+    # 28x28 conv net on 32x32 images: flatten gives 16*8*8 = 1024 values, not 784.
+    net = init_params(make_conv(1, 3), np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"layer 5 needs 784 inputs per row, got shape \(1024,\)"):
+        predict_logits(net, np.zeros((4, 32, 32)))
 
 
 class TestMixedPairEval:

@@ -16,6 +16,7 @@ from demix.experiment import (
     rows_to_csv,
     run_experiment,
 )
+from demix.network import init_params, make_conv, save_checkpoint
 
 FAST_BLOBS = """
 dataset.source = blobs
@@ -198,6 +199,15 @@ class TestCompare:
         with pytest.raises(ValueError, match="summary B has no per-seed results"):
             compare_runs({"seeds": {"1": 0.1}}, {"run": "b", "mean": 0.1})
 
+    def test_summary_that_is_not_an_object_named(self):
+        with pytest.raises(ValueError, match="summary A is not an object: list"):
+            compare_runs([0.5, 0.6], {"seeds": {"1": 0.5}})
+
+    @pytest.mark.parametrize("value", ["0.5", None, True, float("nan"), float("inf")])
+    def test_non_numeric_seed_value_named(self, value):
+        with pytest.raises(ValueError, match="summary B: seed 1 has .*, not a finite number"):
+            compare_runs({"seeds": {"1": 0.5}}, {"seeds": {"1": value}})
+
     def test_empty_seed_sets_rejected(self):
         with pytest.raises(ValueError, match="summary A has no per-seed results"):
             compare_runs({"seeds": {}}, {"seeds": {}})
@@ -280,6 +290,19 @@ class TestCli:
         assert cli_main(["selftest"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(line.startswith("PASS") for line in lines)
+
+    def test_eval_of_images_the_checkpoint_cannot_take(self, tmp_path):
+        # A 28x28 conv checkpoint scored on 32x32 IDX images.
+        params = init_params(make_conv(1, 3), np.random.default_rng(0))
+        save_checkpoint(params, tmp_path / "conv.dmx")
+        images, labels = np.zeros((4, 32, 32), dtype=np.uint8), np.arange(4, dtype=np.uint8) % 3
+        save_idx(images, labels, tmp_path / "i.idx", tmp_path / "l.idx")
+        fault = r"layer 5 needs 784 inputs per row, got shape \(1024,\)"
+        with pytest.raises(ValueError, match=fault):
+            cli_main([
+                "eval", "--checkpoint", str(tmp_path / "conv.dmx"),
+                "--dataset", f"idx:{tmp_path}/i.idx:{tmp_path}/l.idx",
+            ])
 
     def test_seed_override(self, tmp_path):
         conf = tmp_path / "run.conf"

@@ -585,6 +585,15 @@ class TestTrainSupervised:
         )
         assert log[-1] == ("val_top1", 1, top1_accuracy(params, val))
 
+    def test_empty_val_set_rejected_before_training(self, monkeypatch):
+        train, val = self._blobs()
+        monkeypatch.setattr(network, "sgd_step", lambda *a: pytest.fail("a step ran"))
+        with pytest.raises(ValueError, match="empty evaluation set"):
+            train_supervised(
+                train, val.subset(np.arange(0)), make_mlp(2, 8, 3), None, LossSpec("mce"),
+                TrainConfig(epochs=1, batch_size=30),
+            )
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises(self):
         train = dd.make_synthetic("two_moons", 200, 0.1, 0)

@@ -1,0 +1,41 @@
+"""Static checks over the package source: what it imports and what it reads."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "demix").glob("*.py"))
+ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "network.py", "evaluation.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_numpy_and_the_standard_library(path):
+    outside = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        outside += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] not in ALLOWED]
+    assert outside == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_reads_no_environment_variable(path):
+    reads = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in ENV_READERS:
+            reads.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [f"line {node.lineno}: from os import {a.name}"
+                      for a in node.names if a.name in ENV_READERS]
+    assert reads == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from demix import data as dd
+from demix import network
 from demix.losses import LossResult, LossSpec
 from demix.mixers import Lambda, MixedTarget
 from demix.network import (
@@ -193,6 +194,16 @@ class TestTrainSsl:
             train_ssl(
                 labeled, rest.x, train, make_mlp(2, 16, 2), SSLConfig(steps=200),
                 TrainConfig(base_lr=1e6, seed=0),
+            )
+
+    def test_empty_test_set_rejected_before_training(self, monkeypatch):
+        train = _moons(60, 5)
+        labeled, rest = dd.stratified_take(train, 10, seed=0)
+        monkeypatch.setattr(network, "sgd_step", lambda *a: pytest.fail("a step ran"))
+        with pytest.raises(ValueError, match="empty evaluation set"):
+            train_ssl(
+                labeled, rest.x, train.subset(np.arange(0)), make_mlp(2, 8, 2),
+                SSLConfig(steps=5), TrainConfig(seed=0),
             )
 
     def test_missing_class_rejected(self):
