@@ -51,7 +51,10 @@ class OcclusionConfig:
 def top1_accuracy(params: Parameters, dataset: Dataset) -> float:
     """Fraction of samples whose argmax logit equals the label."""
     logits = predict_logits(params, dataset.x)
-    return float(np.mean(np.argmax(logits, axis=1) == dataset.y))
+    top = dataset.y.max()
+    if top >= logits.shape[1]:
+        raise ValueError(f"class index {top} out of range for {logits.shape[1]} logits")
+    return np.count_nonzero(np.argmax(logits, axis=1) == dataset.y) / len(dataset)
 
 
 def mixed_pair_eval(params: Parameters, mixed: MixedBatch) -> MixedPairEval:
@@ -127,7 +130,7 @@ def make_hard_mixed_set(
     while kept < count:
         i = rng.integers(n, size=count)
         j = rng.integers(n, size=count)
-        *edges, ratio = sample_cutmix_boxes(h, w, np.full(count, lam), rng)
+        *edges, ratio = sample_cutmix_boxes(h, w, lam, count, rng)
         ok = (y[i] != y[j]) & (lo <= ratio) & (ratio <= hi)
         rounds.append([v[ok] for v in (i, j, *edges, ratio)])
         kept += int(ok.sum())

@@ -114,21 +114,6 @@ def mce_rows(z: np.ndarray, a, b, lam) -> tuple[np.ndarray, np.ndarray]:
     return value, grad
 
 
-def _dm_rows(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decoupled regularizer of every row; same-class rows give exactly 0."""
-    rows = np.arange(len(z))
-    phi_no_a, lse_no_a = _decoupled_rows(z, a)
-    phi_no_b, lse_no_b = _decoupled_rows(z, b)
-    value = -((z[rows, a] - lse_no_b) + (z[rows, b] - lse_no_a))
-    grad = phi_no_a + phi_no_b
-    grad[rows, a] = phi_no_b[rows, a] - 1.0
-    grad[rows, b] = phi_no_a[rows, b] - 1.0
-    same = a == b
-    value[same] = 0.0
-    grad[same] = 0.0
-    return value, grad
-
-
 def asymmetric_dm_rows(
     z: np.ndarray, labeled: np.ndarray, pseudo: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -141,6 +126,14 @@ def asymmetric_dm_rows(
     value[same] = 0.0
     grad[same] = 0.0
     return value, grad
+
+
+def _dm_rows(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decoupled regularizer of every row: the one-directional term both ways.
+    Same-class rows give exactly 0."""
+    value_ab, grad_ab = asymmetric_dm_rows(z, a, b)
+    value_ba, grad_ba = asymmetric_dm_rows(z, b, a)
+    return value_ab + value_ba, grad_ab + grad_ba
 
 
 def rescale(lam: np.ndarray, params: RescaleParams) -> np.ndarray:

@@ -31,11 +31,10 @@ class Lambda:
 
 @dataclass(frozen=True)
 class MixConfig:
-    """Which mixing policy to run and how to draw its ratio."""
+    """Which mixing policy to run and the Beta(alpha, alpha) its ratio is drawn from."""
 
     policy: str = "linear"
     alpha: float = 0.2
-    per_batch_lambda: bool = True
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -115,14 +114,14 @@ def _check_rows(n: int, n_targets: int, pairing: np.ndarray) -> None:
         raise ValueError("pairing must be a permutation of the batch indices")
 
 
-def _cut_sides(height: int, width: int, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Box height and width per ratio: sqrt(1-lam) of each dimension, floored."""
+def _cut_sides(height: int, width: int, lam: float) -> tuple[int, int]:
+    """Box height and width at ratio ``lam``: sqrt(1-lam) of each dimension, floored."""
     if height < 1 or width < 1:
         raise ValueError("image dimensions must be at least 1")
-    if lam.size and not (lam.min() >= 0.0 and lam.max() <= 1.0):
+    if not 0.0 <= lam <= 1.0:
         raise ValueError("mixing ratios must lie in [0, 1]")
-    cut = np.sqrt(1.0 - lam)
-    return (height * cut).astype(np.int64), (width * cut).astype(np.int64)
+    cut = math.sqrt(1.0 - lam)
+    return int(height * cut), int(width * cut)
 
 
 def _clip_boxes(height, width, cut_h, cut_w, cy, cx):
@@ -137,32 +136,28 @@ def _clip_boxes(height, width, cut_h, cut_w, cy, cx):
 
 
 def sample_cutmix_boxes(
-    height: int, width: int, lam: np.ndarray, rng: np.random.Generator
+    height: int, width: int, lam: float, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One CutMix box per ratio in ``lam``: edges ``y1, y2, x1, x2`` and the
+    """``n`` CutMix boxes at ratio ``lam``: edges ``y1, y2, x1, x2`` and the
     realized ratios, each of shape (n,).
 
     Box side is sqrt(1-lam) of each dimension, centered uniformly and clipped
-    to the image; row i covers ``[y1[i]:y2[i], x1[i]:x2[i]]``. Rows whose box
-    has a zero side draw nothing and get an empty box; the m others draw
-    their m center rows, then their m center columns. The realized ratio is
-    the share of the image outside the box.
+    to the image; box i covers ``[y1[i]:y2[i], x1[i]:x2[i]]``. The n center
+    rows are drawn, then the n center columns, unless the box has a zero
+    side: then nothing is drawn and every box is empty. The realized ratio
+    is the share of the image outside the box.
     """
-    lam = np.asarray(lam, dtype=float)
     cut_h, cut_w = _cut_sides(height, width, lam)
-    boxed = (cut_h > 0) & (cut_w > 0)
-    cy, cx = np.zeros_like(cut_h), np.zeros_like(cut_w)
-    m = np.count_nonzero(boxed)
-    if m:
-        cy[boxed] = rng.integers(height, size=m)
-        cx[boxed] = rng.integers(width, size=m)
+    cy = cx = np.zeros(n, dtype=np.int64)
+    if cut_h and cut_w:
+        cy, cx = rng.integers(height, size=n), rng.integers(width, size=n)
     return _clip_boxes(height, width, cut_h, cut_w, cy, cx)
 
 
 def cutmix_ratios(height: int, width: int, lam: float) -> np.ndarray:
     """Every ratio :func:`sample_cutmix_boxes` can realize at ``lam``, one per
     box center."""
-    cut_h, cut_w = _cut_sides(height, width, np.array(lam, dtype=float))
+    cut_h, cut_w = _cut_sides(height, width, lam)
     if cut_h == 0 or cut_w == 0:
         return np.ones(1)
     cy, cx = np.arange(height)[:, None], np.arange(width)[None, :]
@@ -170,38 +165,31 @@ def cutmix_ratios(height: int, width: int, lam: float) -> np.ndarray:
 
 
 def sample_resizemix_boxes(
-    height: int, width: int, lam: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One ResizeMix paste box per ratio in ``lam``: edges ``y1, y2, x1, x2``
-    and the realized ratios, each of shape (n,).
+    height: int, width: int, lam: float, rng: np.random.Generator
+) -> tuple[int, int, int, int, float]:
+    """One ResizeMix paste box at ratio ``lam``: edges ``top, bottom, left,
+    right`` and the realized ratio.
 
     Box side is sqrt(1-lam) of each dimension, floored, at a uniform position
-    inside the image. Rows whose box has a zero side draw nothing and get an
-    empty box; the others draw their top then their left edge, row by row,
-    in one ``rng.integers`` call. The realized ratio is 1 - box area / image
-    area.
+    inside the image: the top then the left edge, in one ``rng.integers``
+    call. A box with a zero side draws nothing and is empty. The realized
+    ratio is 1 - box area / image area.
     """
-    lam = np.asarray(lam, dtype=float)
     th, tw = _cut_sides(height, width, lam)
-    boxed = (th > 0) & (tw > 0)
-    top, left = np.zeros_like(th), np.zeros_like(tw)
-    if boxed.any():
-        highs = np.stack([height - th[boxed] + 1, width - tw[boxed] + 1], axis=1)
-        top[boxed], left[boxed] = rng.integers(highs).T
+    top = left = 0
+    if th and tw:
+        top, left = rng.integers([height - th + 1, width - tw + 1])
     return top, top + th, left, left + tw, 1.0 - (th * tw) / (height * width)
 
 
-def _paste_inputs(x_a, x_b, y1) -> tuple[np.ndarray, np.ndarray]:
-    """The two image batches as floats, checked against each other and the box count."""
+def _paste_inputs(x_a, x_b) -> tuple[np.ndarray, np.ndarray]:
+    """The two image batches as floats, checked against each other."""
     x_a = np.asarray(x_a, dtype=float)
     x_b = np.asarray(x_b, dtype=float)
     if x_a.shape != x_b.shape:
         raise ValueError(f"shape mismatch: {x_a.shape} vs {x_b.shape}")
     if x_a.ndim < 3:
         raise ValueError(f"images must have shape (n, ..., height, width), got {x_a.shape}")
-    n = len(x_a)
-    if len(y1) not in (1, n):
-        raise ValueError(f"{len(y1)} boxes for {n} images: need 1 or {n}")
     return x_a, x_b
 
 
@@ -209,7 +197,9 @@ def paste_boxes(x_a: np.ndarray, x_b: np.ndarray, y1, y2, x1, x2) -> np.ndarray:
     """Row i of ``x_a`` with row i of ``x_b`` inside box i, whose edges come
     from :func:`sample_cutmix_boxes`; the images are the trailing two
     dimensions. One box applies to every row."""
-    x_a, x_b = _paste_inputs(x_a, x_b, y1)
+    x_a, x_b = _paste_inputs(x_a, x_b)
+    if len(y1) not in (1, len(x_a)):
+        raise ValueError(f"{len(y1)} boxes for {len(x_a)} images: need 1 or {len(x_a)}")
     h, w = x_a.shape[-2:]
     rows, cols = np.arange(h)[:, None], np.arange(w)
     edge = (-1,) + (1,) * (x_a.ndim - 1)  # one box per row, broadcast over pixels
@@ -220,24 +210,16 @@ def paste_boxes(x_a: np.ndarray, x_b: np.ndarray, y1, y2, x1, x2) -> np.ndarray:
     return np.where(inside, x_b, x_a)
 
 
-def _nearest_source(size: int, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Per box, the index into [0, size) that a nearest-neighbour downscale
-    onto [start, stop) reads at each of the size positions; clipped outside
-    the box."""
-    offset = np.arange(size) - start[:, None]
-    return np.clip(offset * size // np.maximum(stop - start, 1)[:, None], 0, size - 1)
-
-
-def paste_resized(x_a: np.ndarray, x_b: np.ndarray, y1, y2, x1, x2) -> np.ndarray:
-    """Row i of ``x_a`` with a nearest-neighbour downscale of the whole of row
-    i of ``x_b`` filling box i, whose edges come from
-    :func:`sample_resizemix_boxes`. One box applies to every row."""
-    x_a, x_b = _paste_inputs(x_a, x_b, y1)
+def paste_resized(x_a: np.ndarray, x_b: np.ndarray, top, bottom, left, right) -> np.ndarray:
+    """``x_a`` with a nearest-neighbour downscale of the whole of ``x_b``, row
+    by row, filling the box from :func:`sample_resizemix_boxes`."""
+    x_a, x_b = _paste_inputs(x_a, x_b)
     h, w = x_b.shape[-2:]
-    lead = (len(y1),) + (1,) * (x_b.ndim - 3)
-    x_b = np.take_along_axis(x_b, _nearest_source(h, y1, y2).reshape(lead + (h, 1)), axis=-2)
-    x_b = np.take_along_axis(x_b, _nearest_source(w, x1, x2).reshape(lead + (1, w)), axis=-1)
-    return paste_boxes(x_a, x_b, y1, y2, x1, x2)
+    th, tw = bottom - top, right - left
+    rows, cols = np.arange(th) * h // max(th, 1), np.arange(tw) * w // max(tw, 1)
+    out = x_a.copy()
+    out[..., top:bottom, left:right] = x_b[..., rows[:, None], cols]
+    return out
 
 
 def mix_batch(
@@ -248,10 +230,10 @@ def mix_batch(
 ) -> MixedBatch:
     """Pair each sample with a random partner and apply the configured policy.
 
-    ``per_batch_lambda`` draws one ratio (and one box) for the whole batch,
-    otherwise each sample draws its own; policy `manifold` always draws one.
-    Policy `manifold` leaves the inputs untouched: the hidden-layer mix
-    happens inside the network, this only records lam and the pairing.
+    The batch draws its pairing, then one ratio, then (cut policies) one box
+    that every sample shares. Policy `manifold` leaves the inputs untouched:
+    the hidden-layer mix happens inside the network, this only records lam
+    and the pairing.
     """
     inputs = np.asarray(inputs, dtype=float)
     labels = np.asarray(labels)
@@ -261,23 +243,20 @@ def mix_batch(
     pairing = rng.permutation(n)
     _check_rows(n, len(labels), pairing)
 
-    k = 1 if config.per_batch_lambda or config.policy == "manifold" else n
-    lams = rng.beta(config.alpha, config.alpha, size=k)
+    lam = rng.beta(config.alpha, config.alpha)
 
     partners = inputs[pairing]
-    ratios = lams
+    ratio = lam
     if config.policy == "linear":
-        w = lams.reshape((k,) + (1,) * (inputs.ndim - 1))
-        mixed = w * inputs + (1.0 - w) * partners
+        mixed = lam * inputs + (1.0 - lam) * partners
     elif config.policy == "cutmix":
-        *edges, ratios = sample_cutmix_boxes(*inputs.shape[-2:], lams, rng)
+        *edges, ratio = sample_cutmix_boxes(*inputs.shape[-2:], lam, 1, rng)
         mixed = paste_boxes(inputs, partners, *edges)
     elif config.policy == "resizemix":
-        *edges, ratios = sample_resizemix_boxes(*inputs.shape[-2:], lams, rng)
-        mixed = paste_resized(inputs, partners, *edges)
+        *box, ratio = sample_resizemix_boxes(*inputs.shape[-2:], lam, rng)
+        mixed = paste_resized(inputs, partners, *box)
     else:  # manifold: mixing deferred to the network's hidden layers
         mixed = inputs.copy()
 
-    ratios = np.broadcast_to(ratios, n).copy()
-    return MixedBatch(mixed, Targets(labels, labels[pairing], ratios), pairing)
+    return MixedBatch(mixed, Targets(labels, labels[pairing], np.full(n, ratio)), pairing)
 

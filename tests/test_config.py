@@ -39,7 +39,6 @@ DEFAULT_LINES = (
     "dataset.labels = ",
     "mixer.policy = linear",
     "mixer.alpha = 0.20000000000000001",
-    "mixer.per_batch_lambda = true",
     "loss.kind = mce",
     "loss.eta = 0.10000000000000001",
     "loss.t = 1",
@@ -160,7 +159,7 @@ class TestValidation:
 
 class TestSchema:
     def test_default_text(self):
-        assert len(DEFAULT_LINES) == 46
+        assert len(DEFAULT_LINES) == 45
         assert serialize_config(ExperimentConfig()) == DEFAULT_TEXT
         assert parse_config(DEFAULT_TEXT) == ExperimentConfig()
 
@@ -173,6 +172,11 @@ class TestSchema:
         # the per-run seed comes from run.seeds
         with pytest.raises(ValueError, match=r"line 2: unknown config key 'train.seed'"):
             parse_config("train.epochs = 3\ntrain.seed = 4")
+
+    def test_per_batch_lambda_is_unknown(self):
+        # every batch draws one ratio; there is no per-sample option
+        with pytest.raises(ValueError, match=r"line 2: unknown config key 'mixer.per_batch_lambda'"):
+            parse_config("mixer.policy = cutmix\nmixer.per_batch_lambda = false")
 
     @pytest.mark.parametrize(
         "line, message",

@@ -16,7 +16,7 @@ from demix.experiment import (
     rows_to_csv,
     run_experiment,
 )
-from demix.network import init_params, make_conv, save_checkpoint
+from demix.network import init_params, make_conv, make_mlp, save_checkpoint
 
 FAST_BLOBS = """
 dataset.source = blobs
@@ -302,6 +302,16 @@ class TestCli:
             cli_main([
                 "eval", "--checkpoint", str(tmp_path / "conv.dmx"),
                 "--dataset", f"idx:{tmp_path}/i.idx:{tmp_path}/l.idx",
+            ])
+
+    def test_eval_of_labels_the_checkpoint_cannot_predict(self, tmp_path):
+        # A 2-8-3 MLP has no logit for labels 3-6 of a 7-class dataset.
+        params = init_params(make_mlp(2, 8, 3), np.random.default_rng(0))
+        save_checkpoint(params, tmp_path / "mlp.dmx")
+        with pytest.raises(ValueError, match="class index 6 out of range for 3 logits"):
+            cli_main([
+                "eval", "--checkpoint", str(tmp_path / "mlp.dmx"),
+                "--dataset", "blobs:n=60,classes=7,seed=1",
             ])
 
     def test_seed_override(self, tmp_path):

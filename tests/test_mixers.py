@@ -23,13 +23,13 @@ from oracles import asymmetric_pair, mix_linear, sample_lambda, target_records
 
 
 class _FixedCenter:
-    """Generator stand-in that pins the cut box center."""
+    """Generator stand-in that pins the cut box centers."""
 
     def __init__(self, value):
         self.value = value
 
-    def integers(self, *_args, **_kw):
-        return self.value
+    def integers(self, _high, size):
+        return np.full(size, self.value)
 
 
 def box_mask(height, width, lam, cy, cx):
@@ -67,7 +67,7 @@ def scalar_resizemix(x_a, x_b, lam, rng):
     return out, 1.0 - (th * tw) / (h * w)
 
 
-def replay_list_form(policy, per_batch, shape):
+def replay_list_form(policy, shape):
     """Replay the draws of mix_batch on a copy of its generator with the scalar
     references above, one row at a time, and compare inputs, targets and the
     generator state bit for bit."""
@@ -77,36 +77,17 @@ def replay_list_form(policy, per_batch, shape):
     replay.random(shape)
     n, (h, w) = shape[0], shape[-2:]
     y = np.array([0, 1, 2, 1, 0, 3], dtype=np.uint8)
-    mb = mix_batch(x, y, MixConfig(policy, 0.5, per_batch_lambda=per_batch), rng)
+    mb = mix_batch(x, y, MixConfig(policy, 0.5), rng)
 
     pairing = replay.permutation(n)
-    if per_batch or policy == "manifold":
-        lams = [sample_lambda(0.5, replay)] * n
-    else:
-        lams = [sample_lambda(0.5, replay) for _ in range(n)]
+    lams = [sample_lambda(0.5, replay)] * n
     if policy == "cutmix":
-        if per_batch:
-            masks = [scalar_cutmix_mask(h, w, lams[0].value, replay)] * n
-        else:
-            # one size-m draw of box center rows, then one of center columns,
-            # over the m rows whose box has no zero side
-            sides = [(int(h * math.sqrt(1.0 - t.value)), int(w * math.sqrt(1.0 - t.value)))
-                     for t in lams]
-            boxed = [i for i in range(n) if min(sides[i]) > 0]
-            centers = dict(zip(boxed, zip(replay.integers(h, size=len(boxed)),
-                                          replay.integers(w, size=len(boxed)))))
-            masks = [box_mask(h, w, lams[i].value, *centers[i]) if i in centers
-                     else np.ones((h, w)) for i in range(n)]
-        rows = [np.where(masks[i] == 1.0, x[i], x[pairing[i]]) for i in range(n)]
-        adjusted = [Lambda(masks[i].mean()) for i in range(n)]
+        mask = scalar_cutmix_mask(h, w, lams[0].value, replay)
+        rows = [np.where(mask == 1.0, x[i], x[pairing[i]]) for i in range(n)]
+        adjusted = [Lambda(mask.mean())] * n
     elif policy == "resizemix":
-        if per_batch:
-            out, ratio = scalar_resizemix(x, x[pairing], lams[0].value, replay)
-            rows, adjusted = list(out), [Lambda(ratio)] * n
-        else:
-            pairs = [scalar_resizemix(x[i], x[pairing[i]], lams[i].value, replay)
-                     for i in range(n)]
-            rows, adjusted = [p[0] for p in pairs], [Lambda(p[1]) for p in pairs]
+        out, ratio = scalar_resizemix(x, x[pairing], lams[0].value, replay)
+        rows, adjusted = list(out), [Lambda(ratio)] * n
     elif policy == "linear":
         rows = [mix_linear(x[i], x[pairing[i]], lams[i]) for i in range(n)]
         adjusted = lams
@@ -144,12 +125,18 @@ class TestSampleLambda:
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0, 2.0])
     def test_size_n_draw_equals_n_scalar_draws(self, alpha):
-        # ssl_step and the per-sample branch of mix_batch draw all their
-        # ratios with one size-n call.
+        # ssl_step draws all its ratios with one size-n call.
         rng, batched = np.random.default_rng(5), np.random.default_rng(5)
         scalar = [sample_lambda(alpha, rng).value for _ in range(50)]
         assert np.array_equal(batched.beta(alpha, alpha, size=50), scalar)
         assert rng.bit_generator.state == batched.bit_generator.state
+
+    def test_scalar_draw_equals_size_one_draw(self):
+        # mix_batch draws its one ratio without a size.
+        rng, sized = np.random.default_rng(8), np.random.default_rng(8)
+        for alpha in (0.2, 0.5, 1.0, 2.0):
+            assert rng.beta(alpha, alpha) == sized.beta(alpha, alpha, size=1)[0]
+        assert rng.bit_generator.state == sized.bit_generator.state
 
     def test_small_alpha_variance(self):
         # Var Beta(a, a) = 1 / (4 * (2a + 1)); a=0.2 gives 0.178571...
@@ -197,15 +184,15 @@ class TestCutMixMask:
     def test_lambda_one_degenerate(self):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        y1, y2, x1, x2, ratio = sample_cutmix_boxes(28, 28, np.array([1.0]), rng)
+        y1, y2, x1, x2, ratio = sample_cutmix_boxes(28, 28, 1.0, 2, rng)
         x_a, x_b = np.ones((2, 28, 28)), np.zeros((2, 28, 28))
         assert np.array_equal(paste_boxes(x_a, x_b, y1, y2, x1, x2), x_a)
-        assert ratio[0] == 1.0
+        assert np.all(ratio == 1.0)
         assert rng.bit_generator.state == state
 
     def test_unclipped_box_area(self):
         # Center pinned to (14, 14): a 14x14 box inside 28x28.
-        y1, y2, x1, x2, ratio = sample_cutmix_boxes(28, 28, np.array([0.75]), _FixedCenter(14))
+        y1, y2, x1, x2, ratio = sample_cutmix_boxes(28, 28, 0.75, 1, _FixedCenter(14))
         out = paste_boxes(np.ones((1, 28, 28)), np.zeros((1, 28, 28)), y1, y2, x1, x2)
         assert (out == 0).sum() == 196
         assert ratio[0] == 1.0 - 196.0 / 784.0 == 0.75
@@ -215,14 +202,15 @@ class TestCutMixMask:
     def test_adjusted_equals_mask_mean(self, seed, lam):
         # The realized ratio is the share of pixels kept from the first image.
         rng = np.random.default_rng(seed)
-        *edges, ratio = sample_cutmix_boxes(14, 22, np.full(3, lam), rng)
+        *edges, ratio = sample_cutmix_boxes(14, 22, lam, 3, rng)
         kept = paste_boxes(np.ones((3, 14, 22)), np.zeros((3, 14, 22)), *edges)
         assert np.array_equal(kept.mean(axis=(1, 2)), ratio)
 
     def test_invalid_dims(self):
-        for sampler in (sample_cutmix_boxes, sample_resizemix_boxes):
-            with pytest.raises(ValueError, match="image dimensions"):
-                sampler(0, 28, np.array([0.5]), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="image dimensions"):
+            sample_cutmix_boxes(0, 28, 0.5, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="image dimensions"):
+            sample_resizemix_boxes(0, 28, 0.5, np.random.default_rng(0))
 
     @given(
         st.integers(min_value=0, max_value=2**31 - 1),
@@ -234,7 +222,7 @@ class TestCutMixMask:
     def test_one_row_sampler_equals_scalar_reference(self, seed, lam, h, w):
         rngs = [np.random.default_rng(seed) for _ in range(2)]
         reference = scalar_cutmix_mask(h, w, lam, rngs[0])
-        y1, y2, x1, x2, ratio = sample_cutmix_boxes(h, w, np.array([lam]), rngs[1])
+        y1, y2, x1, x2, ratio = sample_cutmix_boxes(h, w, lam, 1, rngs[1])
         boxed = np.ones((h, w))
         boxed[y1[0] : y2[0], x1[0] : x2[0]] = 0.0
         assert np.array_equal(boxed, reference)
@@ -282,8 +270,8 @@ class TestResizeMix:
     """:func:`sample_resizemix_boxes` and :func:`paste_resized`."""
 
     def _mix(self, x_a, x_b, lam, rng):
-        *edges, ratio = sample_resizemix_boxes(*x_a.shape[-2:], np.array([lam]), rng)
-        return paste_resized(x_a, x_b, *edges), ratio[0]
+        *box, ratio = sample_resizemix_boxes(*x_a.shape[-2:], lam, rng)
+        return paste_resized(x_a, x_b, *box), ratio
 
     def test_lambda_one_unchanged(self):
         rng = np.random.default_rng(0)
@@ -308,21 +296,19 @@ class TestResizeMix:
 
     @given(
         st.integers(min_value=0, max_value=2**31 - 1),
+        st.floats(min_value=0.0, max_value=1.0),
         st.integers(min_value=1, max_value=20),
         st.integers(min_value=1, max_value=20),
     )
     @settings(max_examples=100)
-    def test_rows_equal_scalar_reference(self, seed, h, w):
+    def test_rows_equal_scalar_reference(self, seed, lam, h, w):
         data = np.random.default_rng(seed)
         x_a, x_b = data.random((5, 2, h, w)), data.random((5, 2, h, w))
-        lam = data.random(5)
-        lam[0] = 1.0
         rngs = [np.random.default_rng(seed) for _ in range(2)]
-        pairs = [scalar_resizemix(x_a[i], x_b[i], lam[i], rngs[0]) for i in range(5)]
-        *edges, ratio = sample_resizemix_boxes(h, w, lam, rngs[1])
-        out = paste_resized(x_a, x_b, *edges)
-        assert np.array_equal(out, np.stack([p[0] for p in pairs]))
-        assert np.array_equal(ratio, [p[1] for p in pairs])
+        reference, reference_ratio = scalar_resizemix(x_a, x_b, lam, rngs[0])
+        out, ratio = self._mix(x_a, x_b, lam, rngs[1])
+        assert np.array_equal(out, reference)
+        assert ratio == reference_ratio
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
@@ -332,8 +318,8 @@ class _BetaOnes:
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
-    def beta(self, _a, _b, size):
-        return np.ones(size)
+    def beta(self, _a, _b, size=None):
+        return 1.0 if size is None else np.ones(size)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -366,7 +352,7 @@ class TestMixBatch:
         rng = np.random.default_rng(seed)
         x = rng.random((7, 4, 4))
         y = rng.integers(0, 3, size=7)
-        mb = mix_batch(x, y, MixConfig("cutmix", 0.2, per_batch_lambda=False), rng)
+        mb = mix_batch(x, y, MixConfig("cutmix", 0.2), rng)
         assert sorted(mb.pairing.tolist()) == list(range(7))
 
     def test_empty_batch(self):
@@ -390,15 +376,13 @@ class TestMixBatch:
         with pytest.raises(ValueError, match="one target per sample required, got 3 for 4"):
             mix_batch(x, y, MixConfig(), np.random.default_rng(0))
 
-    @pytest.mark.parametrize("per_batch", [True, False])
     @pytest.mark.parametrize("policy", ["linear", "cutmix", "manifold", "resizemix"])
-    def test_targets_equal_list_form(self, policy, per_batch):
-        replay_list_form(policy, per_batch, (6, 8, 8))
+    def test_targets_equal_list_form(self, policy):
+        replay_list_form(policy, (6, 8, 8))
 
     def test_channel_images_equal_list_form(self):
         for policy in ("linear", "cutmix", "manifold", "resizemix"):
-            for per_batch in (True, False):
-                replay_list_form(policy, per_batch, (6, 2, 8, 8))
+            replay_list_form(policy, (6, 2, 8, 8))
 
 
 class TestTargets:
