@@ -135,6 +135,10 @@ def make_synthetic(
     raise ValueError(f"unknown synthetic kind {kind!r}")
 
 
+# Glyphs per block of the bump arithmetic: a few hundred KiB per temporary.
+_GLYPH_BLOCK = 64
+
+
 def make_image_classes(
     n: int,
     num_classes: int = 10,
@@ -149,29 +153,55 @@ def make_image_classes(
     Each class is a fixed constellation of Gaussian bumps; samples get an
     integer translation up to ``shift`` pixels, per-blob amplitude jitter,
     and pixel noise. Difficulty is controlled by ``shift`` and ``noise``.
+
+    The draw order fixes the data: the templates, then per sample
+    ``integers(-shift, shift + 1, size=2)``, ``uniform(0.7, 1.3,
+    size=blobs_per_class)`` and ``normal(size=(size, size))``, then
+    ``permutation(n)``. The bumps are computed over blocks of samples in the
+    elementwise order of the one-sample form, so no block size changes a byte.
+    Bad arguments raise ``ValueError`` before any draw.
     """
+    for name, value, least in (
+        ("n", n, 0), ("num_classes", num_classes, 1), ("size", size, 16),
+        ("shift", shift, 0), ("blobs_per_class", blobs_per_class, 1),
+    ):
+        if value < least:
+            raise ValueError(f"make_image_classes: {name} must be at least {least}, got {value}")
     ss = np.random.SeedSequence(seed)
     template_rng, sample_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     lo, hi = 8.0, size - 8.0
     centers = template_rng.uniform(lo, hi, size=(num_classes, blobs_per_class, 2))
     widths = template_rng.uniform(1.5, 3.0, size=(num_classes, blobs_per_class))
+    # Scalar w**2 (C pow) as in the one-sample form; the array square can differ by an ulp.
+    spread = np.array([[2.0 * w**2 for w in row] for row in widths])
 
-    yy, xx = np.mgrid[0:size, 0:size].astype(float)
+    grid = np.arange(size, dtype=float)
     y = np.arange(n) % num_classes
-    x = np.empty((n, size, size))
-    for i in range(n):
-        c = y[i]
-        dy, dx = sample_rng.integers(-shift, shift + 1, size=2)
-        amp = sample_rng.uniform(0.7, 1.3, size=blobs_per_class)
-        canvas = np.zeros((size, size))
+    x = np.zeros((n, size, size))
+    for start in range(0, n, _GLYPH_BLOCK):
+        canvas = x[start : start + _GLYPH_BLOCK]
+        rows = len(canvas)
+        shifts = np.empty((rows, 2), dtype=np.int64)
+        amp = np.empty((rows, blobs_per_class))
+        pixel_noise = np.empty((rows, size, size))
+        for r in range(rows):
+            shifts[r] = sample_rng.integers(-shift, shift + 1, size=2)
+            amp[r] = sample_rng.uniform(0.7, 1.3, size=blobs_per_class)
+            pixel_noise[r] = sample_rng.normal(size=(size, size))
+        c = y[start : start + rows]
         for k in range(blobs_per_class):
-            cy, cx = centers[c, k, 0] + dy, centers[c, k, 1] + dx
-            canvas += amp[k] * np.exp(
-                -((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * widths[c, k] ** 2)
-            )
-        canvas = canvas / canvas.max()
-        canvas += noise * sample_rng.normal(size=canvas.shape)
-        x[i] = np.clip(canvas, 0.0, 1.0)
+            dy2 = (grid - (centers[c, k, 0] + shifts[:, 0])[:, None]) ** 2
+            dx2 = (grid - (centers[c, k, 1] + shifts[:, 1])[:, None]) ** 2
+            bump = dy2[:, :, None] + dx2[:, None, :]
+            np.negative(bump, out=bump)
+            bump /= spread[c, k][:, None, None]
+            np.exp(bump, out=bump)
+            bump *= amp[:, k, None, None]
+            canvas += bump
+        canvas /= canvas.max(axis=(1, 2), keepdims=True)
+        pixel_noise *= noise
+        canvas += pixel_noise
+        np.clip(canvas, 0.0, 1.0, out=canvas)
     order = sample_rng.permutation(n)
     return Dataset(x[order], y[order].astype(np.int64), num_classes)
 

@@ -1,8 +1,9 @@
 """Read-only metrics and robustness probes over trained parameters.
 
 All evaluators leave the parameters untouched and may run concurrently with
-each other. They score through ``network.predict_logits``, and the sign attack
-takes ``network.input_gradients``; both are re-exported here.
+each other. They score through ``network.predict_logits`` and
+``network.top1_accuracy``, and the sign attack takes
+``network.input_gradients``; all three are re-exported here.
 
 The hard mixed set and the occlusion curve build their masks as arrays, with
 no loop over rows.
@@ -17,7 +18,7 @@ import numpy as np
 from .data import Dataset
 from .losses import softmax
 from .mixers import MixedBatch, Targets, cutmix_ratios, paste_boxes, sample_cutmix_boxes
-from .network import Parameters, input_gradients, predict_logits
+from .network import Parameters, input_gradients, predict_logits, top1_accuracy
 
 
 @dataclass(frozen=True)
@@ -46,15 +47,6 @@ class OcclusionConfig:
             raise ValueError("patch_size must be positive")
         if any(not (0.0 <= r <= 1.0) for r in self.ratios):
             raise ValueError("ratios must lie in [0, 1]")
-
-
-def top1_accuracy(params: Parameters, dataset: Dataset) -> float:
-    """Fraction of samples whose argmax logit equals the label."""
-    logits = predict_logits(params, dataset.x)
-    top = dataset.y.max()
-    if top >= logits.shape[1]:
-        raise ValueError(f"class index {top} out of range for {logits.shape[1]} logits")
-    return np.count_nonzero(np.argmax(logits, axis=1) == dataset.y) / len(dataset)
 
 
 def mixed_pair_eval(params: Parameters, mixed: MixedBatch) -> MixedPairEval:

@@ -11,9 +11,10 @@ optional hidden mix for ManifoldMix is a linear operation on the input of one
 layer, recorded in the cache so the chain rule routes lam to each sample and
 1-lam to its partner.
 
-:func:`predict_logits` is the one inference path: the per-epoch evaluation of
-:func:`_train_loop` and every probe in ``evaluation`` score through it, and
-the sign attack's :func:`input_gradients` takes the same chunks, in order.
+:func:`predict_logits` is the one inference path: :func:`top1_accuracy`
+(the per-epoch score of :func:`_train_loop`) and every probe in
+``evaluation`` score through it, and the sign attack's
+:func:`input_gradients` takes the same chunks, in order.
 A chunk's widest array (the input, a layer's output or a conv layer's patch
 matrix) fits in 4 MiB of float64 (a single pass over 1000 rows of the conv
 net would build a 113 MB patch matrix). Sizing the chunks also rejects an
@@ -222,7 +223,8 @@ def _adapt_inputs(first: LayerSpec, x: np.ndarray) -> np.ndarray:
 
 def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     b, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad : pad + h, pad : pad + w] = x
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     # (b, c, ho, wo, k, k) -> (b, c*k*k, ho*wo), rows ordered (channel, i, j)
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, -1)
@@ -298,13 +300,13 @@ def _layer_backward(spec, w, cache, grad, input_grad=True):
         return dw, db, _col2im(dcols, x_shape, spec.ksize, spec.pad)
     if isinstance(spec, PoolSpec):
         # The gradient goes to the first maximum of each window in row-major
-        # order, as argmax would pick it.
+        # order, as argmax would pick it; grad * mask leaves -0.0 where grad < 0.
         x, out = cache
         dx = np.empty_like(x)
         free = np.ones(out.shape, dtype=bool)
         for v, dv in zip(_pool_views(x, spec.size), _pool_views(dx, spec.size)):
             hit = free & (v == out)
-            dv[...] = np.where(hit, grad, 0.0)
+            np.multiply(grad, hit, out=dv)
             free &= ~hit
         return None, None, dx
     assert isinstance(spec, FlattenSpec)
@@ -378,10 +380,11 @@ def backward(
 _CHUNK_BYTES = 4 << 20
 
 
-def _widest_row(specs: tuple[LayerSpec, ...], row: tuple[int, ...]) -> int:
+def _row_sizes(specs: tuple[LayerSpec, ...], row: tuple[int, ...]) -> tuple[int, tuple]:
     """Float count of the largest per-row array of a forward from a row of shape
-    ``row``: the row itself, a layer's output or a conv layer's patch matrix.
-    ``ValueError`` when a dense layer cannot take the row it is given."""
+    ``row`` (the row itself, a layer's output or a conv layer's patch matrix),
+    and the shape of an output row. ``ValueError`` when a dense layer cannot
+    take the row it is given."""
     widest = math.prod(row)
     for i, s in enumerate(specs):
         if isinstance(s, ConvSpec):
@@ -397,7 +400,7 @@ def _widest_row(specs: tuple[LayerSpec, ...], row: tuple[int, ...]) -> int:
         else:
             row = (math.prod(row),)
         widest = max(widest, math.prod(row))
-    return widest
+    return widest, row
 
 
 def _chunk_rows(params: Parameters, x: np.ndarray) -> int:
@@ -406,7 +409,7 @@ def _chunk_rows(params: Parameters, x: np.ndarray) -> int:
     if len(x) == 0:
         raise ValueError("no rows to run through the network: the batch is empty")
     row = _adapt_inputs(params.specs[0], x).shape[1:]
-    return max(1, _CHUNK_BYTES // (8 * _widest_row(params.specs, row)))
+    return max(1, _CHUNK_BYTES // (8 * _row_sizes(params.specs, row)[0]))
 
 
 def predict_logits(params: Parameters, x: np.ndarray) -> np.ndarray:
@@ -414,6 +417,20 @@ def predict_logits(params: Parameters, x: np.ndarray) -> np.ndarray:
     rows = _chunk_rows(params, x)
     outs = [forward(params, x[i : i + rows])[0] for i in range(0, len(x), rows)]
     return np.concatenate(outs) if len(outs) > 1 else outs[0]
+
+
+def _check_labels(y: np.ndarray, classes: int) -> None:
+    """``ValueError`` unless every label indexes one of ``classes`` logits."""
+    for index in (y.max(), y.min()):
+        if not 0 <= index < classes:
+            raise ValueError(f"class index {index} out of range for {classes} logits")
+
+
+def top1_accuracy(params: Parameters, dataset) -> float:
+    """Fraction of samples whose argmax logit equals the label."""
+    logits = predict_logits(params, dataset.x)
+    _check_labels(dataset.y, logits.shape[1])
+    return float(np.count_nonzero(np.argmax(logits, axis=1) == dataset.y) / len(dataset))
 
 
 def input_gradients(params: Parameters, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -516,10 +533,13 @@ def _train_loop(
     steps and after the last, the log gets ``entries(step, mean logged since
     the last evaluation, top-1 on eval_ds)``. numpy's overflow, invalid and
     divide warnings are off for the whole loop, so a diverging run reports
-    the error alone. An empty ``eval_ds`` raises ``ValueError`` before step 0.
+    the error alone. An empty ``eval_ds``, or one with a label that has no
+    logit, raises ``ValueError`` before step 0.
     """
     if len(eval_ds.x) == 0:
         raise ValueError("empty evaluation set")
+    row = _adapt_inputs(params.specs[0], eval_ds.x).shape[1:]
+    _check_labels(eval_ds.y, _row_sizes(params.specs, row)[1][0])
     velocity = zeros_like_params(params)
     log: list[tuple[str, int, float]] = []
     window: list[float] = []
@@ -533,9 +553,7 @@ def _train_loop(
             sgd_step(params, grads, velocity, step, total_steps, config)
             window.append(logged)
             if (step + 1) % eval_every == 0 or step + 1 == total_steps:
-                z = predict_logits(params, eval_ds.x)
-                top1 = float(np.mean(np.argmax(z, axis=1) == eval_ds.y))
-                log.extend(entries(step, float(np.mean(window)), top1))
+                log.extend(entries(step, float(np.mean(window)), top1_accuracy(params, eval_ds)))
                 window = []
     return log
 

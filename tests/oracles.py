@@ -1,15 +1,18 @@
-"""Per-sample reference forms of the objectives and mixers, for the tests.
+"""Per-sample reference forms of the objectives, the mixers and the glyph
+generator, for the tests.
 
-Each function takes one logit vector (or one pair of inputs) and writes the
-arithmetic out directly, with its analytic gradient. The batched kernels in
-``demix.losses`` and ``demix.mixers`` are what training runs; the tests
-compare them against these forms.
+Each function takes one logit vector (or one pair of inputs, or one glyph at
+a time) and writes the arithmetic out directly, with its analytic gradient
+where it has one. The batched kernels in ``demix.losses``, ``demix.mixers``
+and ``demix.data`` are what training runs; the tests compare them against
+these forms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from demix.data import Dataset
 from demix.losses import DMConfig, LossResult, RescaleParams, log_softmax
 from demix.mixers import Lambda, MixedTarget, Targets
 
@@ -199,3 +202,40 @@ def asymmetric_pair(
     """
     effective = Lambda(min(lam.value, 1.0 - lam.value))
     return mix_linear(x_labeled, x_unlabeled, effective), effective
+
+
+def make_image_classes(
+    n: int,
+    num_classes: int = 10,
+    size: int = 28,
+    shift: int = 3,
+    noise: float = 0.25,
+    blobs_per_class: int = 5,
+    seed: int = 0,
+) -> Dataset:
+    """The glyph generator one sample at a time: its draws, then its bumps
+    added one blob after another, then its normalisation, noise and clip."""
+    ss = np.random.SeedSequence(seed)
+    template_rng, sample_rng = (np.random.default_rng(s) for s in ss.spawn(2))
+    lo, hi = 8.0, size - 8.0
+    centers = template_rng.uniform(lo, hi, size=(num_classes, blobs_per_class, 2))
+    widths = template_rng.uniform(1.5, 3.0, size=(num_classes, blobs_per_class))
+
+    yy, xx = np.mgrid[0:size, 0:size].astype(float)
+    y = np.arange(n) % num_classes
+    x = np.empty((n, size, size))
+    for i in range(n):
+        c = y[i]
+        dy, dx = sample_rng.integers(-shift, shift + 1, size=2)
+        amp = sample_rng.uniform(0.7, 1.3, size=blobs_per_class)
+        canvas = np.zeros((size, size))
+        for k in range(blobs_per_class):
+            cy, cx = centers[c, k, 0] + dy, centers[c, k, 1] + dx
+            canvas += amp[k] * np.exp(
+                -((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * widths[c, k] ** 2)
+            )
+        canvas = canvas / canvas.max()
+        canvas += noise * sample_rng.normal(size=canvas.shape)
+        x[i] = np.clip(canvas, 0.0, 1.0)
+    order = sample_rng.permutation(n)
+    return Dataset(x[order], y[order].astype(np.int64), num_classes)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -15,6 +16,7 @@ from demix.data import (
     split,
     stratified_take,
 )
+from oracles import make_image_classes as one_sample_image_classes
 
 
 def write_fixture(tmp_path, images, labels, image_magic=0x803, label_magic=0x801):
@@ -197,6 +199,45 @@ class TestImageClasses:
     def test_classes_balanced(self):
         ds = make_image_classes(100, num_classes=10, seed=0)
         assert np.bincount(ds.y).tolist() == [10] * 10
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"n": 0},
+            {"n": 3, "num_classes": 10},
+            {"n": 40, "shift": 0, "seed": 1},
+            {"n": 70, "blobs_per_class": 1, "seed": 2},
+            {"n": 130, "size": 16, "seed": 3},
+            {"n": 65, "size": 20, "num_classes": 4, "seed": 5},
+            {"n": 129, "size": 32, "shift": 5, "noise": 0.0, "seed": 6},
+            {"n": 200, "num_classes": 1, "blobs_per_class": 9, "noise": 1.0, "seed": 7},
+        ],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_bytes_equal_the_one_sample_form(self, kw):
+        # Blocks of rows do the bump arithmetic; the sizes cross block edges.
+        got, want = make_image_classes(**kw), one_sample_image_classes(**kw)
+        assert got.x.shape == want.x.shape and got.x.tobytes() == want.x.tobytes()
+        assert got.y.tobytes() == want.y.tobytes() and got.num_classes == want.num_classes
+
+    def test_acceptance_gate_data_pinned(self):
+        # Holds for one numpy build, like the training guard digests.
+        ds = make_image_classes(2000, noise=0.25, shift=3, seed=0)
+        h = hashlib.sha256(ds.x.tobytes())
+        h.update(ds.y.tobytes())
+        assert h.hexdigest() == (
+            "20a26fcd7d6044e1dd9c3294b54e03d1"
+            "64ea68c4f880e8681f186a8b5087d82b"
+        )
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n", -1), ("num_classes", 0), ("blobs_per_class", 0), ("size", 15), ("shift", -1)],
+    )
+    def test_bad_argument_named_before_any_draw(self, monkeypatch, name, value):
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("a draw ran"))
+        with pytest.raises(ValueError, match=rf"make_image_classes: {name} must be at least"):
+            make_image_classes(**{"n": 10, name: value})
 
 
 class TestSplits:

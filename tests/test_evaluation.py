@@ -66,6 +66,12 @@ class TestTop1:
         y = np.array([0, 1, 2, 0])
         assert top1_accuracy(identity_net(c), dd.Dataset(x, y, c)) == 0.75
 
+    def test_negative_label_rejected(self):
+        c = 3
+        x, y = np.eye(c), np.array([0, -1, 2])
+        with pytest.raises(ValueError, match="class index -1 out of range for 3 logits"):
+            top1_accuracy(identity_net(c), dd.Dataset(x, y, c))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="the batch is empty"):
             top1_accuracy(constant_net(3), _empty_vectors())
@@ -86,6 +92,7 @@ def test_inference_passes_are_the_network_functions():
     # perfbench's tracer patches these names by object identity.
     assert evaluation.predict_logits is network.predict_logits
     assert evaluation.input_gradients is network.input_gradients
+    assert evaluation.top1_accuracy is network.top1_accuracy
 
 
 def _empty_vectors():

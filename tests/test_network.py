@@ -36,7 +36,7 @@ from demix.network import (
     zeros_like_params,
     _col2im,
     _im2col,
-    _widest_row,
+    _row_sizes,
 )
 from oracles import mix_linear
 
@@ -594,6 +594,17 @@ class TestTrainSupervised:
                 TrainConfig(epochs=1, batch_size=30),
             )
 
+    def test_val_labels_without_a_logit_rejected_before_training(self, monkeypatch):
+        # A 2-8-3 MLP has no logit for labels 3-6 of a 7-class validation set.
+        train, _ = self._blobs()
+        val = dd.make_synthetic("blobs", 70, 0.3, 2, num_classes=7)
+        monkeypatch.setattr(network, "sgd_step", lambda *a: pytest.fail("a step ran"))
+        with pytest.raises(ValueError, match="class index 6 out of range for 3 logits"):
+            train_supervised(
+                train, val, make_mlp(2, 8, 3), None, LossSpec("mce"),
+                TrainConfig(epochs=1, batch_size=30),
+            )
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises(self):
         train = dd.make_synthetic("two_moons", 200, 0.1, 0)
@@ -617,7 +628,7 @@ class TestPredictLogits:
         ids=["conv", "mlp_784_256_10", "mlp_2_32_2"],
     )
     def test_chunks_sized_from_the_widest_array(self, monkeypatch, specs, row, widest, chunks):
-        assert _widest_row(specs, row) == widest
+        assert _row_sizes(specs, row) == (widest, (specs[-1].out_dim,))
         params = init_params(specs, np.random.default_rng(0))
         x = np.random.default_rng(1).uniform(size=(1000, *row))
         sizes = []
