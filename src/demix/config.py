@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .evaluation import AttackConfig, OcclusionConfig
-from .losses import LossSpec
-from .mixers import MixConfig
+from .losses import LossSpec, recommended_rescale
+from .mixers import CUT_POLICIES, MixConfig
 from .network import TrainConfig
 from .semisup import SSLConfig
 
@@ -183,7 +183,7 @@ _PARSERS = {key: _parser(default) for key, default in _DEFAULTS.items()}
 
 # Settings that cut, paste or convolve over image rows and columns.
 _IMAGE_ONLY = {
-    "mixer.policy": ("cutmix", "resizemix"),
+    "mixer.policy": CUT_POLICIES,
     "network.arch": ("conv",),
     "eval.mixed_pairs": (True,),
     "eval.occlusion": (True,),
@@ -229,13 +229,10 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
         seen[key] = lineno
-    # Rescaled-target BCE ships the recommended curve per mixer family unless
-    # the curve was set explicitly: cut-based (1, 0.8), interpolation (0.5, 1).
+    # dm_bce takes the curve its mixer recommends unless the curve is set.
     if values["loss.kind"] == "dm_bce" and not seen.keys() & {"loss.t", "loss.xi"}:
-        if values["mixer.policy"] in ("cutmix", "resizemix"):
-            values["loss.t"], values["loss.xi"] = 1.0, 0.8
-        else:
-            values["loss.t"], values["loss.xi"] = 0.5, 1.0
+        curve = recommended_rescale(values["mixer.policy"])
+        values["loss.t"], values["loss.xi"] = curve.t, curve.xi
     absent = {"mixer": values["mixer.policy"] == "none", "ssl": not values["ssl.enabled"]}
     sections = {}
     for f in fields(ExperimentConfig):

@@ -86,10 +86,14 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 def save_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
     """Write images (floats in [0,1] or uint8) and labels as IDX files."""
-    images = np.asarray(images)
+    images, labels = np.asarray(images), np.asarray(labels)
+    if images.ndim != 3:
+        raise ValueError(f"save_idx: images must be (n, rows, cols), got shape {images.shape}")
+    if labels.size and not 0 <= labels.min() <= labels.max() <= 255:
+        raise ValueError(f"save_idx: labels must be 0..255, got {labels.min()}..{labels.max()}")
     if images.dtype != np.uint8:
         images = np.clip(np.rint(images * 255.0), 0, 255).astype(np.uint8)
-    labels = np.asarray(labels).astype(np.uint8)
+    labels = labels.astype(np.uint8)
     if len(images) != len(labels):
         raise ValueError("images and labels must have equal length")
     n, rows, cols = images.shape
@@ -208,7 +212,7 @@ def make_image_classes(
 
 def split(ds: Dataset, sizes: tuple[int, ...], seed: int) -> tuple[Dataset, ...]:
     """Deterministic disjoint splits of the given sizes after a seeded shuffle."""
-    if sum(sizes) > len(ds):
+    if min(sizes, default=0) < 0 or sum(sizes) > len(ds):
         raise ValueError(f"cannot split {len(ds)} samples into {sizes}")
     order = np.random.default_rng(seed).permutation(len(ds))
     out = []

@@ -17,7 +17,14 @@ import numpy as np
 
 from .data import Dataset
 from .losses import softmax
-from .mixers import MixedBatch, Targets, cutmix_ratios, paste_boxes, sample_cutmix_boxes
+from .mixers import (
+    MixedBatch,
+    Targets,
+    _require_images,
+    cutmix_ratios,
+    paste_boxes,
+    sample_cutmix_boxes,
+)
 from .network import Parameters, input_gradients, predict_logits, top1_accuracy
 
 
@@ -70,14 +77,6 @@ def mixed_pair_eval(params: Parameters, mixed: MixedBatch) -> MixedPairEval:
     )
 
 
-def _require_images(dataset: Dataset, probe: str) -> None:
-    if dataset.x.ndim < 3:
-        raise ValueError(
-            f"{probe}: inputs must be images (n, ..., height, width), got shape "
-            f"{dataset.x.shape}"
-        )
-
-
 def make_hard_mixed_set(
     dataset: Dataset,
     count: int,
@@ -98,7 +97,7 @@ def make_hard_mixed_set(
     accepted candidates in draw order are kept. Inputs that cannot yield a
     pair raise ``ValueError``.
     """
-    _require_images(dataset, "hard mixed set")
+    _require_images(dataset.x, "hard mixed set")
     n = len(dataset)
     if count < 1:
         raise ValueError(f"hard mixed set: count must be at least 1, got {count}")
@@ -154,7 +153,7 @@ def patches_to_mask(ratio: float, n_patches: int) -> int:
 
 def occlusion_grid(dataset: Dataset, patch_size: int) -> tuple[int, int]:
     """Rows and columns of the patch grid; ``ValueError`` unless it tiles images."""
-    _require_images(dataset, "occlusion")
+    _require_images(dataset.x, "occlusion")
     h, w = dataset.x.shape[-2:]
     if h % patch_size or w % patch_size:
         raise ValueError(f"patch size {patch_size} does not tile {h}x{w}")

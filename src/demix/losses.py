@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mixers import MixedTarget, Targets
+from .mixers import CUT_POLICIES, MixedTarget, Targets
 
 LOSS_KINDS = ("mce", "dm_ce", "mbce_one", "mbce_two", "dm_bce")
 
@@ -55,6 +55,11 @@ class RescaleParams:
             raise ValueError("xi must lie in [0, 1]")
 
 
+def recommended_rescale(policy: str) -> RescaleParams:
+    """The ``dm_bce`` curve of a mixing policy: t=1, xi=0.8 if it cuts, else t=0.5, xi=1."""
+    return RescaleParams(1.0, 0.8) if policy in CUT_POLICIES else RescaleParams(0.5, 1.0)
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """Selects one objective; carried around by the trainer and the harness."""
@@ -66,6 +71,13 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
+
+
+def _check_labels(y: np.ndarray, classes: int) -> None:
+    """``ValueError`` unless every label indexes one of ``classes`` logits."""
+    for index in (y.max(), y.min()):
+        if not 0 <= index < classes:
+            raise ValueError(f"class index {index} out of range for {classes} logits")
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -198,9 +210,8 @@ def batch_loss(
         targets = Targets.from_records(targets)
     if len(targets) != n:
         raise ValueError("one target per sample required")
-    top = max(targets.a.max(), targets.b.max())
-    if top >= z_batch.shape[1]:
-        raise ValueError(f"class index {top} out of range for {z_batch.shape[1]} logits")
+    for labels in (targets.a, targets.b):
+        _check_labels(labels, z_batch.shape[1])
     if spec.kind in ("mce", "dm_ce"):
         value, grad = mce_rows(z_batch, targets.a, targets.b, targets.lam)
     else:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 POLICIES = ("linear", "cutmix", "manifold", "resizemix")
+CUT_POLICIES = ("cutmix", "resizemix")
 
 
 @dataclass(frozen=True)
@@ -182,14 +183,20 @@ def sample_resizemix_boxes(
     return top, top + th, left, left + tw, 1.0 - (th * tw) / (height * width)
 
 
+def _require_images(x: np.ndarray, who: str) -> None:
+    if x.ndim < 3:
+        raise ValueError(
+            f"{who}: inputs must be images (n, ..., height, width), got shape {x.shape}"
+        )
+
+
 def _paste_inputs(x_a, x_b) -> tuple[np.ndarray, np.ndarray]:
     """The two image batches as floats, checked against each other."""
     x_a = np.asarray(x_a, dtype=float)
     x_b = np.asarray(x_b, dtype=float)
     if x_a.shape != x_b.shape:
         raise ValueError(f"shape mismatch: {x_a.shape} vs {x_b.shape}")
-    if x_a.ndim < 3:
-        raise ValueError(f"images must have shape (n, ..., height, width), got {x_a.shape}")
+    _require_images(x_a, "paste")
     return x_a, x_b
 
 

@@ -17,8 +17,9 @@ layer, recorded in the cache so the chain rule routes lam to each sample and
 :func:`input_gradients` takes the same chunks, in order.
 A chunk's widest array (the input, a layer's output or a conv layer's patch
 matrix) fits in 4 MiB of float64 (a single pass over 1000 rows of the conv
-net would build a 113 MB patch matrix). Sizing the chunks also rejects an
-empty batch and rows that a dense layer cannot take.
+net would build a 113 MB patch matrix). The walk that sizes them is also the
+one check of rows against layers, and every forward takes it: a row that a
+dense, conv or pool layer cannot take fails there, naming the layer.
 
 Conv layers run on im2col: the patch matrix is one ``sliding_window_view``
 of the padded input, and the forward and both gradients are batched BLAS
@@ -44,7 +45,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .losses import LossSpec, batch_loss
+from .losses import LossSpec, _check_labels, batch_loss
 from .mixers import MixConfig, Targets, mix_batch
 
 
@@ -202,23 +203,14 @@ def zeros_like_params(params: Parameters) -> Parameters:
     )
 
 
-def _adapt_inputs(first: LayerSpec, x: np.ndarray) -> np.ndarray:
-    """Reshape a raw batch to what the first layer expects; a pool- or
-    flatten-first network takes it as it is."""
-    if isinstance(first, DenseSpec):
-        flat = x.reshape(len(x), -1)
-        if flat.shape[1] != first.in_dim:
-            raise ValueError(
-                f"input dim {flat.shape[1]} does not match layer 0 ({first.in_dim})"
-            )
-        return flat
-    if not isinstance(first, ConvSpec):
-        return x
-    if x.ndim == 3:
+def _adapt_inputs(specs: tuple[LayerSpec, ...], x: np.ndarray) -> tuple[np.ndarray, int, tuple]:
+    """A raw batch shaped for the first layer (flat rows for a dense layer, a
+    channel axis for 3-D images at a conv layer), then :func:`_row_sizes`."""
+    if isinstance(specs[0], DenseSpec):
+        x = x.reshape(len(x), -1)
+    elif isinstance(specs[0], ConvSpec) and x.ndim == 3:
         x = x[:, None, :, :]
-    if x.ndim != 4 or x.shape[1] != first.in_ch:
-        raise ValueError("conv input must be (batch, channels, H, W)")
-    return x
+    return x, *_row_sizes(specs, x.shape[1:])
 
 
 def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
@@ -268,10 +260,7 @@ def _layer_forward(spec, w, bias, x):
         # which the next layer holds anyway.
         return out, (x.shape, cols, out)
     if isinstance(spec, PoolSpec):
-        s = spec.size
-        if x.shape[2] % s or x.shape[3] % s:
-            raise ValueError("pool size must divide the spatial dims")
-        views = _pool_views(x, s)
+        views = _pool_views(x, spec.size)
         out = views[0].copy()
         for v in views[1:]:
             np.maximum(out, v, out=out)
@@ -331,7 +320,7 @@ def forward(
             raise ValueError(f"mix site {site} outside the network depth")
         if lam == 1.0 or np.array_equal(pairing, np.arange(len(x))):
             mix = None
-    h = _adapt_inputs(params.specs[0], x)
+    h = _adapt_inputs(params.specs, x)[0]
     layer_io = []
     for i, lspec in enumerate(params.specs):
         if mix is not None and mix[0] == i:
@@ -383,15 +372,21 @@ _CHUNK_BYTES = 4 << 20
 def _row_sizes(specs: tuple[LayerSpec, ...], row: tuple[int, ...]) -> tuple[int, tuple]:
     """Float count of the largest per-row array of a forward from a row of shape
     ``row`` (the row itself, a layer's output or a conv layer's patch matrix),
-    and the shape of an output row. ``ValueError`` when a dense layer cannot
-    take the row it is given."""
+    and the shape of an output row. ``ValueError`` names the first layer that
+    cannot take its row (dense width, conv channels or rank, pool rank or size)."""
     widest = math.prod(row)
     for i, s in enumerate(specs):
         if isinstance(s, ConvSpec):
+            if len(row) != 3 or row[0] != s.in_ch:
+                raise ValueError(f"layer {i} needs ({s.in_ch}, H, W) rows, got shape {row}")
             c, h, w = row
             row = (s.out_ch, h + 2 * s.pad - s.ksize + 1, w + 2 * s.pad - s.ksize + 1)
             widest = max(widest, c * s.ksize**2 * row[1] * row[2])
         elif isinstance(s, PoolSpec):
+            if len(row) != 3 or row[1] % s.size or row[2] % s.size:
+                raise ValueError(
+                    f"layer {i} needs (C, H, W) rows, H and W divisible by {s.size}, got {row}"
+                )
             row = (row[0], row[1] // s.size, row[2] // s.size)
         elif isinstance(s, DenseSpec):
             if row != (s.in_dim,):
@@ -408,8 +403,7 @@ def _chunk_rows(params: Parameters, x: np.ndarray) -> int:
     chunk's widest array within ``_CHUNK_BYTES`` of float64, at least one."""
     if len(x) == 0:
         raise ValueError("no rows to run through the network: the batch is empty")
-    row = _adapt_inputs(params.specs[0], x).shape[1:]
-    return max(1, _CHUNK_BYTES // (8 * _row_sizes(params.specs, row)[0]))
+    return max(1, _CHUNK_BYTES // (8 * _adapt_inputs(params.specs, x)[1]))
 
 
 def predict_logits(params: Parameters, x: np.ndarray) -> np.ndarray:
@@ -417,13 +411,6 @@ def predict_logits(params: Parameters, x: np.ndarray) -> np.ndarray:
     rows = _chunk_rows(params, x)
     outs = [forward(params, x[i : i + rows])[0] for i in range(0, len(x), rows)]
     return np.concatenate(outs) if len(outs) > 1 else outs[0]
-
-
-def _check_labels(y: np.ndarray, classes: int) -> None:
-    """``ValueError`` unless every label indexes one of ``classes`` logits."""
-    for index in (y.max(), y.min()):
-        if not 0 <= index < classes:
-            raise ValueError(f"class index {index} out of range for {classes} logits")
 
 
 def top1_accuracy(params: Parameters, dataset) -> float:
@@ -538,8 +525,7 @@ def _train_loop(
     """
     if len(eval_ds.x) == 0:
         raise ValueError("empty evaluation set")
-    row = _adapt_inputs(params.specs[0], eval_ds.x).shape[1:]
-    _check_labels(eval_ds.y, _row_sizes(params.specs, row)[1][0])
+    _check_labels(eval_ds.y, _adapt_inputs(params.specs, eval_ds.x)[2][0])
     velocity = zeros_like_params(params)
     log: list[tuple[str, int, float]] = []
     window: list[float] = []

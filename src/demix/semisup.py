@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec, asymmetric_dm_rows, mce_rows, softmax
+from .losses import LossSpec, _check_labels, asymmetric_dm_rows, mce_rows, softmax
 from .network import (
     Parameters,
     TrainConfig,
@@ -97,6 +97,7 @@ def ssl_step(
         raise ValueError("both batches must be nonempty")
 
     z, cache = forward(params, np.concatenate([x_l, unlabeled_x]))
+    _check_labels(y_l, z.shape[1])
     classes, _, accepted = pseudo_label_batch(z[n_l:], config.tau)
     w_u = config.unlabeled_weight
     acc_idx = np.flatnonzero(accepted) if w_u > 0.0 else np.empty(0, dtype=np.intp)

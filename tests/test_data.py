@@ -143,6 +143,21 @@ class TestIdx:
             return
         assert ds.x.shape == (3, 4, 5) and 0 < ds.num_classes <= 256
 
+    @pytest.mark.parametrize(
+        "images, labels, message",
+        [
+            (np.zeros((3, 4, 4)), np.array([0, 256, 1]),
+             r"labels must be 0\.\.255, got 0\.\.256"),
+            (np.zeros((3, 16)), np.array([0, 1, 2]),
+             r"images must be \(n, rows, cols\), got shape \(3, 16\)"),
+        ],
+        ids=["label_256", "flat_images"],
+    )
+    def test_save_rejects_what_idx_cannot_hold(self, tmp_path, images, labels, message):
+        with pytest.raises(ValueError, match=f"save_idx: {message}"):
+            save_idx(images, labels, tmp_path / "i.idx", tmp_path / "l.idx")
+        assert not (tmp_path / "i.idx").exists()
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, size=(5, 6, 6), dtype=np.uint8)
@@ -250,6 +265,11 @@ class TestSplits:
         ds = make_image_classes(10, num_classes=5, seed=1)
         with pytest.raises(ValueError):
             split(ds, (8, 8), seed=0)
+
+    def test_split_negative_size_rejected(self):
+        ds = make_image_classes(40, num_classes=5, seed=1)
+        with pytest.raises(ValueError, match=r"cannot split 40 samples into \(-1, 5\)"):
+            split(ds, (-1, 5), seed=0)
 
     def test_stratified_take_covers_classes(self):
         ds = make_synthetic("two_moons", 1000, 0.1, seed=0)

@@ -127,6 +127,15 @@ def test_rows_the_dense_layer_cannot_take_rejected():
         predict_logits(net, np.zeros((4, 32, 32)))
 
 
+def test_glyphs_the_second_pool_cannot_halve_rejected():
+    # 28x28 conv net on 30x30 glyphs: 16*7*7 = 784 fits the dense layer, but
+    # the 15x15 maps do not halve at the second pool.
+    net = init_params(make_conv(1, 3), np.random.default_rng(0))
+    ds = dd.make_image_classes(6, num_classes=3, size=30, seed=0)
+    with pytest.raises(ValueError, match=r"layer 3 needs .* got \(16, 15, 15\)"):
+        top1_accuracy(net, ds)
+
+
 class TestMixedPairEval:
     def _batch(self, targets, n, dim):
         return MixedBatch(np.eye(dim)[np.arange(n) % dim], targets, np.arange(n))

@@ -605,6 +605,19 @@ class TestTrainSupervised:
                 TrainConfig(epochs=1, batch_size=30),
             )
 
+    def test_conv_channel_mismatch_rejected_before_training(self, monkeypatch):
+        # Layer 2 takes 4 channels, but the conv before it gives 8.
+        ds = dd.make_image_classes(60, num_classes=3, seed=4)
+        train, val = dd.split(ds, (40, 20), 0)
+        specs = (ConvSpec(1, 8), PoolSpec(2), ConvSpec(4, 16), PoolSpec(2), FlattenSpec(),
+                 DenseSpec(784, 3, "none"))
+        monkeypatch.setattr(network, "sgd_step", lambda *a: pytest.fail("a step ran"))
+        message = r"layer 2 needs \(4, H, W\) rows, got shape \(8, 14, 14\)"
+        with pytest.raises(ValueError, match=message):
+            train_supervised(
+                train, val, specs, None, LossSpec("mce"), TrainConfig(epochs=1, batch_size=20)
+            )
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises(self):
         train = dd.make_synthetic("two_moons", 200, 0.1, 0)
@@ -638,6 +651,24 @@ class TestPredictLogits:
         logits = predict_logits(params, x)
         assert sizes == chunks
         assert logits.shape == (1000, specs[-1].out_dim)
+
+    @pytest.mark.parametrize(
+        "specs, row, message",
+        [
+            (make_conv(1, 10), (784,), r"layer 0 needs \(1, H, W\) rows, got shape \(784,\)"),
+            (make_conv(1, 10), (3, 28, 28),
+             r"layer 0 needs \(1, H, W\) rows, got shape \(3, 28, 28\)"),
+            # 15x15 after the first pool: 16*7*7 would still give the dense layer 784.
+            (make_conv(1, 10), (1, 30, 30),
+             r"layer 3 needs \(C, H, W\) rows, H and W divisible by 2, got \(16, 15, 15\)"),
+            ((PoolSpec(2),), (28, 28),
+             r"layer 0 needs \(C, H, W\) rows, H and W divisible by 2, got \(28, 28\)"),
+        ],
+        ids=["conv_rank", "conv_channels", "pool_divisor", "pool_rank"],
+    )
+    def test_row_a_layer_cannot_take_named(self, specs, row, message):
+        with pytest.raises(ValueError, match=message):
+            _row_sizes(specs, row)
 
 
 class TestCheckpoint:

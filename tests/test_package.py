@@ -39,3 +39,14 @@ def test_reads_no_environment_variable(path):
             reads += [f"line {node.lineno}: from os import {a.name}"
                       for a in node.names if a.name in ENV_READERS]
     assert reads == []
+
+
+@pytest.mark.parametrize("message", ["out of range for", "inputs must be images"])
+def test_each_input_check_raised_in_one_place(message):
+    raises = []
+    for path in SOURCES:
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.Raise) and message in ast.get_source_segment(text, node):
+                raises.append(f"{path.name}:{node.lineno}")
+    assert len(raises) == 1, raises

@@ -206,6 +206,15 @@ class TestTrainSsl:
                 SSLConfig(steps=5), TrainConfig(seed=0),
             )
 
+    def test_labeled_class_without_a_logit_rejected(self):
+        # Three labeled blob classes on a two-logit net; the test set has two.
+        labeled = dd.make_synthetic("blobs", 30, 0.3, 1)
+        with pytest.raises(ValueError, match="class index 2 out of range for 2 logits"):
+            train_ssl(
+                labeled, _moons(20, 2).x, _moons(20, 3), make_mlp(2, 8, 2),
+                SSLConfig(steps=5), TrainConfig(seed=0),
+            )
+
     def test_missing_class_rejected(self):
         ds = _moons(40, 0)
         only_zero = ds.subset(np.flatnonzero(ds.y == 0))
