@@ -83,15 +83,14 @@ def _check_labels(y: np.ndarray, classes: int) -> None:
 def softmax(z: np.ndarray) -> np.ndarray:
     """Standard softmax over the last axis, with max-subtraction."""
     z = np.asarray(z, dtype=float)
-    m = np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    m = np.max(z, axis=-1, keepdims=True)
-    return z - m - np.log(np.sum(np.exp(z - m), axis=-1, keepdims=True))
+    d = z - z.max(axis=-1, keepdims=True)
+    return d - np.log(np.exp(d).sum(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +110,7 @@ def _decoupled_rows(z: np.ndarray, excluded: np.ndarray) -> tuple[np.ndarray, np
     masked = z.copy()
     masked[np.arange(len(z)), excluded] = -np.inf
     m = masked.max(axis=1, keepdims=True)
-    lse = m + np.log(np.sum(np.exp(masked - m), axis=1, keepdims=True))
+    lse = m + np.log(np.exp(masked - m).sum(axis=1, keepdims=True))
     return np.exp(masked - lse), lse[:, 0]
 
 
@@ -119,10 +118,11 @@ def mce_rows(z: np.ndarray, a, b, lam) -> tuple[np.ndarray, np.ndarray]:
     """Mixed cross-entropy of every row; ``lam`` may be an array or a scalar."""
     rows = np.arange(len(z))
     logp = log_softmax(z)
-    value = -(lam * logp[rows, a] + (1.0 - lam) * logp[rows, b])
+    mu = 1.0 - lam
+    value = -(lam * logp[rows, a] + mu * logp[rows, b])
     grad = np.exp(logp)
     grad[rows, a] -= lam
-    grad[rows, b] -= 1.0 - lam
+    grad[rows, b] -= mu
     return value, grad
 
 

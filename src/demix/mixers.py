@@ -247,6 +247,8 @@ def mix_batch(
     n = len(inputs)
     if n == 0:
         raise ValueError("empty batch")
+    if config.policy in CUT_POLICIES:
+        _require_images(inputs, config.policy)
     pairing = rng.permutation(n)
     _check_rows(n, len(labels), pairing)
 

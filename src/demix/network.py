@@ -373,7 +373,8 @@ def _row_sizes(specs: tuple[LayerSpec, ...], row: tuple[int, ...]) -> tuple[int,
     """Float count of the largest per-row array of a forward from a row of shape
     ``row`` (the row itself, a layer's output or a conv layer's patch matrix),
     and the shape of an output row. ``ValueError`` names the first layer that
-    cannot take its row (dense width, conv channels or rank, pool rank or size)."""
+    cannot take its row (dense width; conv channels, rank or kernel fit; pool
+    rank or size)."""
     widest = math.prod(row)
     for i, s in enumerate(specs):
         if isinstance(s, ConvSpec):
@@ -381,6 +382,10 @@ def _row_sizes(specs: tuple[LayerSpec, ...], row: tuple[int, ...]) -> tuple[int,
                 raise ValueError(f"layer {i} needs ({s.in_ch}, H, W) rows, got shape {row}")
             c, h, w = row
             row = (s.out_ch, h + 2 * s.pad - s.ksize + 1, w + 2 * s.pad - s.ksize + 1)
+            if min(row[1:]) < 1:
+                raise ValueError(
+                    f"layer {i}: kernel {s.ksize} with pad {s.pad} does not fit {h}x{w} maps"
+                )
             widest = max(widest, c * s.ksize**2 * row[1] * row[2])
         elif isinstance(s, PoolSpec):
             if len(row) != 3 or row[1] % s.size or row[2] % s.size:

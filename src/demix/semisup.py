@@ -62,10 +62,9 @@ def pseudo_label_batch(
     logits: np.ndarray, tau: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row: argmax class, its softmax confidence, accepted iff conf >= tau."""
-    p = softmax(np.asarray(logits, dtype=float))
-    classes = np.argmax(p, axis=1)
-    conf = p[np.arange(len(p)), classes]
-    return classes, conf, conf >= tau
+    p = softmax(logits)
+    conf = p.max(axis=1)
+    return p.argmax(axis=1), conf, conf >= tau
 
 
 def ssl_step(
@@ -82,10 +81,12 @@ def ssl_step(
                    + mixed CE on asymmetric labeled/unlabeled pairs
                    + eta * one-directional decoupled term on those pairs ]
 
-    The labeled and unlabeled rows share one forward and one backward pass,
-    and the labeled plus accepted pseudo-labeled rows one CE pass; the
-    asymmetric pairs need the pseudo-labels, so they get a second forward and
-    backward. Their ratios come from one size-n Beta draw.
+    The labeled and unlabeled rows share one forward and one backward pass.
+    The asymmetric pairs need the pseudo-labels, so they get a second forward
+    and backward; their partners and ratios (one size-n Beta draw) are drawn
+    before any loss. One CE pass then covers the labeled and accepted
+    pseudo-labeled rows at ratio 1 and the mixed rows at their ratios; the CE
+    is row-wise, so this is the same arithmetic as one pass per forward.
     The mixing coefficient of the labeled sample is clamped to <= 0.5 and the
     decoupled term skips pairs whose pseudo class equals the labeled class.
     ``metrics["loss"]`` is the scalar loss of the step.
@@ -95,47 +96,53 @@ def ssl_step(
     n_l, n_u = len(x_l), len(unlabeled_x)
     if n_l == 0 or n_u == 0:
         raise ValueError("both batches must be nonempty")
+    if np.shape(unlabeled_x)[1:] != x_l.shape[1:]:
+        raise ValueError(f"unlabeled rows {np.shape(unlabeled_x)} unlike labeled rows {x_l.shape}")
+    if len(y_l) != n_l:
+        raise ValueError(f"{len(y_l)} labels for {n_l} labeled rows")
 
     z, cache = forward(params, np.concatenate([x_l, unlabeled_x]))
     _check_labels(y_l, z.shape[1])
     classes, _, accepted = pseudo_label_batch(z[n_l:], config.tau)
     w_u = config.unlabeled_weight
     acc_idx = np.flatnonzero(accepted) if w_u > 0.0 else np.empty(0, dtype=np.intp)
-    # One CE pass over the labeled rows and the accepted pseudo-labeled rows.
     rows = np.concatenate([np.arange(n_l), n_l + acc_idx])
     y = np.concatenate([y_l, classes[acc_idx]])
-    value, grad_rows = mce_rows(z[rows], y, y, 1.0)
-    grad = np.zeros_like(z)
-    grad[:n_l] = grad_rows[:n_l] / n_l
-    grad[n_l + acc_idx] = w_u * (grad_rows[n_l:] / n_u)
-    metrics = {
-        "loss_labeled": float(value[:n_l].sum()) / n_l,
-        "loss_pseudo": float(value[n_l:].sum()) / n_u,
-        "loss_mix": 0.0,
-        "accepted_frac": float(accepted.mean()),
-    }
-
-    grads_mix = None
-    if len(acc_idx) and config.asymmetric_mixing:
-        partners = rng.choice(acc_idx, size=n_l, replace=True)
+    k = len(y)
+    # One CE pass: the labeled and accepted rows at ratio 1, then any mixed rows.
+    z_ce, a, b, ratio = z[rows], y, y, 1.0
+    mixing = len(acc_idx) > 0 and config.asymmetric_mixing
+    if mixing:
+        # The draw of rng.choice(acc_idx, size=n_l), without its checks.
+        partners = acc_idx[rng.integers(len(acc_idx), size=n_l)]
         lam = rng.beta(config.alpha, config.alpha, size=n_l)
         eff = np.minimum(lam, 1.0 - lam)  # the labeled row gets the smaller share
         w = eff.reshape((n_l,) + (1,) * (x_l.ndim - 1))
-        mixed = w * x_l + (1.0 - w) * unlabeled_x[partners]
-        z_m, cache_m = forward(params, mixed)
+        z_m, cache_m = forward(params, w * x_l + (1.0 - w) * unlabeled_x[partners])
         pseudo = classes[partners]
-        value_m, grad_m = mce_rows(z_m, y_l, pseudo, eff)
-        mix_value = float(value_m.sum()) / n_l
-        grad_m /= n_l
-        if config.eta > 0.0:
-            value_dm, grad_dm = asymmetric_dm_rows(z_m, y_l, pseudo)
-            mix_value += config.eta * float(value_dm.sum()) / n_l
-            grad_m += config.eta * grad_dm / n_l
-        grads_mix, _ = backward(params, cache_m, w_u * grad_m, input_grad=False)
-        metrics["loss_mix"] = mix_value
+        z_ce = np.concatenate([z_ce, z_m])
+        a, b = np.concatenate([y, y_l]), np.concatenate([y, pseudo])
+        ratio = np.concatenate([np.ones(k), eff])
+    value, grad_rows = mce_rows(z_ce, a, b, ratio)
+    grad = np.zeros_like(z)
+    grad[:n_l] = grad_rows[:n_l] / n_l
+    grad[n_l + acc_idx] = w_u * (grad_rows[n_l:k] / n_u)
+    metrics = {
+        "loss_labeled": float(value[:n_l].sum()) / n_l,
+        "loss_pseudo": float(value[n_l:k].sum()) / n_u,
+        "loss_mix": 0.0,
+        "accepted_frac": int(np.count_nonzero(accepted)) / n_u,
+    }
 
     grads, _ = backward(params, cache, grad, input_grad=False)
-    if grads_mix is not None:
+    if mixing:
+        metrics["loss_mix"] = float(value[k:].sum()) / n_l
+        grad_m = grad_rows[k:] / n_l
+        if config.eta > 0.0:
+            value_dm, grad_dm = asymmetric_dm_rows(z_m, y_l, pseudo)
+            metrics["loss_mix"] += config.eta * float(value_dm.sum()) / n_l
+            grad_m += config.eta * grad_dm / n_l
+        grads_mix, _ = backward(params, cache_m, w_u * grad_m, input_grad=False)
         for g, g_mix in zip(grads.arrays(), grads_mix.arrays()):
             g += g_mix
     metrics["loss"] = metrics["loss_labeled"] + w_u * (

@@ -1,11 +1,12 @@
 """Per-sample reference forms of the objectives, the mixers and the glyph
-generator, for the tests.
+generator, and the two-pass SSL step, for the tests.
 
 Each function takes one logit vector (or one pair of inputs, or one glyph at
 a time) and writes the arithmetic out directly, with its analytic gradient
 where it has one. The batched kernels in ``demix.losses``, ``demix.mixers``
 and ``demix.data`` are what training runs; the tests compare them against
-these forms.
+these forms. :func:`ssl_step` is the SSL step with one cross-entropy pass per
+forward, the form ``demix.semisup.ssl_step`` must match byte for byte.
 """
 
 from __future__ import annotations
@@ -13,8 +14,17 @@ from __future__ import annotations
 import numpy as np
 
 from demix.data import Dataset
-from demix.losses import DMConfig, LossResult, RescaleParams, log_softmax
+from demix.losses import (
+    DMConfig,
+    LossResult,
+    RescaleParams,
+    _check_labels,
+    asymmetric_dm_rows,
+    log_softmax,
+    mce_rows,
+)
 from demix.mixers import Lambda, MixedTarget, Targets
+from demix.network import backward, forward
 
 BCE_TARGET_MODES = ("one", "two", "rescaled")
 
@@ -239,3 +249,72 @@ def make_image_classes(
         x[i] = np.clip(canvas, 0.0, 1.0)
     order = sample_rng.permutation(n)
     return Dataset(x[order], y[order].astype(np.int64), num_classes)
+
+
+def softmax_two_subtractions(z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    m = np.max(z, axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def log_softmax_two_subtractions(z: np.ndarray) -> np.ndarray:
+    """``z - m - log(sum(exp(z - m)))``: the row max subtracted twice."""
+    z = np.asarray(z, dtype=float)
+    m = np.max(z, axis=-1, keepdims=True)
+    return z - m - np.log(np.sum(np.exp(z - m), axis=-1, keepdims=True))
+
+
+def ssl_step(params, labeled, unlabeled_x, config, rng):
+    """One SSL step with a CE pass for the labeled and accepted rows and a
+    second one for the asymmetric pairs, partners drawn by ``rng.choice``."""
+    x_l, y_l = labeled
+    x_l = np.asarray(x_l, dtype=float)
+    n_l, n_u = len(x_l), len(unlabeled_x)
+    z, cache = forward(params, np.concatenate([x_l, unlabeled_x]))
+    _check_labels(y_l, z.shape[1])
+    p = softmax_two_subtractions(z[n_l:])
+    classes = np.argmax(p, axis=1)
+    accepted = p[np.arange(len(p)), classes] >= config.tau
+    w_u = config.unlabeled_weight
+    acc_idx = np.flatnonzero(accepted) if w_u > 0.0 else np.empty(0, dtype=np.intp)
+    rows = np.concatenate([np.arange(n_l), n_l + acc_idx])
+    y = np.concatenate([y_l, classes[acc_idx]])
+    value, grad_rows = mce_rows(z[rows], y, y, 1.0)
+    grad = np.zeros_like(z)
+    grad[:n_l] = grad_rows[:n_l] / n_l
+    grad[n_l + acc_idx] = w_u * (grad_rows[n_l:] / n_u)
+    metrics = {
+        "loss_labeled": float(value[:n_l].sum()) / n_l,
+        "loss_pseudo": float(value[n_l:].sum()) / n_u,
+        "loss_mix": 0.0,
+        "accepted_frac": float(accepted.mean()),
+    }
+
+    grads_mix = None
+    if len(acc_idx) and config.asymmetric_mixing:
+        partners = rng.choice(acc_idx, size=n_l, replace=True)
+        lam = rng.beta(config.alpha, config.alpha, size=n_l)
+        eff = np.minimum(lam, 1.0 - lam)
+        w = eff.reshape((n_l,) + (1,) * (x_l.ndim - 1))
+        mixed = w * x_l + (1.0 - w) * unlabeled_x[partners]
+        z_m, cache_m = forward(params, mixed)
+        pseudo = classes[partners]
+        value_m, grad_m = mce_rows(z_m, y_l, pseudo, eff)
+        mix_value = float(value_m.sum()) / n_l
+        grad_m /= n_l
+        if config.eta > 0.0:
+            value_dm, grad_dm = asymmetric_dm_rows(z_m, y_l, pseudo)
+            mix_value += config.eta * float(value_dm.sum()) / n_l
+            grad_m += config.eta * grad_dm / n_l
+        grads_mix, _ = backward(params, cache_m, w_u * grad_m, input_grad=False)
+        metrics["loss_mix"] = mix_value
+
+    grads, _ = backward(params, cache, grad, input_grad=False)
+    if grads_mix is not None:
+        for g, g_mix in zip(grads.arrays(), grads_mix.arrays()):
+            g += g_mix
+    metrics["loss"] = metrics["loss_labeled"] + w_u * (
+        metrics["loss_pseudo"] + metrics["loss_mix"]
+    )
+    return grads, metrics

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from demix import selftest
 from demix.losses import (
@@ -16,6 +17,7 @@ from demix.losses import (
     _decoupled_rows,
     asymmetric_dm_rows,
     batch_loss,
+    log_softmax,
     rescale,
     softmax,
 )
@@ -25,8 +27,10 @@ from oracles import (
     build_mixed_bce_targets,
     dm_ce_loss,
     dm_regularizer,
+    log_softmax_two_subtractions,
     mbce_loss,
     mce_loss,
+    softmax_two_subtractions,
     target_records,
 )
 
@@ -60,6 +64,26 @@ class TestSoftmax:
     @given(finite_logits)
     def test_sums_to_one(self, z):
         assert abs(softmax(z).sum() - 1.0) < 1e-12
+
+
+any_logits = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=6),
+    elements=st.floats(allow_nan=False)
+    | st.sampled_from([-np.inf, np.inf, 1e308, -1e308, 7e2, -7e2]),
+)
+
+
+@given(any_logits)
+@settings(max_examples=300)
+def test_softmax_and_log_softmax_bytes_equal_the_two_subtraction_forms(z):
+    with np.errstate(all="ignore"):
+        pairs = [
+            (softmax(z), softmax_two_subtractions(z)),
+            (log_softmax(z), log_softmax_two_subtractions(z)),
+        ]
+    for ours, ref in pairs:
+        assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
 
 
 def decoupled_softmax(z, excluded):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -370,6 +371,16 @@ class TestMixBatch:
         x, y = np.zeros((4, 3, 3)), np.array([0, 1, 0, 1])
         with pytest.raises(ValueError, match="pairing must be a permutation"):
             MixedBatch(x, Targets(y, y, np.ones(4)), np.array([0, 1, 2, 7]))
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 5)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("policy", ["cutmix", "resizemix"])
+    def test_cut_policy_rejects_non_images_before_any_draw(self, policy, shape):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        message = f"{policy}: inputs must be images .* got shape {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=message):
+            mix_batch(np.zeros(shape), np.zeros(4, dtype=int), MixConfig(policy, 0.2), rng)
+        assert rng.bit_generator.state == state
 
     def test_label_count_rejected(self):
         x, y = np.zeros((4, 3, 3)), np.array([0, 1, 0])

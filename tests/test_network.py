@@ -663,12 +663,26 @@ class TestPredictLogits:
              r"layer 3 needs \(C, H, W\) rows, H and W divisible by 2, got \(16, 15, 15\)"),
             ((PoolSpec(2),), (28, 28),
              r"layer 0 needs \(C, H, W\) rows, H and W divisible by 2, got \(28, 28\)"),
+            ((ConvSpec(1, 2, ksize=5, pad=0),), (1, 2, 2),
+             "layer 0: kernel 5 with pad 0 does not fit 2x2 maps"),
+            ((ConvSpec(1, 2, ksize=3, pad=1), ConvSpec(2, 2, ksize=5, pad=1)), (1, 2, 4),
+             "layer 1: kernel 5 with pad 1 does not fit 2x4 maps"),
         ],
-        ids=["conv_rank", "conv_channels", "pool_divisor", "pool_rank"],
+        ids=["conv_rank", "conv_channels", "pool_divisor", "pool_rank", "conv_kernel",
+             "conv_kernel_one_side"],
     )
     def test_row_a_layer_cannot_take_named(self, specs, row, message):
         with pytest.raises(ValueError, match=message):
             _row_sizes(specs, row)
+
+    def test_kernel_past_its_maps_named_before_the_dense_layer(self):
+        specs = (ConvSpec(1, 2, ksize=5, pad=0), FlattenSpec(), DenseSpec(2, 2, "none"))
+        params = init_params(specs, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="layer 0: kernel 5 with pad 0 does not fit"):
+            predict_logits(params, np.zeros((3, 1, 2, 2)))
+
+    def test_kernel_that_just_fits_gives_one_pixel(self):
+        assert _row_sizes((ConvSpec(1, 2, ksize=5, pad=0),), (1, 5, 5)) == (25, (2, 1, 1))
 
 
 class TestCheckpoint:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from demix import data as dd
-from demix import network
+from demix import network, semisup
 from demix.losses import LossResult, LossSpec
 from demix.mixers import Lambda, MixedTarget
 from demix.network import (
@@ -24,6 +24,7 @@ from demix.semisup import (
     train_ssl,
 )
 from demix.network import init_params
+import oracles
 from oracles import asymmetric_dm_loss, asymmetric_pair, mce_loss, sample_lambda
 
 
@@ -48,6 +49,17 @@ class TestPseudoLabel:
     def test_tau_one_rejects_nondegenerate(self):
         _, _, accepted = pseudo_label_batch(np.array([[2.0, 1.0, 0.0]]), tau=1.0)
         assert not accepted[0]
+
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    def test_bytes_equal_the_gathered_form(self, classes):
+        z = np.random.default_rng(classes).normal(scale=4, size=(200, classes))
+        z[::7, 0] = z[::7, 1]  # ties go to the first maximum
+        p = oracles.softmax_two_subtractions(z)
+        ref_classes = np.argmax(p, axis=1)
+        ref_conf = p[np.arange(len(p)), ref_classes]
+        out = pseudo_label_batch(z, 0.9)
+        for ours, ref in zip(out, (ref_classes, ref_conf, ref_conf >= 0.9)):
+            assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
 
     def test_accepted_implies_threshold(self):
         rng = np.random.default_rng(1)
@@ -95,6 +107,36 @@ class TestSslStep:
         with pytest.raises(ValueError):
             ssl_step(params, (np.empty((0, 2)), np.empty(0)), np.ones((3, 2)), cfg, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "x_l, y_l, x_u, message",
+        [
+            (np.zeros((4, 2)), np.zeros(4, dtype=int), np.zeros((5, 3)),
+             r"unlabeled rows \(5, 3\) unlike labeled rows \(4, 2\)"),
+            (np.zeros((3, 2)), np.zeros(2, dtype=int), np.zeros((5, 2)),
+             "2 labels for 3 labeled rows"),
+        ],
+        ids=["unlabeled_width", "label_count"],
+    )
+    def test_mismatched_inputs_rejected_before_any_forward_or_draw(
+        self, monkeypatch, x_l, y_l, x_u, message
+    ):
+        params = init_params(make_mlp(2, 4, 2), np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        monkeypatch.setattr(semisup, "forward", lambda *a: pytest.fail("forward ran"))
+        with pytest.raises(ValueError, match=message):
+            ssl_step(params, (x_l, y_l), x_u, SSLConfig(tau=0.5), rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n_l", [1, 10])
+    @pytest.mark.parametrize("n_acc", [1, 2, 7, 64])
+    def test_partner_draw_is_the_choice_draw(self, n_acc, n_l):
+        acc_idx = np.sort(np.random.default_rng(n_acc).choice(100, size=n_acc, replace=False))
+        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+        partners = acc_idx[ours.integers(len(acc_idx), size=n_l)]
+        assert np.array_equal(partners, ref.choice(acc_idx, size=n_l, replace=True))
+        assert ours.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("eta", [0.0, 0.3])
     def test_matches_scalar_step_with_separate_backwards(self, eta):
         # Reference: per-sample scalar losses, with one forward and one
@@ -125,6 +167,49 @@ class TestSslStep:
             for a, b in zip(p_batched.arrays(), p_scalar.arrays()):
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
         assert rng_batched.bit_generator.state == rng_scalar.bit_generator.state
+
+
+class TestSslStepBytes:
+    """The one-CE-pass step against ``oracles.ssl_step`` (a CE pass per
+    forward, partners from ``rng.choice``): equal bytes on every branch."""
+
+    @pytest.mark.parametrize(
+        "classes, overrides",
+        [
+            (3, dict(eta=0.3)),
+            (3, dict(eta=0.0)),
+            (2, dict(eta=0.1)),
+            (3, dict(asymmetric_mixing=False, eta=0.3)),
+            (3, dict(asymmetric_mixing=False, eta=0.0)),
+            (3, dict(unlabeled_weight=0.0)),
+            (3, dict(tau=1.0)),
+        ],
+        ids=["mix_eta", "mix_no_eta", "mix_two_classes", "no_mix_eta", "no_mix_no_eta",
+             "unlabeled_weight_zero", "none_accepted"],
+    )
+    def test_gradients_metrics_and_stream_equal_the_two_pass_step(self, classes, overrides):
+        specs = make_mlp(2, 8, classes)
+        labeled = dd.make_synthetic("blobs", 12, 0.6, 0, num_classes=classes)
+        unlabeled = dd.make_synthetic("blobs", 30, 0.6, 1, num_classes=classes).x
+        cfg = SSLConfig(**{"tau": 0.5, "unlabeled_weight": 0.7, "alpha": 0.4, **overrides})
+        tcfg = TrainConfig(base_lr=0.2, epochs=1, batch_size=12, seed=0)
+        params = init_params(specs, np.random.default_rng(3))
+        velocity = zeros_like_params(params)
+        ours, ref = np.random.default_rng(8), np.random.default_rng(8)
+        accepted = []
+        for step in range(6):
+            grads, metrics = ssl_step(params, (labeled.x, labeled.y), unlabeled, cfg, ours)
+            ref_grads, ref_metrics = oracles.ssl_step(
+                params, (labeled.x, labeled.y), unlabeled, cfg, ref
+            )
+            for g, r in zip(grads.arrays(), ref_grads.arrays()):
+                assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+            assert metrics == ref_metrics
+            assert all(type(metrics[k]) is type(ref_metrics[k]) for k in metrics)
+            assert ours.bit_generator.state == ref.bit_generator.state
+            accepted.append(metrics["accepted_frac"])
+            sgd_step(params, grads, velocity, step, 6, tcfg)
+        assert (max(accepted) == 0.0) == (cfg.tau == 1.0)
 
 
 def _scalar_ssl_step(params, labeled, unlabeled, cfg, tcfg, rng, velocity, step):

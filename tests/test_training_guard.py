@@ -75,6 +75,25 @@ def ssl_asymmetric_eta():
     return train_ssl(labeled, rest.x, test, make_mlp(2, 16, 2), cfg, tcfg)
 
 
+def ssl_plain_pseudo_label():
+    train, test = _moons(120, 5), _moons(80, 6)
+    labeled, rest = dd.stratified_take(train, 10, seed=0)
+    cfg = SSLConfig(tau=0.7, eta=0.0, steps=40, asymmetric_mixing=False,
+                    unlabeled_batch=16, eval_interval=10)
+    tcfg = TrainConfig(base_lr=0.2, seed=10)
+    return train_ssl(labeled, rest.x, test, make_mlp(2, 16, 2), cfg, tcfg)
+
+
+def ssl_some_steps_accept_none():
+    # tau = 0.995 leaves 14 of the 40 steps with no accepted row.
+    train, test = _moons(120, 5), _moons(80, 6)
+    labeled, rest = dd.stratified_take(train, 10, seed=0)
+    cfg = SSLConfig(tau=0.995, eta=0.1, steps=40, asymmetric_mixing=True,
+                    unlabeled_batch=16, eval_interval=10)
+    tcfg = TrainConfig(base_lr=0.2, seed=11)
+    return train_ssl(labeled, rest.x, test, make_mlp(2, 16, 2), cfg, tcfg)
+
+
 def ssl_empty_pool():
     train, test = _moons(60, 5), _moons(80, 6)
     cfg = SSLConfig(steps=12, labeled_batch=20, eval_interval=3)
@@ -102,6 +121,14 @@ GUARD_DIGESTS = {
     ssl_asymmetric_eta: (
         "fabbd87963e6467978afbf8728346bab"
         "a8e7fd8a2e5ccebcad39b7d374a49b22"
+    ),
+    ssl_plain_pseudo_label: (
+        "369b267e4c58a37ca67d96385a105760"
+        "4c01feefcf2d3d46e2dc19ae2a1d8de9"
+    ),
+    ssl_some_steps_accept_none: (
+        "ad260a33e62731d8e5aacc3f27d21fcb"
+        "e139430aa717bd1417997dfa37de1241"
     ),
     ssl_empty_pool: (
         "d15d7c392f7da523e1829e6faadeebe6"
