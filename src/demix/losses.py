@@ -22,6 +22,13 @@ from .mixers import CUT_POLICIES, MixedTarget, Targets
 LOSS_KINDS = ("mce", "dm_ce", "mbce_one", "mbce_two", "dm_bce")
 
 
+def _check_finite(config, *names: str) -> None:
+    """``ValueError`` naming the first field of ``config`` in ``names`` that is NaN or infinite."""
+    for name in names:
+        if not np.isfinite(value := getattr(config, name)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class LossResult:
     """Scalar loss plus d(loss)/d(logits): the contract every loss fulfills."""
@@ -37,6 +44,7 @@ class DMConfig:
     eta: float = 0.1
 
     def __post_init__(self):
+        _check_finite(self, "eta")
         if self.eta < 0:
             raise ValueError("eta must be nonnegative")
 
@@ -49,6 +57,7 @@ class RescaleParams:
     xi: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "t")
         if self.t < 0:
             raise ValueError("t must be nonnegative")
         if not (0.0 <= self.xi <= 1.0):

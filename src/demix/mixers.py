@@ -238,9 +238,9 @@ def mix_batch(
     """Pair each sample with a random partner and apply the configured policy.
 
     The batch draws its pairing, then one ratio, then (cut policies) one box
-    that every sample shares. Policy `manifold` leaves the inputs untouched:
-    the hidden-layer mix happens inside the network, this only records lam
-    and the pairing.
+    that every sample shares; CutMix copies only that box from the partners.
+    Policy `manifold` leaves the inputs untouched: the hidden-layer mix
+    happens inside the network, this only records lam and the pairing.
     """
     inputs = np.asarray(inputs, dtype=float)
     labels = np.asarray(labels)
@@ -254,16 +254,16 @@ def mix_batch(
 
     lam = rng.beta(config.alpha, config.alpha)
 
-    partners = inputs[pairing]
     ratio = lam
     if config.policy == "linear":
-        mixed = lam * inputs + (1.0 - lam) * partners
+        mixed = lam * inputs + (1.0 - lam) * inputs[pairing]
     elif config.policy == "cutmix":
-        *edges, ratio = sample_cutmix_boxes(*inputs.shape[-2:], lam, 1, rng)
-        mixed = paste_boxes(inputs, partners, *edges)
+        (y1,), (y2,), (x1,), (x2,), (ratio,) = sample_cutmix_boxes(*inputs.shape[-2:], lam, 1, rng)
+        mixed = inputs.copy()
+        mixed[..., y1:y2, x1:x2] = inputs[..., y1:y2, x1:x2][pairing]
     elif config.policy == "resizemix":
         *box, ratio = sample_resizemix_boxes(*inputs.shape[-2:], lam, rng)
-        mixed = paste_resized(inputs, partners, *box)
+        mixed = paste_resized(inputs, inputs[pairing], *box)
     else:  # manifold: mixing deferred to the network's hidden layers
         mixed = inputs.copy()
 

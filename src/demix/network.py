@@ -26,8 +26,10 @@ of the padded input, and the forward and both gradients are batched BLAS
 matmuls over it; ``_col2im`` adds all channels at once for each of the k*k
 kernel offsets. Max-pool takes the elementwise maximum of the s*s strided
 views ``x[:, :, i::s, j::s]`` and routes the gradient to the first maximum of
-each window in row-major order. ``sgd_step`` updates parameters and velocity
-in place.
+each window in row-major order. Dense and conv layers cache their output,
+not the pre-activation: ReLU's output is > 0 exactly where its input is.
+``sgd_step`` updates parameters and velocity in place, one row slice of each
+weight at a time.
 
 The layer specs are the schema of DMX1 checkpoints: a layer's token is its
 kind and its fields, and ``_param_shapes`` gives the shapes that
@@ -45,7 +47,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .losses import LossSpec, _check_labels, batch_loss
+from .losses import LossSpec, _check_finite, _check_labels, batch_loss
 from .mixers import MixConfig, Targets, mix_batch
 
 
@@ -137,6 +139,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_finite(self, "base_lr", "min_lr", "weight_decay")
         if self.base_lr <= 0 or self.min_lr <= 0:
             raise ValueError("learning rates must be positive")
         if self.min_lr > self.base_lr:
@@ -243,9 +246,11 @@ def _pool_views(x: np.ndarray, s: int):
 
 def _layer_forward(spec, w, bias, x):
     if isinstance(spec, DenseSpec):
-        pre = x @ w + bias
-        out = np.maximum(pre, 0.0) if spec.activation == "relu" else pre
-        return out, (x, pre)
+        out = x @ w
+        out += bias
+        if spec.activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        return out, (x, out)
     if isinstance(spec, ConvSpec):
         b, c, h, wd = x.shape
         cols = _im2col(x, spec.ksize, spec.pad)
@@ -256,8 +261,6 @@ def _layer_forward(spec, w, bias, x):
         out = out.reshape(b, spec.out_ch, ho, wo)
         if spec.activation == "relu":
             np.maximum(out, 0.0, out=out)
-        # relu(pre) > 0 exactly where pre > 0, so backward needs only out,
-        # which the next layer holds anyway.
         return out, (x.shape, cols, out)
     if isinstance(spec, PoolSpec):
         views = _pool_views(x, spec.size)
@@ -272,9 +275,9 @@ def _layer_forward(spec, w, bias, x):
 def _layer_backward(spec, w, cache, grad, input_grad=True):
     """(dW, db, d input) of one layer; d input is None when not ``input_grad``."""
     if isinstance(spec, DenseSpec):
-        x, pre = cache
+        x, out = cache
         if spec.activation == "relu":
-            grad = grad * (pre > 0)
+            grad = grad * (out > 0)
         return x.T @ grad, grad.sum(axis=0), grad @ w.T if input_grad else None
     if isinstance(spec, ConvSpec):
         x_shape, cols, out = cache
@@ -367,6 +370,8 @@ def backward(
 
 # Bytes the widest array of one inference chunk may take: the order of an L2 cache.
 _CHUNK_BYTES = 4 << 20
+# Floats per weight row slice in sgd_step: 128 rows of 784x256, so slices stay in L2.
+_SGD_BLOCK = 32768
 
 
 def _row_sizes(specs: tuple[LayerSpec, ...], row: tuple[int, ...]) -> tuple[int, tuple]:
@@ -471,16 +476,21 @@ def sgd_step(
     """Momentum SGD with decoupled weight decay (weights only, not biases)."""
     lr = cosine_lr(step, total_steps, config)
     for i in range(len(params.specs)):
-        if params.weights[i] is None:
+        p, v, g = params.weights[i], velocity.weights[i], grads.weights[i]
+        if p is None:
             continue
-        # In place, in the float order of v = m*v + g; p -= lr*(v + wd*p).
-        v, p = velocity.weights[i], params.weights[i]
-        v *= config.momentum
-        v += grads.weights[i]
-        t = config.weight_decay * p
-        t += v
-        t *= lr
-        p -= t
+        # v = m*v + g; p -= lr*(v + wd*p) in place, per row slice (not a reshape,
+        # which would update a copy of a non-contiguous weight).
+        rows = max(1, _SGD_BLOCK // (p.size // len(p)))
+        t = np.empty_like(p[:rows])
+        for r in range(0, len(p), rows):
+            ps, vs, ts = p[r : r + rows], v[r : r + rows], t[: len(p) - r]
+            vs *= config.momentum
+            vs += g[r : r + rows]
+            np.multiply(config.weight_decay, ps, out=ts)
+            ts += vs
+            ts *= lr
+            ps -= ts
         vb = velocity.biases[i]
         vb *= config.momentum
         vb += grads.biases[i]

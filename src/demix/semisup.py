@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec, _check_labels, asymmetric_dm_rows, mce_rows, softmax
+from .losses import LossSpec, _check_finite, _check_labels, asymmetric_dm_rows, mce_rows, softmax
 from .network import (
     Parameters,
     TrainConfig,
@@ -44,6 +44,7 @@ class SSLConfig:
     def __post_init__(self):
         if not (0.0 < self.tau <= 1.0):
             raise ValueError("tau must lie in (0, 1]")
+        _check_finite(self, "unlabeled_weight", "eta", "alpha")
         if self.unlabeled_weight < 0 or self.eta < 0:
             raise ValueError("weights must be nonnegative")
         if self.alpha <= 0:

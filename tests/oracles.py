@@ -1,12 +1,16 @@
 """Per-sample reference forms of the objectives, the mixers and the glyph
-generator, and the two-pass SSL step, for the tests.
+generator, the two-pass SSL step and the whole-array forms of the training
+step's kernels, for the tests.
 
 Each function takes one logit vector (or one pair of inputs, or one glyph at
 a time) and writes the arithmetic out directly, with its analytic gradient
 where it has one. The batched kernels in ``demix.losses``, ``demix.mixers``
 and ``demix.data`` are what training runs; the tests compare them against
 these forms. :func:`ssl_step` is the SSL step with one cross-entropy pass per
-forward, the form ``demix.semisup.ssl_step`` must match byte for byte.
+forward, the form ``demix.semisup.ssl_step`` must match byte for byte;
+:func:`sgd_step`, :func:`dense_forward`, :func:`dense_backward` and
+:func:`cutmix_batch` are the whole-array forms that ``demix.network`` and
+``demix.mixers`` must match byte for byte.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from demix.losses import (
     log_softmax,
     mce_rows,
 )
-from demix.mixers import Lambda, MixedTarget, Targets
-from demix.network import backward, forward
+from demix.mixers import Lambda, MixedTarget, Targets, paste_boxes, sample_cutmix_boxes
+from demix.network import backward, cosine_lr, forward
 
 BCE_TARGET_MODES = ("one", "two", "rescaled")
 
@@ -318,3 +322,50 @@ def ssl_step(params, labeled, unlabeled_x, config, rng):
         metrics["loss_pseudo"] + metrics["loss_mix"]
     )
     return grads, metrics
+
+
+def sgd_step(params, grads, velocity, step, total_steps, config):
+    """Momentum SGD with decoupled weight decay over each whole weight at
+    once, with a full-size temporary: v = m*v + g; p -= lr*(v + wd*p)."""
+    lr = cosine_lr(step, total_steps, config)
+    for i in range(len(params.specs)):
+        if params.weights[i] is None:
+            continue
+        v, p = velocity.weights[i], params.weights[i]
+        v *= config.momentum
+        v += grads.weights[i]
+        t = config.weight_decay * p
+        t += v
+        t *= lr
+        p -= t
+        vb = velocity.biases[i]
+        vb *= config.momentum
+        vb += grads.biases[i]
+        params.biases[i] -= lr * vb
+    return params
+
+
+def dense_forward(spec, w, bias, x):
+    """A dense layer that keeps its pre-activation: (out, (x, pre))."""
+    pre = x @ w + bias
+    out = np.maximum(pre, 0.0) if spec.activation == "relu" else pre
+    return out, (x, pre)
+
+
+def dense_backward(spec, w, cache, grad):
+    """(dW, db, d input) of :func:`dense_forward`, masked by ``pre > 0``."""
+    x, pre = cache
+    if spec.activation == "relu":
+        grad = grad * (pre > 0)
+    return x.T @ grad, grad.sum(axis=0), grad @ w.T
+
+
+def cutmix_batch(inputs, labels, alpha, rng):
+    """CutMix of a batch through a per-pixel box mask over the gathered
+    partners: (mixed inputs, targets, pairing), drawn as ``mix_batch`` draws."""
+    inputs = np.asarray(inputs, dtype=float)
+    pairing = rng.permutation(len(inputs))
+    lam = rng.beta(alpha, alpha)
+    *edges, ratio = sample_cutmix_boxes(*inputs.shape[-2:], lam, 1, rng)
+    mixed = paste_boxes(inputs, inputs[pairing], *edges)
+    return mixed, Targets(labels, labels[pairing], np.full(len(inputs), ratio)), pairing

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from demix import ConfigError
@@ -7,6 +9,9 @@ from demix.config import (
     parse_config,
     serialize_config,
 )
+from demix.losses import DMConfig, RescaleParams
+from demix.network import TrainConfig
+from demix.semisup import SSLConfig
 
 SAMPLE = """
 # supervised trend run
@@ -340,3 +345,23 @@ class TestDmBceCurveDefault:
     def test_other_kinds_keep_dataclass_curve(self):
         cfg = parse_config("loss.kind = dm_ce\nmixer.policy = cutmix")
         assert (cfg.loss.rescale.t, cfg.loss.rescale.xi) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (TrainConfig, "base_lr", math.nan),
+        (TrainConfig, "base_lr", math.inf),
+        (TrainConfig, "min_lr", math.nan),
+        (TrainConfig, "weight_decay", math.nan),
+        (SSLConfig, "unlabeled_weight", math.nan),
+        (SSLConfig, "eta", math.nan),
+        (SSLConfig, "eta", math.inf),
+        (SSLConfig, "alpha", math.nan),
+        (DMConfig, "eta", math.nan),
+        (RescaleParams, "t", math.nan),
+    ],
+)
+def test_config_dataclasses_reject_non_finite_floats(cls, field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be a finite number, got {value!r}$"):
+        cls(**{field: value})

@@ -20,7 +20,7 @@ from demix.mixers import (
     sample_cutmix_boxes,
     sample_resizemix_boxes,
 )
-from oracles import asymmetric_pair, mix_linear, sample_lambda, target_records
+from oracles import asymmetric_pair, cutmix_batch, mix_linear, sample_lambda, target_records
 
 
 class _FixedCenter:
@@ -395,6 +395,33 @@ class TestMixBatch:
         for policy in ("linear", "cutmix", "manifold", "resizemix"):
             replay_list_form(policy, (6, 2, 8, 8))
 
+    @pytest.mark.parametrize("shape", [(6, 5, 7), (4, 3, 8, 6), (3, 1, 28, 28)])
+    def test_cutmix_bytes_equal_mask_form(self, shape):
+        data = np.random.default_rng(1).normal(size=shape)
+        data.flat[::7] = -0.0
+        before = data.copy()
+        labels = np.arange(shape[0]) % 3
+        h, w = shape[-2:]
+        empty = clipped = 0
+        for seed in range(60):
+            rngs = [np.random.default_rng(seed) for _ in range(3)]
+            mb = mix_batch(data, labels, MixConfig("cutmix", 0.2), rngs[0])
+            mixed, targets, pairing = cutmix_batch(data, labels, 0.2, rngs[1])
+            assert mb.inputs.tobytes() == mixed.tobytes()
+            assert np.array_equal(mb.pairing, pairing)
+            for got, want in [(mb.targets.a, targets.a), (mb.targets.b, targets.b),
+                              (mb.targets.lam, targets.lam)]:
+                assert got.tobytes() == want.tobytes()
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            # The same box again, to count empty and border-clipped ones.
+            rngs[2].permutation(shape[0])
+            lam = rngs[2].beta(0.2, 0.2)
+            (y1,), (y2,), (x1,), (x2,), _ = sample_cutmix_boxes(h, w, lam, 1, rngs[2])
+            cut = math.sqrt(1.0 - lam)
+            empty += y1 == y2 or x1 == x2
+            clipped += 0 < y2 - y1 < int(h * cut) // 2 * 2 or 0 < x2 - x1 < int(w * cut) // 2 * 2
+        assert empty and clipped
+        assert data.tobytes() == before.tobytes()
 
 class TestTargets:
     def test_records_round_trip(self):

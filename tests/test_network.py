@@ -36,8 +36,11 @@ from demix.network import (
     zeros_like_params,
     _col2im,
     _im2col,
+    _layer_backward,
+    _layer_forward,
     _row_sizes,
 )
+import oracles
 from oracles import mix_linear
 
 ALL_KINDS = ["mce", "dm_ce", "mbce_one", "mbce_two", "dm_bce"]
@@ -362,6 +365,29 @@ class TestKernelOracles:
         assert np.array_equal(dx[0, 0], [[0.0, 5.0], [0.0, 0.0]])
         assert np.array_equal(dx[1, 0], [[7.0, 0.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("activation", ["relu", "none"])
+    def test_dense_layer_bytes_equal_pre_activation_form(self, activation):
+        # One input per row and a -0.0 bias put each special value in the
+        # pre-activation as it is; the 3-wide layer mixes them with others.
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, -1e308, 1.0, -1.0, 5e-324]
+        rng = np.random.default_rng(3)
+        cases = [
+            (DenseSpec(1, 1, activation), np.ones((1, 1)), np.array([-0.0]),
+             np.array(special)[:, None]),
+            (DenseSpec(3, 4, activation), rng.normal(size=(3, 4)), rng.normal(size=4),
+             rng.permutation(np.resize(special, (12, 3)).ravel()).reshape(12, 3)),
+        ]
+        for spec, w, bias, x in cases:
+            with np.errstate(invalid="ignore", over="ignore"):
+                out, cache = _layer_forward(spec, w, bias, x)
+                ref_out, ref_cache = oracles.dense_forward(spec, w, bias, x)
+                grad = rng.normal(size=out.shape)
+                got = _layer_backward(spec, w, cache, grad)
+                want = oracles.dense_backward(spec, w, ref_cache, grad)
+            assert out.tobytes() == ref_out.tobytes()
+            for g, r in zip(got, want):
+                assert g.tobytes() == r.tobytes()
+
 
 class TestManifoldMix:
     def setup_method(self):
@@ -528,6 +554,47 @@ class TestSgd:
         assert [id(a) for a in params.arrays() + vel.arrays()] == ids
         for got, want in zip(params.arrays() + vel.arrays(), ref_p.arrays() + ref_v.arrays()):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "spec, order",
+        [(DenseSpec(784, 256), "C"), (DenseSpec(784, 256), "F"), (DenseSpec(129, 256), "C"),
+         (DenseSpec(2, 32), "C"), (ConvSpec(8, 16), "C"), (ConvSpec(8, 16), "F")],
+        ids=["784x256", "784x256_fortran", "129x256", "2x32", "16x8x3x3", "16x8x3x3_fortran"],
+    )
+    @pytest.mark.parametrize("momentum, weight_decay", [(0.9, 1e-4), (0.0, 1e-4), (0.9, 0.0)])
+    def test_row_blocks_bytes_equal_whole_array_form(self, spec, order, momentum, weight_decay):
+        rng = np.random.default_rng(7)
+        params = init_params((spec,), rng)
+        params.weights[0] = np.asarray(params.weights[0], order=order)
+        params.biases[0] = rng.normal(size=params.biases[0].shape)
+        vel = zeros_like_params(params)
+        ref_p, ref_v = copy.deepcopy(params), copy.deepcopy(vel)
+        ids = [id(a) for a in params.arrays() + vel.arrays()]
+        cfg = TrainConfig(base_lr=0.3, min_lr=0.01, momentum=momentum, weight_decay=weight_decay)
+        for step in range(3):
+            grads = zeros_like_params(params)
+            for arr in grads.arrays():
+                arr[...] = rng.normal(size=arr.shape)
+            sgd_step(params, grads, vel, step, 3, cfg)
+            oracles.sgd_step(ref_p, grads, ref_v, step, 3, cfg)
+        assert [id(a) for a in params.arrays() + vel.arrays()] == ids
+        assert params.weights[0].flags.f_contiguous == (order == "F")
+        for got, want in zip(params.arrays() + vel.arrays(), ref_p.arrays() + ref_v.arrays()):
+            assert got.tobytes() == want.tobytes()
+
+    def test_no_weight_sized_temporary(self):
+        rng = np.random.default_rng(8)
+        params = init_params(make_mlp(784, 256, 10), rng)
+        grads, vel = zeros_like_params(params), zeros_like_params(params)
+        for arr in grads.arrays():
+            arr[...] = rng.normal(size=arr.shape)
+        tracemalloc.start()
+        try:
+            sgd_step(params, grads, vel, 0, 10, TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.weights[0].nbytes / 4
 
 
 class TestTrainSupervised:

@@ -41,7 +41,9 @@ def test_reads_no_environment_variable(path):
     assert reads == []
 
 
-@pytest.mark.parametrize("message", ["out of range for", "inputs must be images"])
+@pytest.mark.parametrize(
+    "message", ["out of range for", "inputs must be images", "must be a finite number"]
+)
 def test_each_input_check_raised_in_one_place(message):
     raises = []
     for path in SOURCES:

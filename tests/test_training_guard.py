@@ -50,6 +50,16 @@ def mlp_cutmix_dm_ce():
     )
 
 
+def mlp_cutmix_dm_ce_wide():
+    # 784x64 = 50176 floats: wider than one sgd_step row block, so the
+    # update crosses a block boundary (512 + 272 rows).
+    train, val = _glyphs()
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=12)
+    return train_supervised(
+        train, val, make_mlp(784, 64, 3), MixConfig("cutmix", 0.2), LossSpec("dm_ce"), cfg
+    )
+
+
 def mlp_manifold_dm_ce():
     train, val = _glyphs()
     cfg = TrainConfig(epochs=3, batch_size=16, seed=6)
@@ -109,6 +119,10 @@ GUARD_DIGESTS = {
     mlp_cutmix_dm_ce: (
         "d04fd0c5dd9b7b9e0c15dd3645e26bbc"
         "962b6d040616689b2af74f740d19d6d3"
+    ),
+    mlp_cutmix_dm_ce_wide: (
+        "74ef936480a6caab4c73799bf58b9bc2"
+        "7082f43fda310a54a589e76da00b5b7c"
     ),
     mlp_manifold_dm_ce: (
         "c19b29b23c480d175872a610df67f86d"
