@@ -6,7 +6,7 @@ each other. They score through ``network.predict_logits`` and
 ``network.input_gradients``; all three are re-exported here.
 
 The hard mixed set and the occlusion curve build their masks as arrays, with
-no loop over rows.
+no loop over rows; occlusion zeroes patches through a broadcast patch grid.
 """
 
 from __future__ import annotations
@@ -139,9 +139,12 @@ def fgsm_attack(
     gradient component leaves its input untouched (sign(0) = 0). Only image
     inputs (``ndim >= 3``) are clamped, to the pixel range [0, 1].
     """
-    gx = input_gradients(params, dataset.x, dataset.y)
-    x_adv = dataset.x + config.epsilon * np.sign(gx)
-    x_adv = np.clip(x_adv, 0.0, 1.0) if x_adv.ndim >= 3 else x_adv
+    # sign() makes a fresh array (never dataset.x); numpy's in-place sign is ~8x slower.
+    x_adv = np.sign(input_gradients(params, dataset.x, dataset.y))
+    x_adv *= config.epsilon
+    x_adv += dataset.x  # x + eps*sign(g), bit for bit
+    if x_adv.ndim >= 3:
+        np.clip(x_adv, 0.0, 1.0, out=x_adv)
     acc = top1_accuracy(params, Dataset(x_adv, dataset.y, dataset.num_classes))
     return acc, 1.0 - acc
 
@@ -178,6 +181,7 @@ def occlusion_eval(
     n_patches = grid_h * grid_w
     x = np.asarray(dataset.x, dtype=float)
     n = len(x)
+    tiles = x.reshape(*x.shape[:-2], grid_h, p, grid_w, p)
     out = []
     for ratio in config.ratios:
         k = patches_to_mask(ratio, n_patches)
@@ -188,10 +192,8 @@ def occlusion_eval(
         grid = np.zeros((n, n_patches), dtype=bool)
         np.put_along_axis(grid, chosen, True, axis=1)
         # patch (r, c) covers pixels [r*p:(r+1)*p, c*p:(c+1)*p]
-        pixels = np.broadcast_to(
-            grid.reshape(n, grid_h, 1, grid_w, 1), (n, grid_h, p, grid_w, p)
-        ).reshape((n,) + (1,) * (x.ndim - 3) + x.shape[-2:])
-        occluded = np.where(pixels, 0.0, x)
+        patches = grid.reshape((n,) + (1,) * (x.ndim - 3) + (grid_h, 1, grid_w, 1))
+        occluded = np.where(patches, 0.0, tiles).reshape(x.shape)
         acc = top1_accuracy(params, Dataset(occluded, dataset.y, dataset.num_classes))
         out.append((ratio, acc))
     return out

@@ -17,16 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mixers import CUT_POLICIES, MixedTarget, Targets
+from .mixers import CUT_POLICIES, MixedTarget, Targets, _check_finite
 
 LOSS_KINDS = ("mce", "dm_ce", "mbce_one", "mbce_two", "dm_bce")
-
-
-def _check_finite(config, *names: str) -> None:
-    """``ValueError`` naming the first field of ``config`` in ``names`` that is NaN or infinite."""
-    for name in names:
-        if not np.isfinite(value := getattr(config, name)):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,6 +17,13 @@ POLICIES = ("linear", "cutmix", "manifold", "resizemix")
 CUT_POLICIES = ("cutmix", "resizemix")
 
 
+def _check_finite(config, *names: str) -> None:
+    """``ValueError`` naming the first field of ``config`` in ``names`` that is NaN or infinite."""
+    for name in names:
+        if not np.isfinite(value := getattr(config, name)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Lambda:
     """Mixing ratio in [0, 1]; the coefficient of the first input."""
@@ -40,6 +47,7 @@ class MixConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"unknown mixing policy {self.policy!r}")
+        _check_finite(self, "alpha")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
 

@@ -3,9 +3,9 @@
 Two fixed architectures: an MLP (in-256-C, ReLU) and a small conv net
 (3x3x8 - pool - 3x3x16 - pool - dense). Forward passes return an explicit
 :class:`ActivationCache`; :func:`backward` walks it to produce exact
-gradients for every parameter and, on request, for the inputs (the FGSM
-probe asks; training does not, so it skips the first layer's input
-gradient).
+gradients for every parameter and, on request, for the inputs (training does
+not ask, so it skips the first layer's input gradient; the FGSM probe's
+:func:`input_gradients` computes input gradients alone, no parameter gradient).
 :func:`forward` takes a raw batch and shapes it for the first layer. Its
 optional hidden mix for ManifoldMix is a linear operation on the input of one
 layer, recorded in the cache so the chain rule routes lam to each sample and
@@ -218,7 +218,7 @@ def _adapt_inputs(specs: tuple[LayerSpec, ...], x: np.ndarray) -> tuple[np.ndarr
 
 def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     b, c, h, w = x.shape
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     xp[:, :, pad : pad + h, pad : pad + w] = x
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     # (b, c, ho, wo, k, k) -> (b, c*k*k, ho*wo), rows ordered (channel, i, j)
@@ -230,7 +230,7 @@ def _col2im(cols: np.ndarray, x_shape: tuple, k: int, pad: int) -> np.ndarray:
     ho = h + 2 * pad - k + 1
     wo = w + 2 * pad - k + 1
     cols = cols.reshape(b, c, k, k, ho, wo)
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     for i in range(k):
         for j in range(k):
             xp[:, :, i : i + ho, j : j + wo] += cols[:, :, i, j]
@@ -272,20 +272,23 @@ def _layer_forward(spec, w, bias, x):
     return x.reshape(len(x), -1), (x.shape,)
 
 
-def _layer_backward(spec, w, cache, grad, input_grad=True):
-    """(dW, db, d input) of one layer; d input is None when not ``input_grad``."""
+def _layer_backward(spec, w, cache, grad, input_grad=True, param_grad=True):
+    """(dW, db, d input) of one layer, None where ``param_grad`` or ``input_grad`` is off."""
     if isinstance(spec, DenseSpec):
         x, out = cache
         if spec.activation == "relu":
             grad = grad * (out > 0)
-        return x.T @ grad, grad.sum(axis=0), grad @ w.T if input_grad else None
+        dw, db = (x.T @ grad, grad.sum(axis=0)) if param_grad else (None, None)
+        return dw, db, grad @ w.T if input_grad else None
     if isinstance(spec, ConvSpec):
         x_shape, cols, out = cache
         if spec.activation == "relu":
             grad = grad * (out > 0)
         gf = grad.reshape(grad.shape[0], spec.out_ch, -1)
-        dw = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        db = gf.sum(axis=(0, 2))
+        dw = db = None
+        if param_grad:
+            dw = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+            db = gf.sum(axis=(0, 2))
         if not input_grad:
             return dw, db, None
         dcols = np.matmul(w.reshape(spec.out_ch, -1).T, gf)
@@ -432,13 +435,17 @@ def top1_accuracy(params: Parameters, dataset) -> float:
 
 def input_gradients(params: Parameters, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """d(mean CE)/d(inputs), in the raw input shape, one inference chunk at a
-    time: each chunk's mean-CE gradient is weighted by its share of the rows."""
+    time: each chunk's mean-CE gradient is weighted by its share of the rows.
+    The walk back computes each layer's input gradient and no parameter gradient."""
     rows = _chunk_rows(params, x)
     out = []
     for i in range(0, len(x), rows):
         z, cache = forward(params, x[i : i + rows])
         res = batch_loss(z, plain_targets(y[i : i + rows]), LossSpec())
-        out.append(backward(params, cache, res.grad_logits * (len(z) / len(x)))[1])
+        g = res.grad_logits * (len(z) / len(x))
+        for spec, w, io in zip(params.specs[::-1], params.weights[::-1], cache.layer_io[::-1]):
+            g = _layer_backward(spec, w, io, g, param_grad=False)[2]
+        out.append(g.reshape(cache.input_shape))
     return np.concatenate(out)
 
 

@@ -10,25 +10,32 @@ these forms. :func:`ssl_step` is the SSL step with one cross-entropy pass per
 forward, the form ``demix.semisup.ssl_step`` must match byte for byte;
 :func:`sgd_step`, :func:`dense_forward`, :func:`dense_backward` and
 :func:`cutmix_batch` are the whole-array forms that ``demix.network`` and
-``demix.mixers`` must match byte for byte.
+``demix.mixers`` must match byte for byte. :func:`input_gradients`,
+:func:`fgsm_inputs` and :func:`occlusion_eval` are the probes' forms that
+compute every parameter gradient, use out-of-place temporaries and build a
+pixel mask; ``demix.network`` and ``demix.evaluation`` must match them byte
+for byte.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from demix import evaluation
 from demix.data import Dataset
 from demix.losses import (
     DMConfig,
     LossResult,
+    LossSpec,
     RescaleParams,
     _check_labels,
     asymmetric_dm_rows,
+    batch_loss,
     log_softmax,
     mce_rows,
 )
 from demix.mixers import Lambda, MixedTarget, Targets, paste_boxes, sample_cutmix_boxes
-from demix.network import backward, cosine_lr, forward
+from demix.network import _chunk_rows, backward, cosine_lr, forward, plain_targets
 
 BCE_TARGET_MODES = ("one", "two", "rescaled")
 
@@ -369,3 +376,48 @@ def cutmix_batch(inputs, labels, alpha, rng):
     *edges, ratio = sample_cutmix_boxes(*inputs.shape[-2:], lam, 1, rng)
     mixed = paste_boxes(inputs, inputs[pairing], *edges)
     return mixed, Targets(labels, labels[pairing], np.full(len(inputs), ratio)), pairing
+
+
+def input_gradients(params, x, y):
+    """d(mean CE)/d(inputs) as the full ``backward`` of each inference chunk,
+    every parameter gradient computed and dropped, each chunk's gradient
+    weighted by its share of the rows."""
+    rows = _chunk_rows(params, x)
+    out = []
+    for i in range(0, len(x), rows):
+        z, cache = forward(params, x[i : i + rows])
+        res = batch_loss(z, plain_targets(y[i : i + rows]), LossSpec())
+        out.append(backward(params, cache, res.grad_logits * (len(z) / len(x)))[1])
+    return np.concatenate(out)
+
+
+def fgsm_inputs(x, gx, epsilon):
+    """The sign attack's inputs x + eps*sign(g), clamped to [0, 1] for images."""
+    x_adv = x + epsilon * np.sign(gx)
+    return np.clip(x_adv, 0.0, 1.0) if x_adv.ndim >= 3 else x_adv
+
+
+def occlusion_eval(params, dataset, config, rng):
+    """The occlusion curve through a materialised pixel mask per ratio, scored
+    by ``evaluation.top1_accuracy`` as looked up at each call."""
+    grid_h, grid_w = evaluation.occlusion_grid(dataset, config.patch_size)
+    p = config.patch_size
+    n_patches = grid_h * grid_w
+    x = np.asarray(dataset.x, dtype=float)
+    n = len(x)
+    out = []
+    for ratio in config.ratios:
+        k = evaluation.patches_to_mask(ratio, n_patches)
+        if k == 0:
+            out.append((ratio, evaluation.top1_accuracy(params, dataset)))
+            continue
+        chosen = np.argsort(rng.random((n, n_patches)), axis=1)[:, :k]
+        grid = np.zeros((n, n_patches), dtype=bool)
+        np.put_along_axis(grid, chosen, True, axis=1)
+        pixels = np.broadcast_to(
+            grid.reshape(n, grid_h, 1, grid_w, 1), (n, grid_h, p, grid_w, p)
+        ).reshape((n,) + (1,) * (x.ndim - 3) + x.shape[-2:])
+        occluded = np.where(pixels, 0.0, x)
+        acc = evaluation.top1_accuracy(params, Dataset(occluded, dataset.y, dataset.num_classes))
+        out.append((ratio, acc))
+    return out

@@ -10,6 +10,7 @@ from demix.config import (
     serialize_config,
 )
 from demix.losses import DMConfig, RescaleParams
+from demix.mixers import MixConfig
 from demix.network import TrainConfig
 from demix.semisup import SSLConfig
 
@@ -360,6 +361,8 @@ class TestDmBceCurveDefault:
         (SSLConfig, "alpha", math.nan),
         (DMConfig, "eta", math.nan),
         (RescaleParams, "t", math.nan),
+        (MixConfig, "alpha", math.inf),
+        (MixConfig, "alpha", math.nan),
     ],
 )
 def test_config_dataclasses_reject_non_finite_floats(cls, field, value):

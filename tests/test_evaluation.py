@@ -25,6 +25,17 @@ from demix.network import (
     train_supervised,
 )
 
+import oracles
+
+
+def record_scored(monkeypatch):
+    """Record the inputs of each top-1 scoring in ``evaluation``; score them as before."""
+    scored, score = [], evaluation.top1_accuracy
+    monkeypatch.setattr(
+        evaluation, "top1_accuracy", lambda params, ds: scored.append(ds.x) or score(params, ds)
+    )
+    return scored
+
 
 def constant_net(num_classes, in_dim=4):
     """Zero weights: identical logits for every input (argmax picks class 0)."""
@@ -283,6 +294,43 @@ class TestFgsm:
         assert gx.shape == ds.x.shape
         np.testing.assert_allclose(gx, whole, rtol=0, atol=1e-12 * np.abs(whole).max())
 
+    @pytest.mark.parametrize(
+        "specs, shape",
+        [(make_mlp(784, 256, 10), (1000, 28, 28)), (make_conv(1, 10), (100, 28, 28)),
+         (make_conv(1, 10), (80, 1, 28, 28))],
+        ids=["mlp", "conv", "conv_channel_axis"],
+    )
+    def test_input_gradients_bytes_equal_full_backward(self, specs, shape):
+        rng = np.random.default_rng(4)
+        params = init_params(specs, rng)
+        x = rng.uniform(size=shape)
+        y = rng.integers(0, 10, size=len(x))
+        assert network._chunk_rows(params, x) < len(x)  # 668 and 37 rows per chunk
+        got = input_gradients(params, x, y)
+        want = oracles.input_gradients(params, x, y)
+        assert got.shape == want.shape == x.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("epsilon", [0.0, 8 / 255, 0.5])
+    @pytest.mark.parametrize("kind", ["vectors", "images", "channel_images"])
+    def test_adversarial_inputs_bytes_equal_out_of_place_form(self, monkeypatch, kind, epsilon):
+        rng = np.random.default_rng(6)
+        if kind == "vectors":  # rows reach past [0, 1] and are not clamped
+            specs, x = make_mlp(2, 8, 3), rng.normal(scale=3.0, size=(50, 2))
+        else:  # pixels outside [0, 1], so the clamp acts at both ends
+            shape = (50, 28, 28) if kind == "images" else (40, 1, 28, 28)
+            specs = make_mlp(784, 16, 3) if kind == "images" else make_conv(1, 3)
+            x = rng.uniform(-0.5, 1.5, size=shape)
+        params = init_params(specs, rng)
+        ds = dd.Dataset(x, rng.integers(0, 3, size=len(x)), 3)
+        scored = record_scored(monkeypatch)
+        acc, err = fgsm_attack(params, ds, AttackConfig(epsilon))
+        want = oracles.fgsm_inputs(x, oracles.input_gradients(params, x, ds.y), epsilon)
+        assert len(scored) == 1
+        assert scored[0].shape == want.shape and scored[0].tobytes() == want.tobytes()
+        assert acc == network.top1_accuracy(params, dd.Dataset(want, ds.y, 3))
+        assert err == 1.0 - acc
+
     def test_bounds_respected(self):
         params, val = self._trained()
         cfg = AttackConfig(epsilon=0.1)
@@ -330,12 +378,44 @@ class TestOcclusion:
             assert np.all(whole.all(axis=-1) | ~whole.any(axis=-1))
             assert np.all((~whole.any(axis=-1)).sum(axis=(-2, -1)) == k)
 
+    @pytest.mark.parametrize("shape", [(28, 28), (1, 28, 28), (2, 8, 12)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_curve_bytes_equal_pixel_mask_form(self, monkeypatch, shape, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(size=(30,) + shape)
+        ds = dd.Dataset(x, rng.integers(0, 3, size=30), 3)
+        params = init_params(make_mlp(x[0].size, 16, 3), rng)
+        config = OcclusionConfig(4, (0.0, 0.1, 0.5, 0.75, 1.0))
+        scored = record_scored(monkeypatch)
+        got = occlusion_eval(params, ds, config, np.random.default_rng([seed, 1]))
+        want = oracles.occlusion_eval(params, ds, config, np.random.default_rng([seed, 1]))
+        assert got == want
+        assert len(scored) == 2 * len(config.ratios)
+        for new, old in zip(scored[: len(config.ratios)], scored[len(config.ratios) :]):
+            assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
     def test_ratio_one_is_all_zero_input(self):
         ds = dd.make_image_classes(40, num_classes=4, seed=0)
         net = constant_net(4, 784)
         curve = occlusion_eval(net, ds, OcclusionConfig(4, (1.0,)), np.random.default_rng(0))
         # all-zero inputs, constant prediction: accuracy is the class-0 share
         assert curve[0][1] == np.mean(ds.y == 0)
+
+
+def test_probes_leave_read_only_data_and_parameters_as_they_were():
+    ds = dd.make_image_classes(40, num_classes=3, seed=7)
+    ds.x.setflags(write=False)
+    rng = np.random.default_rng(7)
+    for specs in (make_mlp(784, 16, 3), make_conv(1, 3)):
+        params = init_params(specs, rng)
+        before = [a.tobytes() for a in params.arrays()]
+        hard = make_hard_mixed_set(ds, 20, np.random.default_rng(0))
+        hard.inputs.setflags(write=False)
+        mixed_pair_eval(params, hard)
+        fgsm_attack(params, ds, AttackConfig())
+        occlusion_eval(params, ds, OcclusionConfig(), np.random.default_rng(0))
+        confidence_histogram(params, ds, 5)
+        assert [a.tobytes() for a in params.arrays()] == before
 
 
 class TestConfidenceHistogram:

@@ -365,6 +365,18 @@ class TestKernelOracles:
         assert np.array_equal(dx[0, 0], [[0.0, 5.0], [0.0, 0.0]])
         assert np.array_equal(dx[1, 0], [[7.0, 0.0], [0.0, 0.0]])
 
+    def test_float32_conv_and_pool_stay_float32(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 1, 8, 8)).astype(np.float32)
+        conv, pool = ConvSpec(1, 3), PoolSpec(2)
+        w = rng.normal(size=(3, 1, 3, 3)).astype(np.float32)
+        bias = rng.normal(size=3).astype(np.float32)
+        h, conv_cache = _layer_forward(conv, w, bias, x)
+        out, pool_cache = _layer_forward(pool, None, None, h)
+        _, _, dh = _layer_backward(pool, None, pool_cache, np.ones_like(out))
+        dw, db, dx = _layer_backward(conv, w, conv_cache, dh)
+        assert {a.dtype for a in (h, out, dh, dw, db, dx)} == {np.dtype(np.float32)}
+
     @pytest.mark.parametrize("activation", ["relu", "none"])
     def test_dense_layer_bytes_equal_pre_activation_form(self, activation):
         # One input per row and a -0.0 bias put each special value in the
