@@ -6,7 +6,7 @@ each other. They score through ``network.predict_logits`` and
 ``network.input_gradients``; all three are re-exported here.
 
 The hard mixed set and the occlusion curve build their masks as arrays, with
-no loop over rows; occlusion zeroes patches through a broadcast patch grid.
+no loop over rows; occlusion zeroes patches through a column-widened grid.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def occlusion_eval(
     n_patches = grid_h * grid_w
     x = np.asarray(dataset.x, dtype=float)
     n = len(x)
-    tiles = x.reshape(*x.shape[:-2], grid_h, p, grid_w, p)
+    tiles = x.reshape(*x.shape[:-2], grid_h, p, x.shape[-1])
     out = []
     for ratio in config.ratios:
         k = patches_to_mask(ratio, n_patches)
@@ -191,9 +191,9 @@ def occlusion_eval(
         chosen = np.argsort(rng.random((n, n_patches)), axis=1)[:, :k]
         grid = np.zeros((n, n_patches), dtype=bool)
         np.put_along_axis(grid, chosen, True, axis=1)
-        # patch (r, c) covers pixels [r*p:(r+1)*p, c*p:(c+1)*p]
-        patches = grid.reshape((n,) + (1,) * (x.ndim - 3) + (grid_h, 1, grid_w, 1))
-        occluded = np.where(patches, 0.0, tiles).reshape(x.shape)
+        # patch (r, c) covers pixels [r*p:(r+1)*p, c*p:(c+1)*p]: columns repeated, rows broadcast
+        patches = grid.reshape((n,) + (1,) * (x.ndim - 3) + (grid_h, 1, grid_w))
+        occluded = np.where(np.repeat(patches, p, axis=-1), 0.0, tiles).reshape(x.shape)
         acc = top1_accuracy(params, Dataset(occluded, dataset.y, dataset.num_classes))
         out.append((ratio, acc))
     return out

@@ -27,9 +27,11 @@ matmuls over it; ``_col2im`` adds all channels at once for each of the k*k
 kernel offsets. Max-pool takes the elementwise maximum of the s*s strided
 views ``x[:, :, i::s, j::s]`` and routes the gradient to the first maximum of
 each window in row-major order. Dense and conv layers cache their output,
-not the pre-activation: ReLU's output is > 0 exactly where its input is.
-``sgd_step`` updates parameters and velocity in place, one row slice of each
-weight at a time.
+not the pre-activation: ReLU's output is > 0 exactly where its input is. A
+ReLU conv layer leaves its ReLU and mask to a pool right after it, on the
+pooled map, unless the pool's input is hidden-mixed: ReLU and max commute
+exactly. ``sgd_step`` updates parameters and velocity in place, a weight of
+more than ``_SGD_BLOCK`` floats one row slice at a time.
 
 The layer specs are the schema of DMX1 checkpoints: a layer's token is its
 kind and its fields, and ``_param_shapes`` gives the shapes that
@@ -43,6 +45,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import get_type_hints
 
 import numpy as np
@@ -117,6 +120,13 @@ class Parameters:
                 out.append(w)
                 out.append(b)
         return out
+
+    @cached_property
+    def relu_pools(self) -> frozenset[int]:
+        """Pool layers right after a ReLU conv layer: the pair's ReLU runs at the pool."""
+        s = self.specs
+        return frozenset(i for i in range(1, len(s)) if isinstance(s[i], PoolSpec)
+                         and isinstance(s[i - 1], ConvSpec) and s[i - 1].activation == "relu")
 
 
 @dataclass(eq=False)
@@ -244,7 +254,8 @@ def _pool_views(x: np.ndarray, s: int):
     return [x[:, :, i::s, j::s] for i in range(s) for j in range(s)]
 
 
-def _layer_forward(spec, w, bias, x):
+def _layer_forward(spec, w, bias, x, pooled=False):
+    """(output, cache); ``pooled`` marks both layers of a ``Parameters.relu_pools`` pair."""
     if isinstance(spec, DenseSpec):
         out = x @ w
         out += bias
@@ -252,22 +263,23 @@ def _layer_forward(spec, w, bias, x):
             np.maximum(out, 0.0, out=out)
         return out, (x, out)
     if isinstance(spec, ConvSpec):
-        b, c, h, wd = x.shape
+        b, _, h, _ = x.shape
         cols = _im2col(x, spec.ksize, spec.pad)
         out = np.matmul(w.reshape(spec.out_ch, -1), cols)
         out += bias[:, None]
-        ho = h + 2 * spec.pad - spec.ksize + 1
-        wo = wd + 2 * spec.pad - spec.ksize + 1
-        out = out.reshape(b, spec.out_ch, ho, wo)
-        if spec.activation == "relu":
+        out = out.reshape(b, spec.out_ch, h + 2 * spec.pad - spec.ksize + 1, -1)
+        if spec.activation == "relu" and not pooled:
             np.maximum(out, 0.0, out=out)
-        return out, (x.shape, cols, out)
+            return out, (x.shape, cols, out)
+        return out, (x.shape, cols, None)
     if isinstance(spec, PoolSpec):
         views = _pool_views(x, spec.size)
         out = views[0].copy()
         for v in views[1:]:
             np.maximum(out, v, out=out)
-        return out, (x, out)
+        if pooled:
+            np.maximum(out, 0.0, out=out)
+        return out, (x, out, pooled)
     assert isinstance(spec, FlattenSpec)
     return x.reshape(len(x), -1), (x.shape,)
 
@@ -282,7 +294,7 @@ def _layer_backward(spec, w, cache, grad, input_grad=True, param_grad=True):
         return dw, db, grad @ w.T if input_grad else None
     if isinstance(spec, ConvSpec):
         x_shape, cols, out = cache
-        if spec.activation == "relu":
+        if out is not None:  # the ReLU ran here
             grad = grad * (out > 0)
         gf = grad.reshape(grad.shape[0], spec.out_ch, -1)
         dw = db = None
@@ -294,15 +306,16 @@ def _layer_backward(spec, w, cache, grad, input_grad=True, param_grad=True):
         dcols = np.matmul(w.reshape(spec.out_ch, -1).T, gf)
         return dw, db, _col2im(dcols, x_shape, spec.ksize, spec.pad)
     if isinstance(spec, PoolSpec):
-        # The gradient goes to the first maximum of each window in row-major
-        # order, as argmax would pick it; grad * mask leaves -0.0 where grad < 0.
-        x, out = cache
+        # The gradient goes to the first maximum of each window in row-major order, as argmax
+        # would; with the ReLU here, none unless out > 0. grad * mask leaves -0.0 where grad < 0.
+        x, out, relu = cache
         dx = np.empty_like(x)
-        free = np.ones(out.shape, dtype=bool)
-        for v, dv in zip(_pool_views(x, spec.size), _pool_views(dx, spec.size)):
+        free = out > 0 if relu else np.ones(out.shape, dtype=bool)
+        for k, (v, dv) in enumerate(zip(_pool_views(x, spec.size), _pool_views(dx, spec.size))):
             hit = free & (v == out)
             np.multiply(grad, hit, out=dv)
-            free &= ~hit
+            if k < spec.size**2 - 1:  # no view after the last reads free
+                free &= ~hit
         return None, None, dx
     assert isinstance(spec, FlattenSpec)
     (x_shape,) = cache
@@ -320,8 +333,10 @@ def forward(
     skipped so those cases match the unmixed forward exactly.
     """
     x = np.asarray(x, dtype=float)
+    pools = params.relu_pools
     if mix is not None:
         site, lam, pairing = mix
+        pools = pools - {site}  # a pool whose input is mixed takes it after the ReLU
         if not (0 <= site < len(params.specs)):
             raise ValueError(f"mix site {site} outside the network depth")
         if lam == 1.0 or np.array_equal(pairing, np.arange(len(x))):
@@ -331,7 +346,8 @@ def forward(
     for i, lspec in enumerate(params.specs):
         if mix is not None and mix[0] == i:
             h = lam * h + (1.0 - lam) * h[pairing]
-        h, cache = _layer_forward(lspec, params.weights[i], params.biases[i], h)
+        pooled = i in pools or i + 1 in pools
+        h, cache = _layer_forward(lspec, params.weights[i], params.biases[i], h, pooled)
         layer_io.append(cache)
     return h, ActivationCache(x.shape, layer_io, mix)
 
@@ -486,15 +502,19 @@ def sgd_step(
         p, v, g = params.weights[i], velocity.weights[i], grads.weights[i]
         if p is None:
             continue
-        # v = m*v + g; p -= lr*(v + wd*p) in place, per row slice (not a reshape,
-        # which would update a copy of a non-contiguous weight).
-        rows = max(1, _SGD_BLOCK // (p.size // len(p)))
-        t = np.empty_like(p[:rows])
-        for r in range(0, len(p), rows):
-            ps, vs, ts = p[r : r + rows], v[r : r + rows], t[: len(p) - r]
+        # v = m*v + g; p -= lr*(v + wd*p) in place, whole or per row slice (not
+        # a reshape, which would update a copy of a non-contiguous weight).
+        if p.size <= _SGD_BLOCK:
+            blocks = [(p, v, g, None)]
+        else:
+            rows = max(1, _SGD_BLOCK // (p.size // len(p)))
+            t = np.empty_like(p[:rows])
+            blocks = [(p[r : r + rows], v[r : r + rows], g[r : r + rows], t[: len(p) - r])
+                      for r in range(0, len(p), rows)]
+        for ps, vs, gs, ts in blocks:
             vs *= config.momentum
-            vs += g[r : r + rows]
-            np.multiply(config.weight_decay, ps, out=ts)
+            vs += gs
+            ts = np.multiply(config.weight_decay, ps, out=ts)
             ts += vs
             ts *= lr
             ps -= ts

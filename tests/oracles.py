@@ -6,7 +6,10 @@ Each function takes one logit vector (or one pair of inputs, or one glyph at
 a time) and writes the arithmetic out directly, with its analytic gradient
 where it has one. The batched kernels in ``demix.losses``, ``demix.mixers``
 and ``demix.data`` are what training runs; the tests compare them against
-these forms. :func:`ssl_step` is the SSL step with one cross-entropy pass per
+these forms. The ``chain_*`` forms run the conv net as it ran before its
+pools took the ReLU of the conv layer before them: each conv layer takes its
+ReLU at full size, and ``demix.network`` must match them byte for byte.
+:func:`ssl_step` is the SSL step with one cross-entropy pass per
 forward, the form ``demix.semisup.ssl_step`` must match byte for byte;
 :func:`sgd_step`, :func:`dense_forward`, :func:`dense_backward` and
 :func:`cutmix_batch` are the whole-array forms that ``demix.network`` and
@@ -35,7 +38,22 @@ from demix.losses import (
     mce_rows,
 )
 from demix.mixers import Lambda, MixedTarget, Targets, paste_boxes, sample_cutmix_boxes
-from demix.network import _chunk_rows, backward, cosine_lr, forward, plain_targets
+from demix.network import (
+    ConvSpec,
+    Parameters,
+    PoolSpec,
+    _adapt_inputs,
+    _chunk_rows,
+    _col2im,
+    _im2col,
+    _layer_backward,
+    _layer_forward,
+    _pool_views,
+    backward,
+    cosine_lr,
+    forward,
+    plain_targets,
+)
 
 BCE_TARGET_MODES = ("one", "two", "rescaled")
 
@@ -421,3 +439,101 @@ def occlusion_eval(params, dataset, config, rng):
         acc = evaluation.top1_accuracy(params, Dataset(occluded, dataset.y, dataset.num_classes))
         out.append((ratio, acc))
     return out
+
+
+def chain_layer_forward(spec, w, bias, x):
+    """One layer with the ReLU of a conv layer at full size; its cache keeps
+    the output, whose sign masks the backward. Dense and flatten layers run
+    as ``demix.network`` runs them."""
+    if isinstance(spec, ConvSpec):
+        b, c, h, wd = x.shape
+        cols = _im2col(x, spec.ksize, spec.pad)
+        out = np.matmul(w.reshape(spec.out_ch, -1), cols)
+        out += bias[:, None]
+        out = out.reshape(b, spec.out_ch, h + 2 * spec.pad - spec.ksize + 1, -1)
+        if spec.activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        return out, (x.shape, cols, out)
+    if isinstance(spec, PoolSpec):
+        views = _pool_views(x, spec.size)
+        out = views[0].copy()
+        for v in views[1:]:
+            np.maximum(out, v, out=out)
+        return out, (x, out)
+    return _layer_forward(spec, w, bias, x)
+
+
+def chain_layer_backward(spec, w, cache, grad):
+    """(dW, db, d input) of :func:`chain_layer_forward`: a ReLU conv layer
+    masks the full-size gradient by its output's sign; the pool routes the
+    gradient to the first maximum of each window, in row-major order."""
+    if isinstance(spec, ConvSpec):
+        x_shape, cols, out = cache
+        if spec.activation == "relu":
+            grad = grad * (out > 0)
+        gf = grad.reshape(grad.shape[0], spec.out_ch, -1)
+        dw = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        dcols = np.matmul(w.reshape(spec.out_ch, -1).T, gf)
+        return dw, gf.sum(axis=(0, 2)), _col2im(dcols, x_shape, spec.ksize, spec.pad)
+    if isinstance(spec, PoolSpec):
+        x, out = cache
+        dx = np.empty_like(x)
+        free = np.ones(out.shape, dtype=bool)
+        for v, dv in zip(_pool_views(x, spec.size), _pool_views(dx, spec.size)):
+            hit = free & (v == out)
+            np.multiply(grad, hit, out=dv)
+            free &= ~hit
+        return None, None, dx
+    return _layer_backward(spec, w, cache, grad)
+
+
+def chain_forward(params, x, mix=None):
+    """Logits and per-layer caches of a raw batch; ``mix = (site, lam,
+    pairing)`` mixes the input of layer ``site`` with its partner rows."""
+    h = _adapt_inputs(params.specs, np.asarray(x, dtype=float))[0]
+    caches = []
+    for i, spec in enumerate(params.specs):
+        if mix is not None and mix[0] == i:
+            _, lam, pairing = mix
+            h = lam * h + (1.0 - lam) * h[pairing]
+        h, cache = chain_layer_forward(spec, params.weights[i], params.biases[i], h)
+        caches.append(cache)
+    return h, caches
+
+
+def chain_backward(params, caches, grad_logits, x_shape, mix=None):
+    """Every parameter gradient and the input gradient, in ``x_shape``, of
+    :func:`chain_forward` run with the same ``mix``."""
+    n = len(params.specs)
+    weights, biases = [None] * n, [None] * n
+    g = grad_logits
+    for i in range(n - 1, -1, -1):
+        weights[i], biases[i], g = chain_layer_backward(
+            params.specs[i], params.weights[i], caches[i], g
+        )
+        if mix is not None and mix[0] == i:
+            _, lam, pairing = mix
+            g, g_mixed = lam * g, g
+            g[pairing] += (1.0 - lam) * g_mixed
+    return Parameters(params.specs, weights, biases), g.reshape(x_shape)
+
+
+def chain_predict_logits(params, x):
+    """Logits of :func:`chain_forward`, one inference chunk at a time."""
+    rows = _chunk_rows(params, x)
+    return np.concatenate([chain_forward(params, x[i : i + rows])[0]
+                           for i in range(0, len(x), rows)])
+
+
+def chain_input_gradients(params, x, y):
+    """d(mean CE)/d(inputs) through :func:`chain_backward`, one inference
+    chunk at a time, each chunk's gradient weighted by its share of the rows."""
+    rows = _chunk_rows(params, x)
+    out = []
+    for i in range(0, len(x), rows):
+        xs = x[i : i + rows]
+        z, caches = chain_forward(params, xs)
+        res = batch_loss(z, plain_targets(y[i : i + rows]), LossSpec())
+        g = res.grad_logits * (len(z) / len(x))
+        out.append(chain_backward(params, caches, g, xs.shape)[1])
+    return np.concatenate(out)

@@ -401,6 +401,111 @@ class TestKernelOracles:
                 assert g.tobytes() == r.tobytes()
 
 
+# Value kinds for the ReLU-at-the-pool oracle tests: ties (small integers,
+# signed zeros, all-zero windows) and special values move the first-maximum
+# hit and the sign of a masked zero, where a wrong mask shows.
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+VALUE_KINDS = ["normal", "integer", "zeros", "special"]
+
+
+def tie_prone(rng, kind, shape):
+    """An array of one value kind: normal floats, integers in [-2, 2], signed
+    zeros, or integers with about one entry in ten NaN, +-inf or +-0.0."""
+    if kind == "normal":
+        return rng.normal(size=shape)
+    if kind == "zeros":
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    ints = rng.integers(-2, 3, size=shape).astype(float)
+    if kind == "integer":
+        return ints
+    return np.where(rng.random(shape) < 0.1, rng.choice(SPECIAL, size=shape), ints)
+
+
+@st.composite
+def conv_pool_nets(draw):
+    """The default conv net or a conv-pool-conv-pool stack (either activation,
+    kernel 3 with pad 1 or kernel 1), with a batch, parameters and an upstream
+    gradient, each of its own value kind."""
+    c = draw(st.integers(1, 2))
+    hw = (draw(st.sampled_from([4, 8])), draw(st.sampled_from([4, 8])))
+    if draw(st.booleans()):
+        specs = make_conv(c, 3, hw)
+    else:
+        geometry = st.sampled_from([(3, 1), (1, 0)])
+        act = st.sampled_from(["relu", "relu", "none"])
+        specs = (ConvSpec(c, 3, *draw(geometry), draw(act)), PoolSpec(2),
+                 ConvSpec(3, 2, *draw(geometry), draw(act)), PoolSpec(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = [draw(st.sampled_from(VALUE_KINDS)) for _ in range(4)]
+    params = init_params(specs, rng)
+    for arrays, kind in ((params.weights, kinds[0]), (params.biases, kinds[1])):
+        for i, a in enumerate(arrays):
+            if a is not None:
+                arrays[i] = tie_prone(rng, kind, a.shape)
+    x = tie_prone(rng, kinds[2], (draw(st.integers(1, 3)), c, *hw))
+    return params, x, rng, kinds[3]
+
+
+class TestReluAtThePool:
+    """A ReLU conv layer followed by a pool leaves its ReLU and the ReLU's
+    backward mask to the pool, on the pooled map; the logits and every
+    gradient stay byte-equal to the full-size ReLU of ``oracles.chain_*``."""
+
+    @staticmethod
+    def assert_matches_chain(params, x, grad, mix=None):
+        with np.errstate(invalid="ignore", over="ignore"):
+            z, cache = forward(params, x, mix)
+            grads, gx = backward(params, cache, grad)
+            no_input, none = backward(params, cache, grad, input_grad=False)
+            ref_z, ref_cache = oracles.chain_forward(params, x, mix)
+            ref, ref_gx = oracles.chain_backward(params, ref_cache, grad, x.shape, mix)
+        assert z.tobytes() == ref_z.tobytes()
+        assert gx.tobytes() == ref_gx.tobytes() and none is None
+        for a, b, r in zip(grads.arrays(), no_input.arrays(), ref.arrays(), strict=True):
+            assert a.tobytes() == b.tobytes() == r.tobytes()
+
+    @given(conv_pool_nets())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_full_size_relu_with_ties_and_special_values(self, case):
+        params, x, rng, grad_kind = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            shape = forward(params, x)[0].shape
+        self.assert_matches_chain(params, x, tie_prone(rng, grad_kind, shape))
+
+    def test_caches_record_where_the_relu_ran(self):
+        params = init_params(make_conv(1, 3, (8, 8)), np.random.default_rng(0))
+        assert params.relu_pools == {1, 3}
+        _, cache = forward(params, np.random.default_rng(1).normal(size=(2, 8, 8)))
+        conv1, pool1, conv2, pool2 = cache.layer_io[:4]
+        assert conv1[2] is None and conv2[2] is None and pool1[2] and pool2[2]
+        _, cache = forward(params, np.zeros((2, 8, 8)), (1, 0.3, np.array([1, 0])))
+        assert cache.layer_io[0][2] is not None and not cache.layer_io[1][2]
+        assert cache.layer_io[2][2] is None and cache.layer_io[3][2]
+        assert init_params(make_mlp(4, 3, 2), np.random.default_rng(0)).relu_pools == set()
+
+    @pytest.mark.parametrize("site", range(len(make_conv(1, 3))))
+    def test_every_mix_site_bytes_equal(self, site):
+        # A mixed pool input (sites 1 and 3) is mixed after the ReLU, so the
+        # conv layer before that pool keeps its ReLU.
+        rng = np.random.default_rng(site)
+        params = init_params(make_conv(1, 3), rng)
+        x = rng.uniform(size=(6, 28, 28)) * (rng.random((6, 28, 28)) < 0.7)
+        mix = (site, 0.3, np.array([3, 0, 5, 1, 2, 4]))
+        self.assert_matches_chain(params, x, rng.normal(size=(6, 3)), mix)
+
+    def test_chunked_inference_bytes_equal(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        params = init_params(make_conv(1, 10), rng)
+        x = rng.integers(0, 3, size=(300, 28, 28)) / 2.0
+        y = rng.integers(0, 10, size=300)
+        monkeypatch.setattr(network, "_CHUNK_BYTES", 100 * 8 * 14112)
+        assert network._chunk_rows(params, x) == 100
+        want = oracles.chain_predict_logits(params, x)
+        assert predict_logits(params, x).tobytes() == want.tobytes()
+        want = oracles.chain_input_gradients(params, x, y)
+        assert network.input_gradients(params, x, y).tobytes() == want.tobytes()
+
+
 class TestManifoldMix:
     def setup_method(self):
         self.specs = make_mlp(6, 8, 3)
