@@ -45,8 +45,7 @@ def main():
         best = []
         start = time.perf_counter()
         for seed in seeds:
-            tcfg = net.TrainConfig(base_lr=0.3, min_lr=0.003, epochs=1,
-                                   batch_size=args.labels, seed=seed)
+            tcfg = net.TrainConfig(base_lr=0.3, min_lr=0.003, seed=seed)
             _, log = train_ssl(labeled, rest.x, test, specs, cfg, tcfg)
             best.append(max(v for m, _, v in log if m == "test_top1"))
         wall_s = time.perf_counter() - start

@@ -1,85 +1,116 @@
-"""Supervised trend experiment: decoupled regularizer vs plain mixed CE.
+"""Supervised report runner: decoupled regularizer vs plain mixed CE.
 
-Trains MLP or conv-net classifiers on the synthetic glyph dataset (written
-to and read back from IDX files) for Mixup and CutMix, with and without the
-decoupled term, over several seeds, then prints paired comparisons,
-hard-sample pair metrics and the wall-clock of each arm.
+Each arm is an ExperimentConfig run by run_experiment into --out/<arm>. The
+trend arms <policy>/<loss> (Mixup, CutMix; MLP or conv net; over the seeds)
+train on the glyph dataset written to and read back from IDX files; the
+runner prints top-1, hard mixed-pair metrics, wall-clock and paired gains
+and writes trend.json. The robustness arms robustness/<loss> (CutMix MLP,
+seed 1, float glyph images) write sign-attack numbers and the occlusion
+curve, averaged over mask seeds, to robustness.csv.
 
 Usage: python scripts/supervised_trend.py [--arch mlp|conv] [--out runs/trend]
-       [--seeds 1,2,3,4,5] [--epochs 50] [--eta 0.1]
+       [--seeds 1,2,3,4,5] [--epochs 50] [--eta 0.1] [--epsilon 0.0314]
+       [--mask-seeds 5]
 """
 
 import argparse
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from demix import data as dd
 from demix import evaluation as deval
-from demix import network as net
+from demix.config import DatasetSpec, ExperimentConfig, NetworkConfig, RunConfig
+from demix.experiment import compare_runs, load_dataset, run_experiment
 from demix.losses import DMConfig, LossSpec
 from demix.mixers import MixConfig
+from demix.network import TrainConfig, load_checkpoint
+
+RATIOS = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 
 
-def main():
+def arm(name, dataset, arch, policy, kind, eta, epochs, seeds):
+    return ExperimentConfig(
+        dataset=dataset, mixer=MixConfig(policy, 0.2), loss=LossSpec(kind, DMConfig(eta)),
+        network=NetworkConfig(arch), train=TrainConfig(epochs=epochs, batch_size=100),
+        run=RunConfig(name, tuple(seeds)),
+    )
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--arch", choices=("mlp", "conv"), default="mlp")
     ap.add_argument("--out", default="runs/trend")
     ap.add_argument("--seeds", default="1,2,3,4,5")
     ap.add_argument("--epochs", type=int, default=50)
     ap.add_argument("--eta", type=float, default=0.1)
-    args = ap.parse_args()
+    ap.add_argument("--epsilon", type=float, default=8 / 255)
+    ap.add_argument("--mask-seeds", type=int, default=5)
+    args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     raw = dd.make_image_classes(2000, noise=0.25, shift=3, seed=0)
     dd.save_idx(raw.x, raw.y, out / "images.idx", out / "labels.idx")
-    full = dd.load_idx(out / "images.idx", out / "labels.idx")
-    train, val = dd.split(full, (1000, 1000), 0)
-    if args.arch == "conv":
-        specs = net.make_conv(1, 10, (28, 28))
-    else:
-        specs = net.make_mlp(784, 256, 10)
+    glyphs = DatasetSpec(size=1000, val_size=1000)
+    idx = replace(glyphs, source="idx", images=str(out / "images.idx"),
+                  labels=str(out / "labels.idx"))
     hard = deval.make_hard_mixed_set(
-        val, 1000, np.random.default_rng(123), lam=0.5, area_band=(0.35, 0.65)
+        load_dataset(idx)[1], 1000, np.random.default_rng(123), lam=0.5, area_band=(0.35, 0.65)
     )
 
-    results = {}
+    results, summaries = {}, {}
     for policy in ("linear", "cutmix"):
         for kind, eta in (("mce", 0.0), ("dm_ce", args.eta)):
-            accs, pair_metrics = [], []
+            name = f"{policy}/{kind}"
             start = time.perf_counter()
-            for seed in seeds:
-                cfg = net.TrainConfig(epochs=args.epochs, batch_size=100, seed=seed)
-                params, log = net.train_supervised(
-                    train, val, specs, MixConfig(policy, 0.2),
-                    LossSpec(kind, DMConfig(eta)), cfg,
-                )
-                curve = [v for m, _, v in log if m == "val_top1"]
-                accs.append(float(np.median(curve[-10:])))
-                pair_metrics.append(deval.mixed_pair_eval(params, hard))
-            r = results[f"{policy}/{kind}"] = {
-                "top1": accs,
+            cfg = arm(name, idx, args.arch, policy, kind, eta, args.epochs, seeds)
+            summary = summaries[name] = run_experiment(cfg, out / name)
+            pair_metrics = [deval.mixed_pair_eval(load_checkpoint(out / name / f"seed_{s}.dmx"),
+                                                  hard) for s in seeds]
+            r = results[name] = {
+                "top1": [summary["seeds"][str(s)] for s in seeds],
                 "top2_pair": [m.top2_pair_acc for m in pair_metrics],
                 "mean_conf": [m.mean_max_confidence for m in pair_metrics],
                 "wall_s": time.perf_counter() - start,
             }
-            print(f"{policy}/{kind}: top1 {np.mean(accs):.4f} "
+            print(f"{name}: top1 {np.mean(r['top1']):.4f} "
                   f"top2_pair {np.mean(r['top2_pair']):.4f} "
                   f"conf {np.mean(r['mean_conf']):.4f} ({r['wall_s']:.1f} s)")
 
     for policy in ("linear", "cutmix"):
-        base = results[f"{policy}/mce"]["top1"]
-        ours = results[f"{policy}/dm_ce"]["top1"]
-        deltas = [b - a for a, b in zip(base, ours)]
-        print(f"{policy}: mean gain {np.mean(deltas)*100:+.2f}pp, "
-              f"wins {sum(d > 0 for d in deltas)}/{len(deltas)}")
+        gain = compare_runs(summaries[f"{policy}/mce"], summaries[f"{policy}/dm_ce"])
+        print(f"{policy}: mean gain {gain['mean_delta']*100:+.2f}pp, "
+              f"wins {gain['wins_b']}/{len(gain['deltas'])}")
 
     (out / "trend.json").write_text(json.dumps(results, indent=2))
     print(f"wrote {out / 'trend.json'}")
+
+    val = load_dataset(glyphs)[1]
+    rows = ["loss,metric,param,value"]
+    for kind, eta in (("mce", 0.0), ("dm_ce", 0.1)):
+        name = f"robustness/{kind}"
+        run_experiment(arm(name, glyphs, "mlp", "cutmix", kind, eta, args.epochs, (1,)), out / name)
+        params = load_checkpoint(out / name / "seed_1.dmx")
+        clean = deval.top1_accuracy(params, val)
+        attacked, err = deval.fgsm_attack(params, val, deval.AttackConfig(args.epsilon))
+        rows.append(f"{kind},clean_top1,,{clean:.6f}")
+        rows.append(f"{kind},fgsm_top1,{args.epsilon:.6f},{attacked:.6f}")
+        rows.append(f"{kind},fgsm_error,{args.epsilon:.6f},{err:.6f}")
+        occlusion = deval.OcclusionConfig(4, RATIOS)
+        curve = np.mean([[a for _, a in deval.occlusion_eval(
+            params, val, occlusion, np.random.default_rng(1000 + ms))]
+            for ms in range(args.mask_seeds)], axis=0)
+        rows += [f"{kind},occlusion_top1,{ratio:g},{a:.6f}" for ratio, a in zip(RATIOS, curve)]
+        print(f"{kind}: clean {clean:.4f}, attacked {attacked:.6f}, "
+              f"occlusion {[round(float(v), 3) for v in curve]}")
+
+    (out / "robustness.csv").write_text("\n".join(rows) + "\n")
+    print(f"wrote {out / 'robustness.csv'}")
 
 
 if __name__ == "__main__":

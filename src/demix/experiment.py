@@ -16,7 +16,7 @@ import numpy as np
 
 from . import data as ddata
 from . import evaluation as deval
-from .config import DatasetSpec, ExperimentConfig, _parser
+from .config import DatasetSpec, ExperimentConfig, _parser, serialize_config
 from .losses import LossSpec
 from .network import (
     make_conv,
@@ -109,7 +109,8 @@ def build_specs(cfg: ExperimentConfig, train_ds):
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
-    """Train and evaluate once per seed; write metrics.csv and summary.json.
+    """Train and evaluate once per seed; write metrics.csv, summary.json and
+    the config as run (``serialize_config``) to config.conf.
 
     Supervised runs report the median validation top-1 of the last 10 epochs
     as the per-seed final; SSL runs report the best test top-1 seen at any
@@ -151,6 +152,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     }
     (out / "metrics.csv").write_text(rows_to_csv(rows))
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (out / "config.conf").write_text(serialize_config(cfg))
     return summary
 
 

@@ -162,6 +162,9 @@ def train_ssl(
 ) -> tuple[Parameters, list[tuple[str, int, float]]]:
     """Pseudo-labeling loop; deterministic given ``train_config.seed``.
 
+    Steps and batch sizes come from ``config``: ``train_config.epochs`` and
+    ``train_config.batch_size`` are ignored.
+
     Logs ("test_top1" | "accepted_frac", step, value) every
     ``config.eval_interval`` steps and after the last step (interval-mean for
     the accepted fraction). An empty unlabeled pool degenerates to supervised

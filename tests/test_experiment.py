@@ -110,6 +110,11 @@ class TestRunExperiment:
         assert (tmp_path / "c/seed_1.dmx").exists()
         assert (tmp_path / "c/seed_2.dmx").read_bytes()[:4] == b"DMX1"
 
+    def test_config_written_as_run(self, tmp_path):
+        cfg = parse_config(FAST_BLOBS.format(kind="dm_ce", eta="0.3", name="conf"))
+        run_experiment(cfg, tmp_path / "conf")
+        assert parse_config((tmp_path / "conf/config.conf").read_text()) == cfg
+
     def test_ssl_run_reports_best(self, tmp_path):
         text = """
 dataset.source = two_moons

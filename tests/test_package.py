@@ -6,17 +6,19 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "demix").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "demix").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "network.py", "evaluation.py"}
+    assert {p.name for p in SCRIPTS} >= {"supervised_trend.py", "ssl_trend.py"}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_imports_only_numpy_and_the_standard_library(path):
+def _imports_outside(path, allowed):
     outside = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
@@ -25,8 +27,18 @@ def test_imports_only_numpy_and_the_standard_library(path):
             names = [node.module]
         else:
             continue
-        outside += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] not in ALLOWED]
-    assert outside == []
+        outside += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] not in allowed]
+    return outside
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_numpy_and_the_standard_library(path):
+    assert _imports_outside(path, ALLOWED) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports_only_numpy_demix_and_the_standard_library(path):
+    assert _imports_outside(path, ALLOWED | {"demix"}) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
