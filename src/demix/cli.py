@@ -62,7 +62,7 @@ def main(argv=None) -> int:
     p_eval.add_argument(
         "--dataset",
         required=True,
-        help="e.g. two_moons:n=500,noise=0.1,seed=3 or idx:<images>:<labels>",
+        help="idx:<images>:<labels>, or a config file such as a run's config.conf",
     )
     p_eval.set_defaults(func=_cmd_eval)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
+from .data import _check_noise
 from .evaluation import AttackConfig, OcclusionConfig
 from .losses import LossSpec, recommended_rescale
 from .mixers import CUT_POLICIES, MixConfig
@@ -45,6 +46,7 @@ class DatasetSpec:
         for key in ("size", "val_size", "num_classes"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        _check_noise(self.noise)
         if self.shift < 0:
             raise ValueError(f"shift must be nonnegative, got {self.shift}")
         if self.seed < 0:

@@ -105,6 +105,12 @@ def save_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -
         f.write(labels.tobytes())
 
 
+def _check_noise(noise: float) -> None:
+    """``ValueError`` naming ``noise`` unless it is finite and nonnegative."""
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be finite and nonnegative, got {noise!r}")
+
+
 def make_synthetic(
     kind: str, n: int, noise: float, seed: int, num_classes: int = 3
 ) -> Dataset:
@@ -116,6 +122,7 @@ def make_synthetic(
     """
     if n < 2:
         raise ValueError("need at least two samples")
+    _check_noise(noise)
     rng = np.random.default_rng(seed)
     if kind == "blobs":
         angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
@@ -171,6 +178,7 @@ def make_image_classes(
     ):
         if value < least:
             raise ValueError(f"make_image_classes: {name} must be at least {least}, got {value}")
+    _check_noise(noise)
     ss = np.random.SeedSequence(seed)
     template_rng, sample_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     lo, hi = 8.0, size - 8.0

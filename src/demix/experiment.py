@@ -8,7 +8,6 @@ the final CSV rows. Everything is a pure function of (config, seed).
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import data as ddata
 from . import evaluation as deval
-from .config import DatasetSpec, ExperimentConfig, _parser, serialize_config
+from .config import DatasetSpec, ExperimentConfig, parse_config, serialize_config
 from .losses import LossSpec
 from .network import (
     make_conv,
@@ -62,15 +61,6 @@ def rows_to_csv(rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _generate(spec: DatasetSpec, n: int) -> ddata.Dataset:
-    """n samples of a generated source: `images`, `blobs` or `two_moons`."""
-    if spec.source == "images":
-        return ddata.make_image_classes(
-            n, num_classes=spec.num_classes, noise=spec.noise, shift=spec.shift, seed=spec.seed
-        )
-    return ddata.make_synthetic(spec.source, n, spec.noise, spec.seed, spec.num_classes)
-
-
 def load_dataset(spec: DatasetSpec):
     """Materialize (train, val, labeled, unlabeled_x) per the dataset spec.
 
@@ -78,9 +68,7 @@ def load_dataset(spec: DatasetSpec):
     chosen stratified so every class keeps labeled examples.
     """
     total = spec.size + spec.val_size
-    if spec.source != "idx":
-        full = _generate(spec, total)
-    else:
+    if spec.source == "idx":
         full = ddata.load_idx(spec.images, spec.labels)
         top = int(full.y.max())
         if top >= spec.num_classes:
@@ -91,6 +79,12 @@ def load_dataset(spec: DatasetSpec):
         full = ddata.Dataset(full.x, full.y, spec.num_classes)
         if len(full) < total:
             raise ValueError(f"IDX source has {len(full)} samples, need {total}")
+    elif spec.source == "images":
+        full = ddata.make_image_classes(
+            total, num_classes=spec.num_classes, noise=spec.noise, shift=spec.shift, seed=spec.seed
+        )
+    else:
+        full = ddata.make_synthetic(spec.source, total, spec.noise, spec.seed, spec.num_classes)
     train, val = ddata.split(full, (spec.size, spec.val_size), spec.seed)
     if spec.label_fraction < 1.0:
         n_labeled = max(train.num_classes, round(spec.label_fraction * len(train)))
@@ -227,35 +221,14 @@ def compare_runs(summary_a: dict, summary_b: dict) -> dict:
     }
 
 
-_DATASET_OPTIONS = {"n": "size", "noise": "noise", "seed": "seed", "classes": "num_classes"}
-
-
 def parse_dataset_arg(arg: str) -> ddata.Dataset:
-    """CLI dataset specs: 'two_moons:n=500,noise=0.1,seed=3', 'blobs:...',
-    'images:n=500,...', or 'idx:<images-path>:<labels-path>'. Each option is
-    parsed and checked as its DatasetSpec field; an error names it."""
+    """The rows ``demix eval --dataset`` scores: all of 'idx:<images>:<labels>',
+    or else the validation split (SSL: test set) of the config file at ``arg``,
+    the rows a run with that config scores at each evaluation point."""
     kind, _, rest = arg.partition(":")
     if kind == "idx":
         img, _, lbl = rest.partition(":")
         if not img or not lbl:
             raise ValueError("idx spec needs 'idx:<images>:<labels>'")
         return ddata.load_idx(img, lbl)
-    opts = {}
-    if rest:
-        for piece in rest.split(","):
-            k, _, v = piece.partition("=")
-            if not _:
-                raise ValueError(f"bad dataset option {piece!r}")
-            opts[k.strip()] = v.strip()
-    unknown = opts.keys() - _DATASET_OPTIONS.keys()
-    if unknown:
-        raise ValueError(f"unknown dataset options {sorted(unknown)}")
-    images = kind == "images"
-    spec = DatasetSpec(kind, 500, noise=0.25 if images else 0.1, num_classes=10 if images else 3)
-    for option, value in opts.items():
-        key = _DATASET_OPTIONS[option]
-        try:
-            spec = replace(spec, **{key: _parser(getattr(spec, key))(value)})
-        except ValueError as exc:
-            raise ValueError(f"dataset option {option}={value!r}: {exc}") from exc
-    return _generate(spec, spec.size)
+    return load_dataset(parse_config(Path(arg).read_text()).dataset)[1]

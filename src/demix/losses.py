@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mixers import CUT_POLICIES, MixedTarget, Targets, _check_finite
+from .mixers import CUT_POLICIES, MixedTarget, Targets, _check_finite, _check_target_count
 
 LOSS_KINDS = ("mce", "dm_ce", "mbce_one", "mbce_two", "dm_bce")
 
@@ -210,8 +210,7 @@ def batch_loss(
         raise ValueError("empty batch")
     if not isinstance(targets, Targets):
         targets = Targets.from_records(targets)
-    if len(targets) != n:
-        raise ValueError("one target per sample required")
+    _check_target_count(n, len(targets))
     for labels in (targets.a, targets.b):
         _check_labels(labels, z_batch.shape[1])
     if spec.kind in ("mce", "dm_ce"):
@@ -219,7 +218,7 @@ def batch_loss(
     else:
         vec = _bce_target_rows(targets, z_batch.shape[1], spec.kind, spec.rescale)
         value, grad = _mbce_rows(z_batch, vec)
-    # dm_bce: rescaled-target BCE; the eta hook stays off unless configured.
+    # dm_bce: rescaled-target BCE plus eta (default 0.1) times the decoupled term.
     if spec.kind in ("dm_ce", "dm_bce") and spec.dm.eta > 0.0:
         reg_value, reg_grad = _dm_rows(z_batch, targets.a, targets.b)
         value = value + spec.dm.eta * reg_value

@@ -112,15 +112,15 @@ class MixedBatch:
     pairing: np.ndarray
 
     def __post_init__(self):
-        _check_rows(len(self.inputs), len(self.targets), self.pairing)
+        _check_target_count(len(self.inputs), len(self.targets))
+        if sorted(self.pairing.tolist()) != list(range(len(self.inputs))):
+            raise ValueError("pairing must be a permutation of the batch indices")
 
 
-def _check_rows(n: int, n_targets: int, pairing: np.ndarray) -> None:
-    """One target per sample, and a pairing that permutes the n sample indices."""
+def _check_target_count(n: int, n_targets: int) -> None:
+    """``ValueError`` unless there is one target per sample."""
     if n_targets != n:
         raise ValueError(f"one target per sample required, got {n_targets} for {n}")
-    if sorted(pairing.tolist()) != list(range(n)):
-        raise ValueError("pairing must be a permutation of the batch indices")
 
 
 def _cut_sides(height: int, width: int, lam: float) -> tuple[int, int]:
@@ -249,6 +249,7 @@ def mix_batch(
     that every sample shares; CutMix copies only that box from the partners.
     Policy `manifold` leaves the inputs untouched: the hidden-layer mix
     happens inside the network, this only records lam and the pairing.
+    Bad inputs or a wrong label count raise ``ValueError`` before any draw.
     """
     inputs = np.asarray(inputs, dtype=float)
     labels = np.asarray(labels)
@@ -257,8 +258,8 @@ def mix_batch(
         raise ValueError("empty batch")
     if config.policy in CUT_POLICIES:
         _require_images(inputs, config.policy)
+    _check_target_count(n, len(labels))
     pairing = rng.permutation(n)
-    _check_rows(n, len(labels), pairing)
 
     lam = rng.beta(config.alpha, config.alpha)
 

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +158,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             DatasetSpec(label_fraction=0.0)
 
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -3.0])
+    def test_bad_noise_named(self, noise):
+        message = rf"^noise must be finite and nonnegative, got {noise!r}$"
+        with pytest.raises(ValueError, match=message):
+            DatasetSpec(noise=noise)
+
     def test_seeds_nonempty(self):
         from demix.config import RunConfig
 
@@ -191,6 +199,9 @@ class TestSchema:
             ("run.seeds = 1,x", "bad value for run.seeds"),
             ("eval.occlusion_ratios = 0,half", "bad value for eval.occlusion_ratios"),
             ("dataset.size = 1.5", "bad value for dataset.size"),
+            ("dataset.size = abc", "bad value for dataset.size: invalid literal for int"),
+            ("dataset.noise = x",
+             "bad value for dataset.noise: could not convert string to float"),
             ("train.base_lr = nan", "bad value for train.base_lr: not a finite number"),
             ("loss.eta = inf", "bad value for loss.eta: not a finite number"),
             ("dataset.noise = nan", "bad value for dataset.noise: not a finite number"),
@@ -252,6 +263,12 @@ class TestSchema:
             ("dataset.source = two_moons\ndataset.size = 1",
              "config section 'dataset' (line 2: dataset.source, line 3: dataset.size): "
              "size must be at least 2 for two_moons, got 1"),
+            ("dataset.source = blobs\ndataset.size = 1",
+             "config section 'dataset' (line 2: dataset.source, line 3: dataset.size): "
+             "size must be at least 2 for blobs, got 1"),
+            ("dataset.noise = -3",
+             "config section 'dataset' (line 2: dataset.noise): "
+             "noise must be finite and nonnegative, got -3.0"),
             ("run.seeds = 1,1",
              "config section 'run' (line 2: run.seeds): seeds must be distinct, got (1, 1)"),
             ("network.hidden = 0",
@@ -368,3 +385,12 @@ class TestDmBceCurveDefault:
 def test_config_dataclasses_reject_non_finite_floats(cls, field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be a finite number, got {value!r}$"):
         cls(**{field: value})
+
+
+def test_readme_config_example_parses():
+    # The README documents the config syntax with this block; the parser keeps it honest.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    cfg = parse_config(block)
+    assert (cfg.mixer.policy, cfg.loss.kind, cfg.run.seeds) == ("cutmix", "dm_ce", (1, 2, 3, 4, 5))
+    assert cfg.eval.mixed_pairs and cfg.eval.fgsm and cfg.eval.occlusion

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -198,6 +199,12 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             make_synthetic("blobs", 1, 0.1, 0)
 
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf, -0.5])
+    def test_bad_noise_named(self, noise):
+        message = rf"^noise must be finite and nonnegative, got {noise!r}$"
+        with pytest.raises(ValueError, match=message):
+            make_synthetic("blobs", 4, noise, 0)
+
 
 class TestImageClasses:
     def test_shapes_and_range(self):
@@ -253,6 +260,13 @@ class TestImageClasses:
         monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("a draw ran"))
         with pytest.raises(ValueError, match=rf"make_image_classes: {name} must be at least"):
             make_image_classes(**{"n": 10, name: value})
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -3.0])
+    def test_bad_noise_named_before_any_draw(self, monkeypatch, noise):
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("a draw ran"))
+        message = rf"^noise must be finite and nonnegative, got {noise!r}$"
+        with pytest.raises(ValueError, match=message):
+            make_image_classes(4, noise=noise)
 
 
 class TestSplits:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from demix.cli import main as cli_main
-from demix.config import DatasetSpec, parse_config
+from demix.config import ConfigError, DatasetSpec, parse_config
 from demix.data import IdxError, save_idx
 from demix.experiment import (
     CSV_HEADER,
@@ -16,7 +16,8 @@ from demix.experiment import (
     rows_to_csv,
     run_experiment,
 )
-from demix.network import init_params, make_conv, make_mlp, save_checkpoint
+from demix.evaluation import top1_accuracy
+from demix.network import init_params, load_checkpoint, make_conv, make_mlp, save_checkpoint
 
 FAST_BLOBS = """
 dataset.source = blobs
@@ -176,6 +177,59 @@ run.seeds = 1,2
         assert "1,49,test_top1," in csv and "2,49,best_top1," in csv
 
 
+EVAL_RUNS = {
+    "mlp": FAST_BLOBS.format(kind="dm_ce", eta="0.1", name="mlp").replace(
+        "dataset.noise = 0.5", "dataset.noise = 3.0"
+    ),
+    "conv": """
+dataset.size = 40
+dataset.val_size = 30
+dataset.num_classes = 4
+network.arch = conv
+mixer.policy = cutmix
+loss.kind = dm_ce
+train.epochs = 2
+train.batch_size = 20
+run.seeds = 1,2
+""",
+    "ssl": """
+dataset.source = two_moons
+dataset.size = 200
+dataset.val_size = 100
+dataset.num_classes = 2
+dataset.label_fraction = 0.05
+mixer.policy = none
+ssl.enabled = true
+ssl.steps = 30
+ssl.eval_interval = 20
+network.hidden = 16
+run.seeds = 1,2
+""",
+}
+
+
+@pytest.mark.parametrize("arch", sorted(EVAL_RUNS))
+def test_eval_on_run_config_reproduces_last_logged_top1(tmp_path, capsys, arch):
+    out = tmp_path / arch
+    cfg = parse_config(EVAL_RUNS[arch])
+    run_experiment(cfg, out)
+    metric = "test_top1" if cfg.ssl is not None else "val_top1"
+    last = {}  # seed -> the value of its last `metric` row
+    for line in (out / "metrics.csv").read_text().splitlines()[1:]:
+        _, seed, _, name, value = line.split(",")
+        if name == metric:
+            last[int(seed)] = float(value)
+    assert sorted(last) == list(cfg.run.seeds)
+    conf = str(out / "config.conf")
+    dataset = parse_dataset_arg(conf)
+    for seed, logged in last.items():
+        checkpoint = str(out / f"seed_{seed}.dmx")
+        assert top1_accuracy(load_checkpoint(checkpoint), dataset) == logged
+        capsys.readouterr()
+        assert cli_main(["eval", "--checkpoint", checkpoint, "--dataset", conf]) == 0
+        assert capsys.readouterr().out == f"top1 {logged:.6f} on {len(dataset)} samples\n"
+
+
 class TestCompare:
     def test_equal_runs_tie(self):
         s = {"run": "a", "seeds": {"1": 0.5, "2": 0.7}}
@@ -219,9 +273,14 @@ class TestCompare:
 
 
 class TestDatasetArg:
-    def test_two_moons_spec(self):
-        ds = parse_dataset_arg("two_moons:n=100,noise=0.05,seed=3,classes=2")
+    def test_two_moons_spec(self, tmp_path):
+        # A config file stands for the validation split a run with it scores.
+        conf = tmp_path / "moons.conf"
+        conf.write_text("dataset.source = two_moons\ndataset.val_size = 100\n")
+        ds = parse_dataset_arg(str(conf))
+        val = load_dataset(parse_config(conf.read_text()).dataset)[1]
         assert len(ds) == 100 and ds.num_classes == 2
+        assert ds.x.tobytes() == val.x.tobytes() and ds.y.tobytes() == val.y.tobytes()
 
     def test_idx_spec(self, tmp_path):
         from demix.data import save_idx
@@ -250,23 +309,40 @@ class TestDatasetArg:
         with pytest.raises(IdxError, match=r"l\.idx: label 4 is not below dataset.num_classes = 3"):
             load_dataset(spec)
 
-    def test_unknown_option_rejected(self):
-        with pytest.raises(ValueError, match="unknown dataset options"):
-            parse_dataset_arg("blobs:n=10,frobnicate=1")
+    def test_unknown_key_rejected(self, tmp_path):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("dataset.source = blobs\ndataset.n = 10\n")
+        with pytest.raises(ConfigError, match="line 2: unknown config key 'dataset.n'"):
+            parse_dataset_arg(str(conf))
+
+    def test_missing_config_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            parse_dataset_arg(str(tmp_path / "absent.conf"))
 
     @pytest.mark.parametrize(
-        "arg, message",
+        "text, message",
         [
-            ("blobs:classes=0", "dataset option classes='0': num_classes must be positive, got 0"),
-            ("blobs:n=abc", "dataset option n='abc': invalid literal for int()"),
-            ("two_moons:noise=x", "dataset option noise='x': could not convert string to float"),
-            ("blobs:n=1", "dataset option n='1': size must be at least 2 for blobs, got 1"),
-            ("two_moons:seed=-1", "dataset option seed='-1': seed must be nonnegative, got -1"),
+            ("dataset.source = blobs\ndataset.num_classes = 0",
+             "config section 'dataset' (line 1: dataset.source, line 2: dataset.num_classes): "
+             "num_classes must be positive, got 0"),
+            ("dataset.source = blobs\ndataset.size = abc",
+             "line 2: bad value for dataset.size: invalid literal for int()"),
+            ("dataset.source = two_moons\ndataset.noise = x",
+             "line 2: bad value for dataset.noise: could not convert string to float"),
+            ("dataset.source = blobs\ndataset.size = 1",
+             "config section 'dataset' (line 1: dataset.source, line 2: dataset.size): "
+             "size must be at least 2 for blobs, got 1"),
+            ("dataset.source = two_moons\ndataset.seed = -1",
+             "config section 'dataset' (line 1: dataset.source, line 2: dataset.seed): "
+             "seed must be nonnegative, got -1"),
         ],
+        ids=["classes", "int", "float", "rows", "seed"],
     )
-    def test_bad_option_named(self, arg, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            parse_dataset_arg(arg)
+    def test_bad_dataset_value_named(self, tmp_path, text, message):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_dataset_arg(str(conf))
 
 
 class TestCli:
@@ -280,7 +356,7 @@ class TestCli:
                 "--checkpoint",
                 str(tmp_path / "out/seed_1.dmx"),
                 "--dataset",
-                "blobs:n=60,classes=3,noise=0.5,seed=9",
+                str(tmp_path / "out/config.conf"),
             ]
         ) == 0
         assert "top1" in capsys.readouterr().out
@@ -313,10 +389,11 @@ class TestCli:
         # A 2-8-3 MLP has no logit for labels 3-6 of a 7-class dataset.
         params = init_params(make_mlp(2, 8, 3), np.random.default_rng(0))
         save_checkpoint(params, tmp_path / "mlp.dmx")
+        conf = tmp_path / "blobs7.conf"
+        conf.write_text("dataset.source = blobs\ndataset.num_classes = 7\ndataset.val_size = 60\n")
         with pytest.raises(ValueError, match="class index 6 out of range for 3 logits"):
             cli_main([
-                "eval", "--checkpoint", str(tmp_path / "mlp.dmx"),
-                "--dataset", "blobs:n=60,classes=7,seed=1",
+                "eval", "--checkpoint", str(tmp_path / "mlp.dmx"), "--dataset", str(conf),
             ])
 
     def test_seed_override(self, tmp_path):

@@ -353,6 +353,11 @@ class TestBatchLoss:
         with pytest.raises(ValueError):
             batch_loss(np.empty((0, 3)), [], LossSpec("mce"))
 
+    def test_target_count_named(self):
+        targets = Targets([0, 1], [1, 0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="one target per sample required, got 2 for 3"):
+            batch_loss(np.zeros((3, 2)), targets, LossSpec())
+
     @pytest.mark.parametrize("shape", [(3,), (3, 2, 2)])
     def test_logits_must_be_2d(self, shape):
         targets = Targets([0, 0, 0], [0, 0, 0], [1.0, 1.0, 1.0])

@@ -384,8 +384,11 @@ class TestMixBatch:
 
     def test_label_count_rejected(self):
         x, y = np.zeros((4, 3, 3)), np.array([0, 1, 0])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match="one target per sample required, got 3 for 4"):
-            mix_batch(x, y, MixConfig(), np.random.default_rng(0))
+            mix_batch(x, y, MixConfig(), rng)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("policy", ["linear", "cutmix", "manifold", "resizemix"])
     def test_targets_equal_list_form(self, policy):

@@ -54,7 +54,13 @@ def test_reads_no_environment_variable(path):
 
 
 @pytest.mark.parametrize(
-    "message", ["out of range for", "inputs must be images", "must be a finite number"]
+    "message",
+    [
+        "out of range for",
+        "inputs must be images",
+        "must be a finite number",
+        "one target per sample required",
+    ],
 )
 def test_each_input_check_raised_in_one_place(message):
     raises = []
