@@ -85,17 +85,30 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 
 def save_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
-    """Write images (floats in [0,1] or uint8) and labels as IDX files."""
+    """Write images (floats in [0,1] or uint8) and labels as IDX files.
+
+    Float pixels are scaled by 255, rounded and clipped; an empty image set
+    or a non-finite pixel raises ``ValueError`` before any file is opened.
+    """
     images, labels = np.asarray(images), np.asarray(labels)
     if images.ndim != 3:
         raise ValueError(f"save_idx: images must be (n, rows, cols), got shape {images.shape}")
+    if not images.size:
+        raise ValueError(f"save_idx: images must not be empty, got shape {images.shape}")
     if labels.size and not 0 <= labels.min() <= labels.max() <= 255:
         raise ValueError(f"save_idx: labels must be 0..255, got {labels.min()}..{labels.max()}")
-    if images.dtype != np.uint8:
-        images = np.clip(np.rint(images * 255.0), 0, 255).astype(np.uint8)
-    labels = labels.astype(np.uint8)
     if len(images) != len(labels):
         raise ValueError("images and labels must have equal length")
+    if images.dtype != np.uint8:
+        finite = np.isfinite(images).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"save_idx: images must be finite, image {np.argmin(finite)} is not")
+        with np.errstate(over="ignore"):  # a finite pixel past 7e305 clips to 255
+            t = images * 255.0
+        np.rint(t, out=t)
+        np.clip(t, 0, 255, out=t)
+        images = t.astype(np.uint8)
+    labels = labels.astype(np.uint8)
     n, rows, cols = images.shape
     with open(images_path, "wb") as f:
         f.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, n, rows, cols))
@@ -122,6 +135,8 @@ def make_synthetic(
     """
     if n < 2:
         raise ValueError("need at least two samples")
+    if num_classes < 1:
+        raise ValueError(f"make_synthetic: num_classes must be at least 1, got {num_classes}")
     _check_noise(noise)
     rng = np.random.default_rng(seed)
     if kind == "blobs":
@@ -167,9 +182,10 @@ def make_image_classes(
 
     The draw order fixes the data: the templates, then per sample
     ``integers(-shift, shift + 1, size=2)``, ``uniform(0.7, 1.3,
-    size=blobs_per_class)`` and ``normal(size=(size, size))``, then
-    ``permutation(n)``. The bumps are computed over blocks of samples in the
-    elementwise order of the one-sample form, so no block size changes a byte.
+    size=blobs_per_class)`` and the ``(size, size)`` standard normals, then
+    ``permutation(n)``. The draws stay per sample; each distinct (class,
+    shift) bump is computed once, in the elementwise order of the one-sample
+    form, and each sample adds its bumps in blob order, so no byte changes.
     Bad arguments raise ``ValueError`` before any draw.
     """
     for name, value, least in (
@@ -189,31 +205,33 @@ def make_image_classes(
 
     grid = np.arange(size, dtype=float)
     y = np.arange(n) % num_classes
-    x = np.zeros((n, size, size))
-    for start in range(0, n, _GLYPH_BLOCK):
-        canvas = x[start : start + _GLYPH_BLOCK]
-        rows = len(canvas)
-        shifts = np.empty((rows, 2), dtype=np.int64)
-        amp = np.empty((rows, blobs_per_class))
-        pixel_noise = np.empty((rows, size, size))
-        for r in range(rows):
-            shifts[r] = sample_rng.integers(-shift, shift + 1, size=2)
-            amp[r] = sample_rng.uniform(0.7, 1.3, size=blobs_per_class)
-            pixel_noise[r] = sample_rng.normal(size=(size, size))
-        c = y[start : start + rows]
-        for k in range(blobs_per_class):
-            dy2 = (grid - (centers[c, k, 0] + shifts[:, 0])[:, None]) ** 2
-            dx2 = (grid - (centers[c, k, 1] + shifts[:, 1])[:, None]) ** 2
-            bump = dy2[:, :, None] + dx2[:, None, :]
-            np.negative(bump, out=bump)
-            bump /= spread[c, k][:, None, None]
-            np.exp(bump, out=bump)
-            bump *= amp[:, k, None, None]
-            canvas += bump
-        canvas /= canvas.max(axis=(1, 2), keepdims=True)
-        pixel_noise *= noise
-        canvas += pixel_noise
-        np.clip(canvas, 0.0, 1.0, out=canvas)
+    x = np.empty((n, size, size))  # the pixel noise, then the finished glyphs
+    shifts = np.empty((n, 2), dtype=np.int64)
+    amp = np.empty((n, blobs_per_class))
+    for r in range(n):
+        shifts[r] = sample_rng.integers(-shift, shift + 1, size=2)
+        amp[r] = sample_rng.uniform(0.7, 1.3, size=blobs_per_class)
+        sample_rng.standard_normal(out=x[r])
+    for c in range(num_classes):
+        glyphs, moves, gains = x[c::num_classes], shifts[c::num_classes], amp[c::num_classes]
+        key = (moves[:, 0] + shift) * (2 * shift + 1) + moves[:, 1] + shift
+        _, first, which = np.unique(key, return_index=True, return_inverse=True)
+        cy, cx = (centers[c, :, i, None] + moves[first, i] for i in (0, 1))
+        dy2, dx2 = (grid - cy[..., None]) ** 2, (grid - cx[..., None]) ** 2
+        bumps = dy2[..., :, None] + dx2[..., None, :]  # (blob, distinct shift, row, col)
+        np.negative(bumps, out=bumps)
+        bumps /= spread[c, :, None, None, None]
+        np.exp(bumps, out=bumps)
+        for start in range(0, len(glyphs), _GLYPH_BLOCK):
+            block = slice(start, start + _GLYPH_BLOCK)
+            pick, out = which[block], glyphs[block]
+            total = bumps[0, pick] * gains[block, 0, None, None]
+            for k in range(1, blobs_per_class):
+                total += bumps[k, pick] * gains[block, k, None, None]
+            total /= total.max(axis=(1, 2), keepdims=True)
+            out *= noise
+            out += total
+            np.clip(out, 0.0, 1.0, out=out)
     order = sample_rng.permutation(n)
     return Dataset(x[order], y[order].astype(np.int64), num_classes)
 

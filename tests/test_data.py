@@ -20,6 +20,13 @@ from demix.data import (
 from oracles import make_image_classes as one_sample_image_classes
 
 
+def with_pixel(value, at):
+    """Three 4x4 images of zeros with ``value`` at index ``at``."""
+    images = np.zeros((3, 4, 4))
+    images[at] = value
+    return images
+
+
 def write_fixture(tmp_path, images, labels, image_magic=0x803, label_magic=0x801):
     """Hand-assembled IDX pair, byte by byte."""
     n, rows, cols = images.shape
@@ -151,13 +158,37 @@ class TestIdx:
              r"labels must be 0\.\.255, got 0\.\.256"),
             (np.zeros((3, 16)), np.array([0, 1, 2]),
              r"images must be \(n, rows, cols\), got shape \(3, 16\)"),
+            (np.zeros((0, 4, 4)), np.array([], dtype=np.uint8),
+             r"images must not be empty, got shape \(0, 4, 4\)"),
+            (np.zeros((3, 0, 4)), np.array([0, 1, 2]),
+             r"images must not be empty, got shape \(3, 0, 4\)"),
+            (np.zeros((3, 4, 0), dtype=np.uint8), np.array([0, 1, 2]),
+             r"images must not be empty, got shape \(3, 4, 0\)"),
+            (with_pixel(np.nan, (1, 2, 3)), np.array([0, 1, 2]),
+             r"images must be finite, image 1 is not"),
+            (with_pixel(np.inf, (2, 0, 0)), np.array([0, 1, 2]),
+             r"images must be finite, image 2 is not"),
+            (with_pixel(-np.inf, (0, 3, 3)), np.array([0, 1, 2]),
+             r"images must be finite, image 0 is not"),
         ],
-        ids=["label_256", "flat_images"],
+        ids=["label_256", "flat_images", "no_images", "no_rows", "no_cols",
+             "nan_pixel", "inf_pixel", "minus_inf_pixel"],
     )
     def test_save_rejects_what_idx_cannot_hold(self, tmp_path, images, labels, message):
         with pytest.raises(ValueError, match=f"save_idx: {message}"):
             save_idx(images, labels, tmp_path / "i.idx", tmp_path / "l.idx")
         assert not (tmp_path / "i.idx").exists()
+
+    def test_save_rounds_and_clips_floats_without_touching_them(self, tmp_path):
+        x = np.random.default_rng(3).uniform(-0.5, 1.5, size=(4, 3, 5))
+        x[0, 0] = [0.5, 1.5 / 255, 2.5 / 255, -0.5 / 255, 254.5 / 255]  # .5 ties
+        x[1, 1] = [-2.0, -1e-9, 1.0 + 1e-9, 3.0, 1e308]  # 1e308 * 255 overflows
+        before = x.copy()
+        save_idx(x, np.arange(4), tmp_path / "i.idx", tmp_path / "l.idx")
+        with np.errstate(over="ignore"):
+            want = np.clip(np.rint(x * 255.0), 0, 255).astype(np.uint8)
+        assert (tmp_path / "i.idx").read_bytes()[16:] == want.tobytes()
+        assert x.tobytes() == before.tobytes()
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -199,6 +230,14 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             make_synthetic("blobs", 1, 0.1, 0)
 
+    @pytest.mark.parametrize("kind", ["blobs", "two_moons"])
+    @pytest.mark.parametrize("num_classes", [0, -1])
+    def test_bad_class_count_named_before_any_draw(self, monkeypatch, kind, num_classes):
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("a draw ran"))
+        message = rf"^make_synthetic: num_classes must be at least 1, got {num_classes}$"
+        with pytest.raises(ValueError, match=message):
+            make_synthetic(kind, 10, 0.1, 0, num_classes=num_classes)
+
     @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf, -0.5])
     def test_bad_noise_named(self, noise):
         message = rf"^noise must be finite and nonnegative, got {noise!r}$"
@@ -233,11 +272,15 @@ class TestImageClasses:
             {"n": 65, "size": 20, "num_classes": 4, "seed": 5},
             {"n": 129, "size": 32, "shift": 5, "noise": 0.0, "seed": 6},
             {"n": 200, "num_classes": 1, "blobs_per_class": 9, "noise": 1.0, "seed": 7},
+            {"n": 1405, "seed": 8},
+            {"n": 30, "size": 32, "shift": 8, "seed": 9},
         ],
         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
     )
     def test_bytes_equal_the_one_sample_form(self, kw):
-        # Blocks of rows do the bump arithmetic; the sizes cross block edges.
+        # Each class's rows are summed in blocks: 1405 glyphs give classes of
+        # 140 or 141 rows, which cross block edges; at shift 8 no class of
+        # three glyphs draws a shift twice, so every bump is used once.
         got, want = make_image_classes(**kw), one_sample_image_classes(**kw)
         assert got.x.shape == want.x.shape and got.x.tobytes() == want.x.tobytes()
         assert got.y.tobytes() == want.y.tobytes() and got.num_classes == want.num_classes

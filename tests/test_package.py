@@ -60,6 +60,9 @@ def test_reads_no_environment_variable(path):
         "inputs must be images",
         "must be a finite number",
         "one target per sample required",
+        "images must not be empty",
+        "images must be finite",
+        "num_classes must be at least 1",
     ],
 )
 def test_each_input_check_raised_in_one_place(message):
