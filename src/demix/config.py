@@ -53,6 +53,8 @@ class DatasetSpec:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.source in ("blobs", "two_moons") and self.size < 2:
             raise ValueError(f"size must be at least 2 for {self.source}, got {self.size}")
+        if self.source == "two_moons" and self.num_classes != 2:
+            raise ValueError(f"num_classes must be 2 for two_moons, got {self.num_classes}")
 
 
 @dataclass(frozen=True)
@@ -231,10 +233,12 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
         seen[key] = lineno
-    # dm_bce takes the curve its mixer recommends unless the curve is set.
+    # Unless set: dm_bce takes the curve its mixer recommends, two_moons two classes.
     if values["loss.kind"] == "dm_bce" and not seen.keys() & {"loss.t", "loss.xi"}:
         curve = recommended_rescale(values["mixer.policy"])
         values["loss.t"], values["loss.xi"] = curve.t, curve.xi
+    if values["dataset.source"] == "two_moons" and "dataset.num_classes" not in seen:
+        values["dataset.num_classes"] = 2
     absent = {"mixer": values["mixer.policy"] == "none", "ssl": not values["ssl.enabled"]}
     sections = {}
     for f in fields(ExperimentConfig):

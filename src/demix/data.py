@@ -79,7 +79,7 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"header field count: {len(images)} images in {images_path} "
             f"but {len(labels)} labels in {labels_path}"
         )
-    x = images.astype(float) / 255.0
+    x = images / 255.0
     y = labels.astype(np.int64)
     return Dataset(x, y, int(y.max()) + 1)
 

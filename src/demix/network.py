@@ -17,9 +17,9 @@ layer, recorded in the cache so the chain rule routes lam to each sample and
 :func:`input_gradients` takes the same chunks, in order.
 A chunk's widest array (the input, a layer's output or a conv layer's patch
 matrix) fits in 4 MiB of float64 (a single pass over 1000 rows of the conv
-net would build a 113 MB patch matrix). The walk that sizes them is also the
-one check of rows against layers, and every forward takes it: a row that a
-dense, conv or pool layer cannot take fails there, naming the layer.
+net would build a 113 MB patch matrix). :func:`_plan` sizes them once per
+parameter set and raw row shape, and is the one check of rows against layers:
+a row that a dense, conv or pool layer cannot take fails there, naming it.
 
 Conv layers run on im2col: the patch matrix is one ``sliding_window_view``
 of the padded input, and the forward and both gradients are batched BLAS
@@ -44,8 +44,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -106,11 +105,12 @@ LayerSpec = DenseSpec | ConvSpec | PoolSpec | FlattenSpec
 
 @dataclass(eq=False)
 class Parameters:
-    """Layer specs plus one (W, b) pair per parametric layer (None otherwise)."""
+    """Layer specs, one (W, b) pair per parametric layer (None otherwise), their plans."""
 
     specs: tuple[LayerSpec, ...]
     weights: list[np.ndarray | None]
     biases: list[np.ndarray | None]
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def arrays(self):
         """Flat, ordered view of every parameter array (W then b per layer)."""
@@ -121,12 +121,11 @@ class Parameters:
                 out.append(b)
         return out
 
-    @cached_property
-    def relu_pools(self) -> frozenset[int]:
-        """Pool layers right after a ReLU conv layer: the pair's ReLU runs at the pool."""
-        s = self.specs
-        return frozenset(i for i in range(1, len(s)) if isinstance(s[i], PoolSpec)
-                         and isinstance(s[i - 1], ConvSpec) and s[i - 1].activation == "relu")
+    def plan(self, row: tuple[int, ...]) -> tuple:
+        """:func:`_plan` of these specs for raw rows of shape ``row``, walked once."""
+        if row not in self._plans:
+            self._plans[row] = _plan(self.specs, row)
+        return self._plans[row]
 
 
 @dataclass(eq=False)
@@ -216,16 +215,6 @@ def zeros_like_params(params: Parameters) -> Parameters:
     )
 
 
-def _adapt_inputs(specs: tuple[LayerSpec, ...], x: np.ndarray) -> tuple[np.ndarray, int, tuple]:
-    """A raw batch shaped for the first layer (flat rows for a dense layer, a
-    channel axis for 3-D images at a conv layer), then :func:`_row_sizes`."""
-    if isinstance(specs[0], DenseSpec):
-        x = x.reshape(len(x), -1)
-    elif isinstance(specs[0], ConvSpec) and x.ndim == 3:
-        x = x[:, None, :, :]
-    return x, *_row_sizes(specs, x.shape[1:])
-
-
 def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     b, c, h, w = x.shape
     xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
@@ -255,7 +244,7 @@ def _pool_views(x: np.ndarray, s: int):
 
 
 def _layer_forward(spec, w, bias, x, pooled=False):
-    """(output, cache); ``pooled`` marks both layers of a ``Parameters.relu_pools`` pair."""
+    """(output, cache); ``pooled`` marks both layers of a ReLU-at-pool pair of the plan."""
     if isinstance(spec, DenseSpec):
         out = x @ w
         out += bias
@@ -333,15 +322,19 @@ def forward(
     skipped so those cases match the unmixed forward exactly.
     """
     x = np.asarray(x, dtype=float)
-    pools = params.relu_pools
+    if len(x) == 0:
+        raise ValueError("no rows to run through the network: the batch is empty")
+    first, _, _, pools = params.plan(x.shape[1:])
     if mix is not None:
         site, lam, pairing = mix
         pools = pools - {site}  # a pool whose input is mixed takes it after the ReLU
         if not (0 <= site < len(params.specs)):
             raise ValueError(f"mix site {site} outside the network depth")
+        if len(pairing) != len(x):
+            raise ValueError(f"mix pairing has {len(pairing)} rows for a batch of {len(x)}")
         if lam == 1.0 or np.array_equal(pairing, np.arange(len(x))):
             mix = None
-    h = _adapt_inputs(params.specs, x)[0]
+    h = x.reshape(len(x), *first)
     layer_io = []
     for i, lspec in enumerate(params.specs):
         if mix is not None and mix[0] == i:
@@ -393,13 +386,16 @@ _CHUNK_BYTES = 4 << 20
 _SGD_BLOCK = 32768
 
 
-def _row_sizes(specs: tuple[LayerSpec, ...], row: tuple[int, ...]) -> tuple[int, tuple]:
-    """Float count of the largest per-row array of a forward from a row of shape
-    ``row`` (the row itself, a layer's output or a conv layer's patch matrix),
-    and the shape of an output row. ``ValueError`` names the first layer that
-    cannot take its row (dense width; conv channels, rank or kernel fit; pool
-    rank or size)."""
-    widest = math.prod(row)
+def _plan(specs: tuple[LayerSpec, ...], raw_row: tuple[int, ...]) -> tuple:
+    """(first-layer row: flat at a dense layer, with a channel axis for 2-D images at a
+    conv layer; float count of the widest per-row array: that row, a layer's output or a
+    conv layer's patch matrix; output row; pools right after a ReLU conv layer, where the
+    pair's ReLU runs). ``ValueError`` names the first layer that cannot take its row
+    (dense width; conv channels, rank or kernel fit; pool rank or size)."""
+    first = (1, *raw_row) if isinstance(specs[0], ConvSpec) and len(raw_row) == 2 else raw_row
+    if isinstance(specs[0], DenseSpec):
+        first = (math.prod(raw_row),)
+    row, widest, pools = first, math.prod(first), set()
     for i, s in enumerate(specs):
         if isinstance(s, ConvSpec):
             if len(row) != 3 or row[0] != s.in_ch:
@@ -417,6 +413,8 @@ def _row_sizes(specs: tuple[LayerSpec, ...], row: tuple[int, ...]) -> tuple[int,
                     f"layer {i} needs (C, H, W) rows, H and W divisible by {s.size}, got {row}"
                 )
             row = (row[0], row[1] // s.size, row[2] // s.size)
+            if i and isinstance(specs[i - 1], ConvSpec) and specs[i - 1].activation == "relu":
+                pools.add(i)
         elif isinstance(s, DenseSpec):
             if row != (s.in_dim,):
                 raise ValueError(f"layer {i} needs {s.in_dim} inputs per row, got shape {row}")
@@ -424,21 +422,19 @@ def _row_sizes(specs: tuple[LayerSpec, ...], row: tuple[int, ...]) -> tuple[int,
         else:
             row = (math.prod(row),)
         widest = max(widest, math.prod(row))
-    return widest, row
+    return first, widest, row, frozenset(pools)
 
 
 def _chunk_rows(params: Parameters, x: np.ndarray) -> int:
     """Rows per inference chunk of the raw batch ``x``: as many as keep the
     chunk's widest array within ``_CHUNK_BYTES`` of float64, at least one."""
-    if len(x) == 0:
-        raise ValueError("no rows to run through the network: the batch is empty")
-    return max(1, _CHUNK_BYTES // (8 * _adapt_inputs(params.specs, x)[1]))
+    return max(1, _CHUNK_BYTES // (8 * params.plan(x.shape[1:])[1]))
 
 
 def predict_logits(params: Parameters, x: np.ndarray) -> np.ndarray:
-    """Logits of a raw batch, one forward per :func:`_chunk_rows` chunk in order."""
+    """Logits of a raw batch, one forward per :func:`_chunk_rows` chunk (at least one) in order."""
     rows = _chunk_rows(params, x)
-    outs = [forward(params, x[i : i + rows])[0] for i in range(0, len(x), rows)]
+    outs = [forward(params, x[i : i + rows])[0] for i in range(0, len(x) or 1, rows)]
     return np.concatenate(outs) if len(outs) > 1 else outs[0]
 
 
@@ -455,7 +451,7 @@ def input_gradients(params: Parameters, x: np.ndarray, y: np.ndarray) -> np.ndar
     The walk back computes each layer's input gradient and no parameter gradient."""
     rows = _chunk_rows(params, x)
     out = []
-    for i in range(0, len(x), rows):
+    for i in range(0, len(x) or 1, rows):
         z, cache = forward(params, x[i : i + rows])
         res = batch_loss(z, plain_targets(y[i : i + rows]), LossSpec())
         g = res.grad_logits * (len(z) / len(x))
@@ -567,7 +563,7 @@ def _train_loop(
     """
     if len(eval_ds.x) == 0:
         raise ValueError("empty evaluation set")
-    _check_labels(eval_ds.y, _adapt_inputs(params.specs, eval_ds.x)[2][0])
+    _check_labels(eval_ds.y, params.plan(eval_ds.x.shape[1:])[2][0])
     velocity = zeros_like_params(params)
     log: list[tuple[str, int, float]] = []
     window: list[float] = []

@@ -42,7 +42,6 @@ from demix.network import (
     ConvSpec,
     Parameters,
     PoolSpec,
-    _adapt_inputs,
     _chunk_rows,
     _col2im,
     _im2col,
@@ -490,7 +489,8 @@ def chain_layer_backward(spec, w, cache, grad):
 def chain_forward(params, x, mix=None):
     """Logits and per-layer caches of a raw batch; ``mix = (site, lam,
     pairing)`` mixes the input of layer ``site`` with its partner rows."""
-    h = _adapt_inputs(params.specs, np.asarray(x, dtype=float))[0]
+    x = np.asarray(x, dtype=float)
+    h = x.reshape(len(x), *params.plan(x.shape[1:])[0])
     caches = []
     for i, spec in enumerate(params.specs):
         if mix is not None and mix[0] == i:

@@ -332,6 +332,30 @@ class TestImageOnlySettings:
         assert cfg.eval.mixed_pairs and cfg.eval.occlusion
 
 
+class TestTwoMoonsClassCount:
+    def test_unset_count_becomes_two(self):
+        cfg = parse_config("dataset.source = two_moons")
+        assert cfg.dataset.num_classes == 2
+        assert "\ndataset.num_classes = 2\n" in serialize_config(cfg)
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("count", [3, 10])
+    def test_other_count_names_both_lines(self, count):
+        with pytest.raises(ConfigError) as info:
+            parse_config(
+                f"dataset.source = two_moons\ntrain.epochs = 3\ndataset.num_classes = {count}"
+            )
+        assert str(info.value) == (
+            "config section 'dataset' (line 1: dataset.source, line 3: dataset.num_classes): "
+            f"num_classes must be 2 for two_moons, got {count}"
+        )
+
+    def test_count_of_two_and_other_sources_parse(self):
+        cfg = parse_config("dataset.source = two_moons\ndataset.num_classes = 2")
+        assert cfg.dataset.num_classes == 2
+        assert parse_config("dataset.source = blobs").dataset.num_classes == 10
+
+
 class TestDmBceCurveDefault:
     @pytest.mark.parametrize(
         "policy, curve",

@@ -57,6 +57,13 @@ class TestIdx:
         assert np.array_equal(ds.y, [3, 9])
         assert ds.num_classes == 10
 
+    def test_every_byte_loads_to_its_float64_over_255(self, tmp_path):
+        images = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        img, lbl = write_fixture(tmp_path, images, np.zeros(4, dtype=np.uint8))
+        x = load_idx(img, lbl).x
+        assert x.dtype == np.float64
+        assert x.tobytes() == (np.arange(256, dtype=np.float64) / 255.0).reshape(4, 8, 8).tobytes()
+
     def test_bad_image_magic(self, tmp_path):
         (img, lbl), _, _ = self.two_image_fixture(tmp_path, image_magic=0x102)
         with pytest.raises(IdxError, match=r"images\.idx: bad image magic 0x00000102"):

@@ -38,7 +38,7 @@ from demix.network import (
     _im2col,
     _layer_backward,
     _layer_forward,
-    _row_sizes,
+    _plan,
 )
 import oracles
 from oracles import mix_linear
@@ -86,6 +86,51 @@ class TestForward:
         specs = make_mlp(6, 5, 3)
         with pytest.raises(ValueError):
             forward(init_params(specs, np.random.default_rng(0)), np.zeros((2, 7)))
+
+    @pytest.mark.parametrize(
+        "specs, row", [(make_mlp(4, 3, 2), (4,)), (make_conv(1, 3, (8, 8)), (8, 8))],
+        ids=["mlp", "conv"],
+    )
+    def test_empty_batch_named(self, specs, row):
+        params = init_params(specs, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="no rows to run through the network: the batch"):
+            forward(params, np.empty((0, *row)))
+
+
+class TestPlan:
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        rows = []
+        monkeypatch.setattr(
+            network, "_plan", lambda specs, row: rows.append(row) or _plan(specs, row)
+        )
+        return rows
+
+    def test_one_walk_per_raw_row_shape(self, walks):
+        params = init_params(make_conv(1, 3, (8, 8)), np.random.default_rng(0))
+        x = np.random.default_rng(1).uniform(size=(4, 8, 8))
+        forward(params, x)
+        forward(params, x[:2])
+        predict_logits(params, x)
+        assert walks == [(8, 8)]
+        forward(params, x[:, None])
+        assert walks == [(8, 8), (1, 8, 8)]
+
+    def test_a_training_run_walks_once(self, walks):
+        train = dd.make_synthetic("two_moons", 60, 0.1, 0)
+        train_supervised(
+            train, train, make_mlp(2, 8, 2), MixConfig("manifold", 1.0), LossSpec("dm_ce"),
+            TrainConfig(epochs=2, batch_size=20),
+        )
+        assert walks == [(2,)]
+
+    def test_new_parameters_start_with_no_plan(self, tmp_path):
+        params = init_params(make_mlp(4, 3, 2), np.random.default_rng(0))
+        forward(params, np.zeros((2, 4)))
+        assert list(params._plans) == [(4,)]
+        save_checkpoint(params, tmp_path / "model.dmx")
+        assert zeros_like_params(params)._plans == {}
+        assert load_checkpoint(tmp_path / "model.dmx")._plans == {}
 
 
 class TestBackward:
@@ -474,14 +519,14 @@ class TestReluAtThePool:
 
     def test_caches_record_where_the_relu_ran(self):
         params = init_params(make_conv(1, 3, (8, 8)), np.random.default_rng(0))
-        assert params.relu_pools == {1, 3}
+        assert params.plan((8, 8))[3] == {1, 3}
         _, cache = forward(params, np.random.default_rng(1).normal(size=(2, 8, 8)))
         conv1, pool1, conv2, pool2 = cache.layer_io[:4]
         assert conv1[2] is None and conv2[2] is None and pool1[2] and pool2[2]
         _, cache = forward(params, np.zeros((2, 8, 8)), (1, 0.3, np.array([1, 0])))
         assert cache.layer_io[0][2] is not None and not cache.layer_io[1][2]
         assert cache.layer_io[2][2] is None and cache.layer_io[3][2]
-        assert init_params(make_mlp(4, 3, 2), np.random.default_rng(0)).relu_pools == set()
+        assert init_params(make_mlp(4, 3, 2), np.random.default_rng(0)).plan((4,))[3] == set()
 
     @pytest.mark.parametrize("site", range(len(make_conv(1, 3))))
     def test_every_mix_site_bytes_equal(self, site):
@@ -532,6 +577,11 @@ class TestManifoldMix:
     def test_invalid_site(self):
         with pytest.raises(ValueError):
             forward(self.params, self.x, (5, 0.5, self.perm))
+
+    @pytest.mark.parametrize("site", [0, 1])
+    def test_pairing_of_another_length_named(self, site):
+        with pytest.raises(ValueError, match="mix pairing has 2 rows for a batch of 3"):
+            forward(self.params, self.x[:3], (site, 0.5, np.array([1, 0])))
 
     def test_hidden_mix_gradients_vs_fd(self):
         rng = np.random.default_rng(3)
@@ -825,7 +875,7 @@ class TestPredictLogits:
         ids=["conv", "mlp_784_256_10", "mlp_2_32_2"],
     )
     def test_chunks_sized_from_the_widest_array(self, monkeypatch, specs, row, widest, chunks):
-        assert _row_sizes(specs, row) == (widest, (specs[-1].out_dim,))
+        assert _plan(specs, row)[1:3] == (widest, (specs[-1].out_dim,))
         params = init_params(specs, np.random.default_rng(0))
         x = np.random.default_rng(1).uniform(size=(1000, *row))
         sizes = []
@@ -857,7 +907,7 @@ class TestPredictLogits:
     )
     def test_row_a_layer_cannot_take_named(self, specs, row, message):
         with pytest.raises(ValueError, match=message):
-            _row_sizes(specs, row)
+            _plan(specs, row)
 
     def test_kernel_past_its_maps_named_before_the_dense_layer(self):
         specs = (ConvSpec(1, 2, ksize=5, pad=0), FlattenSpec(), DenseSpec(2, 2, "none"))
@@ -866,7 +916,7 @@ class TestPredictLogits:
             predict_logits(params, np.zeros((3, 1, 2, 2)))
 
     def test_kernel_that_just_fits_gives_one_pixel(self):
-        assert _row_sizes((ConvSpec(1, 2, ksize=5, pad=0),), (1, 5, 5)) == (25, (2, 1, 1))
+        assert _plan((ConvSpec(1, 2, ksize=5, pad=0),), (1, 5, 5))[1:3] == (25, (2, 1, 1))
 
 
 class TestCheckpoint:
