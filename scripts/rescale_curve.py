@@ -15,11 +15,11 @@ import numpy as np
 from demix.losses import RescaleParams, rescale
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="runs/rescale.csv")
     ap.add_argument("--points", type=int, default=101)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     settings = [(1.0, 1.0), (0.0, 0.0), (1.0, 0.8), (0.5, 1.0), (2.0, 0.8), (0.3, 1.0)]
     rows = ["t,xi,ratio,rescaled"]

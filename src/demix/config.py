@@ -55,6 +55,9 @@ class DatasetSpec:
             raise ValueError(f"size must be at least 2 for {self.source}, got {self.size}")
         if self.source == "two_moons" and self.num_classes != 2:
             raise ValueError(f"num_classes must be 2 for two_moons, got {self.num_classes}")
+        missing = [key for key in ("images", "labels") if not getattr(self, key)]
+        if self.source == "idx" and missing:
+            raise ValueError(f"source idx needs {' and '.join(missing)} set to a file path")
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,11 @@ class RunConfig:
             raise ValueError("at least one seed required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be nonnegative, got {self.seeds}")
+        # metrics.csv writes the name as a bare field of one line.
+        if any(c in self.name for c in ",\n\r"):
+            raise ValueError(f"name must hold no comma or line break, got {self.name!r}")
 
 
 @dataclass(frozen=True)

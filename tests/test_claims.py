@@ -1,5 +1,5 @@
-"""The supervised report runner (scripts/supervised_trend.py) at a tiny size,
-checked against direct calls of the library it runs on."""
+"""The claims report runner (scripts/claims.py) at a tiny size, checked
+against direct calls of the library it runs on."""
 
 import importlib.util
 import json
@@ -11,10 +11,13 @@ import pytest
 from demix import data as dd
 from demix import evaluation as deval
 from demix import network as net
+from demix.config import DatasetSpec
+from demix.experiment import load_dataset
 from demix.losses import DMConfig, LossSpec
 from demix.mixers import MixConfig
+from demix.semisup import SSLConfig, train_ssl
 
-SCRIPT = Path(__file__).parent.parent / "scripts" / "supervised_trend.py"
+SCRIPT = Path(__file__).parent.parent / "scripts" / "claims.py"
 ARMS = ("linear/mce", "linear/dm_ce", "cutmix/mce", "cutmix/dm_ce",
         "robustness/mce", "robustness/dm_ce")
 RATIOS = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
@@ -22,11 +25,12 @@ RATIOS = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
-    spec = importlib.util.spec_from_file_location("supervised_trend", SCRIPT)
+    spec = importlib.util.spec_from_file_location("claims", SCRIPT)
     runner = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(runner)
     out = tmp_path_factory.mktemp("trend")
-    runner.main(["--out", str(out), "--epochs", "2", "--seeds", "1", "--mask-seeds", "1"])
+    runner.main(["--out", str(out), "--epochs", "2", "--seeds", "1", "--mask-seeds", "1",
+                 "--ssl-steps", "40"])
     return out
 
 
@@ -64,3 +68,17 @@ def test_robustness_rows_match_direct_probes(report):
     ] + [f"dm_ce,occlusion_top1,{r:g},{a:.6f}" for r, a in curve]
     rows = (report / "robustness.csv").read_text().splitlines()
     assert [r for r in rows if r.startswith("dm_ce,")] == expected
+
+
+def test_ssl_best_top1_is_that_of_a_direct_run(report):
+    moons = DatasetSpec(source="two_moons", size=1000, val_size=1000, label_fraction=0.01,
+                        noise=0.15, seed=0, num_classes=2)
+    _, test, labeled, unlabeled_x = load_dataset(moons)
+    assert len(labeled) == 10
+    ssl = SSLConfig(unlabeled_weight=1.0, eta=0.1, alpha=0.2, steps=40,
+                    asymmetric_mixing=True, eval_interval=100)
+    _, log = train_ssl(labeled, unlabeled_x, test, net.make_mlp(2, 32, 2), ssl,
+                       net.TrainConfig(base_lr=0.3, min_lr=0.003, seed=1))
+    best = max(v for m, _, v in log if m == "test_top1")
+    summary = json.loads((report / "ssl/pl_asym_decoupled/summary.json").read_text())
+    assert summary["seeds"] == {"1": best}

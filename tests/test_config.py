@@ -170,6 +170,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             RunConfig(seeds=())
 
+    @pytest.mark.parametrize("name", ["a\nb", "a\r", "cutmix,dm"])
+    def test_name_fits_one_csv_field(self, name):
+        from demix.config import RunConfig
+
+        with pytest.raises(ValueError, match="name must hold no comma or line break"):
+            RunConfig(name=name)
+
 
 class TestSchema:
     def test_default_text(self):
@@ -271,6 +278,20 @@ class TestSchema:
              "noise must be finite and nonnegative, got -3.0"),
             ("run.seeds = 1,1",
              "config section 'run' (line 2: run.seeds): seeds must be distinct, got (1, 1)"),
+            ("run.seeds = 1,-2",
+             "config section 'run' (line 2: run.seeds): seeds must be nonnegative, got (1, -2)"),
+            ("run.name = a,b",
+             "config section 'run' (line 2: run.name): "
+             "name must hold no comma or line break, got 'a,b'"),
+            ("dataset.source = idx",
+             "config section 'dataset' (line 2: dataset.source): "
+             "source idx needs images and labels set to a file path"),
+            ("dataset.source = idx\ndataset.images = i.idx",
+             "config section 'dataset' (line 2: dataset.source, line 3: dataset.images): "
+             "source idx needs labels set to a file path"),
+            ("dataset.source = idx\ndataset.images =\ndataset.labels = l.idx",
+             "config section 'dataset' (line 2: dataset.source, line 3: dataset.images, "
+             "line 4: dataset.labels): source idx needs images set to a file path"),
             ("network.hidden = 0",
              "config section 'network' (line 2: network.hidden): hidden must be positive, got 0"),
             ("ssl.enabled = true\nssl.unlabeled_batch = 0",
@@ -324,8 +345,9 @@ class TestImageOnlySettings:
     @pytest.mark.parametrize("source", ["images", "idx"])
     def test_accepted_on_image_sources(self, source):
         text = "\n".join(
-            [f"dataset.source = {source}", "mixer.policy = cutmix", "network.arch = conv",
-             "eval.mixed_pairs = true", "eval.occlusion = true"]
+            [f"dataset.source = {source}", "dataset.images = i.idx", "dataset.labels = l.idx",
+             "mixer.policy = cutmix", "network.arch = conv", "eval.mixed_pairs = true",
+             "eval.occlusion = true"]
         )
         cfg = parse_config(text)
         assert (cfg.mixer.policy, cfg.network.arch) == ("cutmix", "conv")

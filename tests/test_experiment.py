@@ -402,3 +402,10 @@ class TestCli:
         cli_main(["train", "--config", str(conf), "--seed", "7", "--out", str(tmp_path / "o")])
         summary = json.loads((tmp_path / "o/summary.json").read_text())
         assert list(summary["seeds"]) == ["7"]
+
+    def test_negative_seed_override_fails_before_any_data(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text(FAST_BLOBS.format(kind="mce", eta="0.0", name="cli"))
+        with pytest.raises(ValueError, match=r"seeds must be nonnegative, got \(-1,\)"):
+            cli_main(["train", "--config", str(conf), "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()

@@ -15,7 +15,7 @@ ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "network.py", "evaluation.py"}
-    assert {p.name for p in SCRIPTS} >= {"supervised_trend.py", "ssl_trend.py"}
+    assert {p.name for p in SCRIPTS} == {"claims.py", "rescale_curve.py"}
 
 
 def _imports_outside(path, allowed):
