@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
-from .data import _check_noise
+from .data import _check_fields
 from .evaluation import AttackConfig, OcclusionConfig
 from .losses import LossSpec, recommended_rescale
 from .mixers import CUT_POLICIES, MixConfig
@@ -41,16 +41,9 @@ class DatasetSpec:
     def __post_init__(self):
         if self.source not in ("images", "blobs", "two_moons", "idx"):
             raise ValueError(f"unknown dataset source {self.source!r}")
-        if not (0.0 < self.label_fraction <= 1.0):
-            raise ValueError("label_fraction must lie in (0, 1]")
-        for key in ("size", "val_size", "num_classes"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
-        _check_noise(self.noise)
-        if self.shift < 0:
-            raise ValueError(f"shift must be nonnegative, got {self.shift}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_fields(self, "label_fraction", above=0, most=1)
+        _check_fields(self, "size", "val_size", "num_classes", above=0)
+        _check_fields(self, "noise", "shift", "seed", least=0)
         if self.source in ("blobs", "two_moons") and self.size < 2:
             raise ValueError(f"size must be at least 2 for {self.source}, got {self.size}")
         if self.source == "two_moons" and self.num_classes != 2:
@@ -68,8 +61,7 @@ class NetworkConfig:
     def __post_init__(self):
         if self.arch not in ("mlp", "conv"):
             raise ValueError(f"unknown architecture {self.arch!r}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be positive, got {self.hidden}")
+        _check_fields(self, "hidden", above=0)
 
 
 @dataclass(frozen=True)
@@ -84,12 +76,10 @@ class EvalConfig:
     confidence_bins: int = 0
 
     def __post_init__(self):
-        if self.mixed_pair_count < 1:
-            raise ValueError("mixed_pair_count must be at least 1")
+        _check_fields(self, "mixed_pair_count", least=1)
         OcclusionConfig(self.occlusion_patch, self.occlusion_ratios)
         AttackConfig(self.fgsm_epsilon)
-        if self.confidence_bins < 0:
-            raise ValueError("confidence_bins must be nonnegative")
+        _check_fields(self, "confidence_bins", least=0)
 
 
 @dataclass(frozen=True)

@@ -118,10 +118,31 @@ def save_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -
         f.write(labels.tobytes())
 
 
-def _check_noise(noise: float) -> None:
-    """``ValueError`` naming ``noise`` unless it is finite and nonnegative."""
-    if not 0.0 <= noise < math.inf:
-        raise ValueError(f"noise must be finite and nonnegative, got {noise!r}")
+def _check_fields(obj, *names: str, least=None, above=None, most=None, below=None) -> None:
+    """``ValueError`` naming the first of ``names`` (fields of ``obj``; a dict's
+    keys, all of them if no names are given) whose value is NaN, infinite or
+    out of bounds, with the bound and the value. A lower bound is required:
+    ``least <= v`` or ``above < v``; an upper one, ``v <= most`` or
+    ``v < below``, is optional."""
+    values = obj if isinstance(obj, dict) else vars(obj)
+    for name in names or values:
+        value = values[name]
+        if not -math.inf < value < math.inf:
+            bound = "be a finite number"
+        elif not (
+            (value >= least if least is not None else value > above)
+            and (most is None or value <= most)
+            and (below is None or value < below)
+        ):
+            lo = f"[{least:g}" if least is not None else f"({above:g}"
+            if most is not None or below is not None:
+                bound = f"lie in {lo}, " + (f"{most:g}]" if most is not None else f"{below:g})")
+            else:
+                alone = f"at least {least:g}" if least is not None else f"above {above:g}"
+                bound = "be " + {"[0": "nonnegative", "(0": "positive"}.get(lo, alone)
+        else:
+            continue
+        raise ValueError(f"{name} must {bound}, got {value!r}")
 
 
 def make_synthetic(
@@ -133,11 +154,9 @@ def make_synthetic(
     `two_moons`: the usual interleaved half-circles (unit radius, centers
     (0,0) and (1,0.5)) plus isotropic Gaussian noise.
     """
-    if n < 2:
-        raise ValueError("need at least two samples")
-    if num_classes < 1:
-        raise ValueError(f"make_synthetic: num_classes must be at least 1, got {num_classes}")
-    _check_noise(noise)
+    _check_fields({"n": n}, least=2)
+    _check_fields({"num_classes": num_classes}, least=1)
+    _check_fields({"noise": noise}, least=0)
     rng = np.random.default_rng(seed)
     if kind == "blobs":
         angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
@@ -188,13 +207,9 @@ def make_image_classes(
     form, and each sample adds its bumps in blob order, so no byte changes.
     Bad arguments raise ``ValueError`` before any draw.
     """
-    for name, value, least in (
-        ("n", n, 0), ("num_classes", num_classes, 1), ("size", size, 16),
-        ("shift", shift, 0), ("blobs_per_class", blobs_per_class, 1),
-    ):
-        if value < least:
-            raise ValueError(f"make_image_classes: {name} must be at least {least}, got {value}")
-    _check_noise(noise)
+    _check_fields({"n": n, "shift": shift, "noise": noise}, least=0)
+    _check_fields({"num_classes": num_classes, "blobs_per_class": blobs_per_class}, least=1)
+    _check_fields({"size": size}, least=16)
     ss = np.random.SeedSequence(seed)
     template_rng, sample_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     lo, hi = 8.0, size - 8.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _check_fields
 from .losses import softmax
 from .mixers import (
     MixedBatch,
@@ -40,8 +40,7 @@ class AttackConfig:
     epsilon: float = 8.0 / 255.0
 
     def __post_init__(self):
-        if not self.epsilon >= 0:  # also rejects NaN
-            raise ValueError("epsilon must be nonnegative")
+        _check_fields(self, "epsilon", least=0)
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,9 @@ class OcclusionConfig:
     ratios: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def __post_init__(self):
-        if self.patch_size < 1:
-            raise ValueError("patch_size must be positive")
+        _check_fields(self, "patch_size", above=0)
+        if not self.ratios:
+            raise ValueError("ratios must hold at least one ratio")
         if any(not (0.0 <= r <= 1.0) for r in self.ratios):
             raise ValueError("ratios must lie in [0, 1]")
 
@@ -99,8 +99,7 @@ def make_hard_mixed_set(
     """
     _require_images(dataset.x, "hard mixed set")
     n = len(dataset)
-    if count < 1:
-        raise ValueError(f"hard mixed set: count must be at least 1, got {count}")
+    _check_fields({"count": count}, least=1)
     if n == 0:
         raise ValueError("hard mixed set: the dataset is empty")
     y = np.asarray(dataset.y)
@@ -207,8 +206,7 @@ def confidence_histogram(
     Bin edges follow numpy's convention: half-open except the last bin, which
     includes 1.0; a probability exactly on an edge lands in the upper bin.
     """
-    if bins < 1:
-        raise ValueError("bins must be at least 1")
+    _check_fields({"bins": bins}, least=1)
     probs = softmax(predict_logits(params, dataset.x))
     counts, _ = np.histogram(probs.max(axis=1), bins=bins, range=(0.0, 1.0))
     return counts

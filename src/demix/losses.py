@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mixers import CUT_POLICIES, MixedTarget, Targets, _check_finite, _check_target_count
+from .data import _check_fields
+from .mixers import CUT_POLICIES, MixedTarget, Targets, _check_target_count, _class_array
 
 LOSS_KINDS = ("mce", "dm_ce", "mbce_one", "mbce_two", "dm_bce")
 
@@ -37,9 +38,7 @@ class DMConfig:
     eta: float = 0.1
 
     def __post_init__(self):
-        _check_finite(self, "eta")
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
+        _check_fields(self, "eta", least=0)
 
 
 @dataclass(frozen=True)
@@ -50,11 +49,8 @@ class RescaleParams:
     xi: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self, "t")
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
-        if not (0.0 <= self.xi <= 1.0):
-            raise ValueError("xi must lie in [0, 1]")
+        _check_fields(self, "t", least=0)
+        _check_fields(self, "xi", least=0, most=1)
 
 
 def recommended_rescale(policy: str) -> RescaleParams:
@@ -76,7 +72,8 @@ class LossSpec:
 
 
 def _check_labels(y: np.ndarray, classes: int) -> None:
-    """``ValueError`` unless every label indexes one of ``classes`` logits."""
+    """``ValueError`` unless every label is a whole number that indexes one of ``classes`` logits."""
+    y = _class_array(y)
     for index in (y.max(), y.min()):
         if not 0 <= index < classes:
             raise ValueError(f"class index {index} out of range for {classes} logits")

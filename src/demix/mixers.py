@@ -13,15 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_fields
+
 POLICIES = ("linear", "cutmix", "manifold", "resizemix")
 CUT_POLICIES = ("cutmix", "resizemix")
-
-
-def _check_finite(config, *names: str) -> None:
-    """``ValueError`` naming the first field of ``config`` in ``names`` that is NaN or infinite."""
-    for name in names:
-        if not np.isfinite(value := getattr(config, name)):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -47,9 +42,7 @@ class MixConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"unknown mixing policy {self.policy!r}")
-        _check_finite(self, "alpha")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        _check_fields(self, "alpha", above=0)
 
 
 @dataclass(frozen=True)
@@ -77,8 +70,7 @@ class Targets:
     lam: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.int64)
-        b = np.asarray(self.b, dtype=np.int64)
+        a, b = _class_array(self.a), _class_array(self.b)
         lam = np.asarray(self.lam, dtype=float)
         if a.ndim != 1 or b.shape != a.shape or lam.shape != a.shape:
             raise ValueError("a, b and lam must be 1-D arrays of one length")
@@ -115,6 +107,17 @@ class MixedBatch:
         _check_target_count(len(self.inputs), len(self.targets))
         if sorted(self.pairing.tolist()) != list(range(len(self.inputs))):
             raise ValueError("pairing must be a permutation of the batch indices")
+
+
+def _class_array(labels) -> np.ndarray:
+    """``labels`` as int64 class indices; ``ValueError`` naming the first one
+    that is not a whole number. An integer array passes on its dtype alone."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biu":
+        whole = np.isfinite(labels) & (np.floor(labels) == labels)
+        if not whole.all():
+            raise ValueError(f"class index {labels[~whole][0]} is not a whole number")
+    return labels.astype(np.int64, copy=False)
 
 
 def _check_target_count(n: int, n_targets: int) -> None:

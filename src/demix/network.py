@@ -49,7 +49,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .losses import LossSpec, _check_finite, _check_labels, batch_loss
+from .data import _check_fields
+from .losses import LossSpec, _check_labels, batch_loss
 from .mixers import MixConfig, Targets, mix_batch
 
 
@@ -83,8 +84,7 @@ class ConvSpec:
 
     def __post_init__(self):
         _check_layer(self.activation, self.in_ch, self.out_ch, self.ksize)
-        if self.pad < 0:
-            raise ValueError(f"pad must be nonnegative, got {self.pad}")
+        _check_fields(self, "pad", least=0)
 
 
 @dataclass(frozen=True)
@@ -148,17 +148,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_finite(self, "base_lr", "min_lr", "weight_decay")
-        if self.base_lr <= 0 or self.min_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        _check_fields(self, "base_lr", "min_lr", "batch_size", above=0)
+        _check_fields(self, "weight_decay", "epochs", least=0)
+        _check_fields(self, "momentum", least=0, below=1)
         if self.min_lr > self.base_lr:
             raise ValueError("min_lr must not exceed base_lr")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be positive and epochs nonnegative")
 
 
 def make_mlp(in_dim: int, hidden: int, num_classes: int) -> tuple[LayerSpec, ...]:

@@ -3,8 +3,8 @@
 Each suite draws the cases of one acceptance criterion (1 to 4) and returns
 what it measured. The suites call the row kernels that training runs
 (``mce_rows`` and ``_dm_rows``), on one row per case or per descent run.
-``run_all`` checks the numbers for ``demix selftest``; the acceptance tests
-call the same suites and apply their own bounds.
+``run_all`` checks the numbers for ``demix selftest`` against ``BOUNDS``;
+the acceptance tests call the same suites and read the same bounds.
 """
 
 from __future__ import annotations
@@ -14,6 +14,16 @@ import numpy as np
 from .losses import _dm_rows, mce_rows, softmax
 
 RATIOS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+# The bound each measured number of criteria 1-4 must stay below; p_a + p_b
+# after the mutual-boost descent must stay above its bound.
+BOUNDS = {
+    "gradient_closed_forms": 1e-12,
+    "gradient_finite_differences": 1e-6,
+    "mce_stationarity": 1e-3,
+    "dm_mutual_boost": 0.999,
+    "dm_form_equivalence": 1e-12,
+}
 
 
 def _mce(z: np.ndarray, a: int, b: int, lam: float) -> tuple[float, np.ndarray]:
@@ -134,16 +144,17 @@ def run_all() -> bool:
     boost, identical = dm_mutual_boost_suite()
     form = dm_form_equivalence_suite()
     checks = [
-        ("gradient_closed_forms", closed < 1e-12,
+        ("gradient_closed_forms", closed < BOUNDS["gradient_closed_forms"],
          f"max |analytic - closed| = {closed:.3e} over {cases} cases"),
-        ("gradient_finite_differences", fd < 1e-6,
+        ("gradient_finite_differences", fd < BOUNDS["gradient_finite_differences"],
          f"max relative FD error = {fd:.3e} over {cases} cases"),
-        ("mce_stationarity", stationarity < 1e-3,
+        ("mce_stationarity", stationarity < BOUNDS["mce_stationarity"],
          f"max |p - target weight| = {stationarity:.3e} over {len(RATIOS)} ratios"),
-        ("dm_mutual_boost", boost > 0.999, f"p_a + p_b = {boost:.6f} after descent"),
+        ("dm_mutual_boost", boost > BOUNDS["dm_mutual_boost"],
+         f"p_a + p_b = {boost:.6f} after descent"),
         ("dm_lambda_independence", identical,
          "value and gradient trajectories bit-identical across mixing ratios"),
-        ("dm_form_equivalence", form < 1e-12,
+        ("dm_form_equivalence", form < BOUNDS["dm_form_equivalence"],
          f"max |phi-form - ratio-form| = {form:.3e} over 10000 draws"),
     ]
     ok = True

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec, _check_finite, _check_labels, asymmetric_dm_rows, mce_rows, softmax
+from .data import _check_fields
+from .losses import LossSpec, _check_labels, asymmetric_dm_rows, mce_rows, softmax
 from .network import (
     Parameters,
     TrainConfig,
@@ -42,21 +43,9 @@ class SSLConfig:
     eval_interval: int = 100
 
     def __post_init__(self):
-        if not (0.0 < self.tau <= 1.0):
-            raise ValueError("tau must lie in (0, 1]")
-        _check_finite(self, "unlabeled_weight", "eta", "alpha")
-        if self.unlabeled_weight < 0 or self.eta < 0:
-            raise ValueError("weights must be nonnegative")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be positive")
-        if self.eval_interval < 1:
-            raise ValueError("eval_interval must be positive")
-        if self.labeled_batch < 0:
-            raise ValueError(f"labeled_batch must be nonnegative, got {self.labeled_batch}")
-        if self.unlabeled_batch < 1:
-            raise ValueError(f"unlabeled_batch must be positive, got {self.unlabeled_batch}")
+        _check_fields(self, "tau", above=0, most=1)
+        _check_fields(self, "unlabeled_weight", "eta", "labeled_batch", least=0)
+        _check_fields(self, "alpha", "steps", "eval_interval", "unlabeled_batch", above=0)
 
 
 def pseudo_label_batch(

@@ -82,7 +82,10 @@ def test_criterion_01_gradient_oracles():
     elapsed = time.monotonic() - start
     report(
         1,
-        worst_closed < 1e-12 and worst_fd < 1e-6 and cases >= 100 and elapsed < 5.0,
+        worst_closed < selftest.BOUNDS["gradient_closed_forms"]
+        and worst_fd < selftest.BOUNDS["gradient_finite_differences"]
+        and cases >= 100
+        and elapsed < 5.0,
         f"{cases} cases: closed-form dev {worst_closed:.2e}, "
         f"FD rel dev {worst_fd:.2e}, {elapsed:.2f}s",
     )
@@ -99,7 +102,7 @@ def test_criterion_02_mce_stationarity():
     elapsed = time.monotonic() - start
     report(
         2,
-        worst < 1e-3 and elapsed < 1.0,
+        worst < selftest.BOUNDS["mce_stationarity"] and elapsed < 1.0,
         f"max |p - target weight| = {worst:.2e} over five ratios, {elapsed:.2f}s",
     )
 
@@ -115,7 +118,7 @@ def test_criterion_03_dm_mutual_boost():
     elapsed = time.monotonic() - start
     report(
         3,
-        boost > 0.999 and identical and elapsed < 1.0,
+        boost > selftest.BOUNDS["dm_mutual_boost"] and identical and elapsed < 1.0,
         f"p_a + p_b = {boost:.6f}, trajectories bit-identical across ratios, {elapsed:.2f}s",
     )
 
@@ -127,7 +130,11 @@ def test_criterion_03_dm_mutual_boost():
 
 def test_criterion_04_form_equivalence():
     worst = selftest.dm_form_equivalence_suite()
-    report(4, worst < 1e-12, f"max form deviation {worst:.2e} over 10000 draws")
+    report(
+        4,
+        worst < selftest.BOUNDS["dm_form_equivalence"],
+        f"max form deviation {worst:.2e} over 10000 draws",
+    )
 
 
 # ---------------------------------------------------------------------------

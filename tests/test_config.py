@@ -11,6 +11,7 @@ from demix.config import (
     parse_config,
     serialize_config,
 )
+from demix.evaluation import AttackConfig, OcclusionConfig
 from demix.losses import DMConfig, RescaleParams
 from demix.mixers import MixConfig
 from demix.network import TrainConfig
@@ -160,7 +161,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("noise", [math.nan, math.inf, -3.0])
     def test_bad_noise_named(self, noise):
-        message = rf"^noise must be finite and nonnegative, got {noise!r}$"
+        bound = "be nonnegative" if math.isfinite(noise) else "be a finite number"
+        message = rf"^noise must {bound}, got {noise!r}$"
         with pytest.raises(ValueError, match=message):
             DatasetSpec(noise=noise)
 
@@ -230,29 +232,29 @@ class TestSchema:
         [
             ("mixer.policy = cutmix\nmixer.alpha = 0",
              "config section 'mixer' (line 2: mixer.policy, line 3: mixer.alpha): "
-             "alpha must be positive"),
+             "alpha must be positive, got 0.0"),
             ("ssl.enabled = true\nssl.alpha = 0",
              "config section 'ssl' (line 2: ssl.enabled, line 3: ssl.alpha): "
-             "alpha must be positive"),
+             "alpha must be positive, got 0.0"),
             ("loss.kind = focal",
              "config section 'loss' (line 2: loss.kind): unknown loss kind 'focal'"),
             ("ssl.enabled = true\nssl.eval_interval = 0",
              "config section 'ssl' (line 2: ssl.enabled, line 3: ssl.eval_interval): "
-             "eval_interval must be positive"),
+             "eval_interval must be positive, got 0"),
             ("eval.mixed_pair_count = 0",
              "config section 'eval' (line 2: eval.mixed_pair_count): "
-             "mixed_pair_count must be at least 1"),
+             "mixed_pair_count must be at least 1, got 0"),
             ("eval.occlusion = true\neval.occlusion_patch = 0",
              "config section 'eval' (line 2: eval.occlusion, line 3: eval.occlusion_patch): "
-             "patch_size must be positive"),
+             "patch_size must be positive, got 0"),
             ("eval.occlusion_ratios = 0,1.5",
              "config section 'eval' (line 2: eval.occlusion_ratios): "
              "ratios must lie in [0, 1]"),
             ("eval.fgsm_epsilon = -0.1",
-             "config section 'eval' (line 2: eval.fgsm_epsilon): epsilon must be nonnegative"),
+             "config section 'eval' (line 2: eval.fgsm_epsilon): epsilon must be nonnegative, got -0.1"),
             ("eval.confidence_bins = -1",
              "config section 'eval' (line 2: eval.confidence_bins): "
-             "confidence_bins must be nonnegative"),
+             "confidence_bins must be nonnegative, got -1"),
             ("dataset.size = 0",
              "config section 'dataset' (line 2: dataset.size): size must be positive, got 0"),
             ("dataset.val_size = 0",
@@ -275,7 +277,7 @@ class TestSchema:
              "size must be at least 2 for blobs, got 1"),
             ("dataset.noise = -3",
              "config section 'dataset' (line 2: dataset.noise): "
-             "noise must be finite and nonnegative, got -3.0"),
+             "noise must be nonnegative, got -3.0"),
             ("run.seeds = 1,1",
              "config section 'run' (line 2: run.seeds): seeds must be distinct, got (1, 1)"),
             ("run.seeds = 1,-2",
@@ -426,11 +428,46 @@ class TestDmBceCurveDefault:
         (RescaleParams, "t", math.nan),
         (MixConfig, "alpha", math.inf),
         (MixConfig, "alpha", math.nan),
+        (AttackConfig, "epsilon", math.inf),
     ],
 )
 def test_config_dataclasses_reject_non_finite_floats(cls, field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be a finite number, got {value!r}$"):
         cls(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "cls, field, value, bound",
+    [
+        (TrainConfig, "base_lr", 0.0, "be positive"),
+        (TrainConfig, "min_lr", 0.0, "be positive"),
+        (TrainConfig, "weight_decay", -1e-4, "be nonnegative"),
+        (TrainConfig, "momentum", -0.1, "lie in [0, 1)"),
+        (TrainConfig, "momentum", 1.0, "lie in [0, 1)"),
+        (SSLConfig, "tau", 0.0, "lie in (0, 1]"),
+        (SSLConfig, "tau", 1.5, "lie in (0, 1]"),
+        (SSLConfig, "unlabeled_weight", -1.0, "be nonnegative"),
+        (SSLConfig, "eta", -0.5, "be nonnegative"),
+        (SSLConfig, "steps", 0, "be positive"),
+        (DMConfig, "eta", -0.1, "be nonnegative"),
+        (RescaleParams, "t", -1.0, "be nonnegative"),
+        (RescaleParams, "xi", -0.1, "lie in [0, 1]"),
+        (RescaleParams, "xi", 1.5, "lie in [0, 1]"),
+        (DatasetSpec, "label_fraction", 1.5, "lie in (0, 1]"),
+    ],
+)
+def test_each_field_bound_names_field_bound_and_value(cls, field, value, bound):
+    # base_lr and min_lr, and unlabeled_weight and eta, once shared a message.
+    with pytest.raises(ValueError, match=rf"^{field} must {re.escape(bound)}, got {value!r}$"):
+        cls(**{field: value})
+
+
+def test_empty_occlusion_ratio_list_rejected():
+    with pytest.raises(ValueError, match="^ratios must hold at least one ratio$"):
+        OcclusionConfig(4, ())
+    message = "config section 'eval' (line 1: eval.occlusion_ratios): ratios must hold at least one"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config("eval.occlusion_ratios = ,")
 
 
 def test_readme_config_example_parses():

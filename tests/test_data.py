@@ -234,20 +234,21 @@ class TestSynthetic:
             make_synthetic("spirals", 10, 0.1, 0)
 
     def test_minimum_size(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be at least 2, got 1$"):
             make_synthetic("blobs", 1, 0.1, 0)
 
     @pytest.mark.parametrize("kind", ["blobs", "two_moons"])
     @pytest.mark.parametrize("num_classes", [0, -1])
     def test_bad_class_count_named_before_any_draw(self, monkeypatch, kind, num_classes):
         monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("a draw ran"))
-        message = rf"^make_synthetic: num_classes must be at least 1, got {num_classes}$"
+        message = rf"^num_classes must be at least 1, got {num_classes}$"
         with pytest.raises(ValueError, match=message):
             make_synthetic(kind, 10, 0.1, 0, num_classes=num_classes)
 
     @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf, -0.5])
     def test_bad_noise_named(self, noise):
-        message = rf"^noise must be finite and nonnegative, got {noise!r}$"
+        bound = "be nonnegative" if math.isfinite(noise) else "be a finite number"
+        message = rf"^noise must {bound}, got {noise!r}$"
         with pytest.raises(ValueError, match=message):
             make_synthetic("blobs", 4, noise, 0)
 
@@ -308,13 +309,16 @@ class TestImageClasses:
     )
     def test_bad_argument_named_before_any_draw(self, monkeypatch, name, value):
         monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("a draw ran"))
-        with pytest.raises(ValueError, match=rf"make_image_classes: {name} must be at least"):
+        bounds = {"n": "nonnegative", "shift": "nonnegative", "size": "at least 16"}
+        bound = bounds.get(name, "at least 1")
+        with pytest.raises(ValueError, match=rf"^{name} must be {bound}, got {value}$"):
             make_image_classes(**{"n": 10, name: value})
 
     @pytest.mark.parametrize("noise", [math.nan, math.inf, -3.0])
     def test_bad_noise_named_before_any_draw(self, monkeypatch, noise):
         monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("a draw ran"))
-        message = rf"^noise must be finite and nonnegative, got {noise!r}$"
+        bound = "be nonnegative" if math.isfinite(noise) else "be a finite number"
+        message = rf"^noise must {bound}, got {noise!r}$"
         with pytest.raises(ValueError, match=message):
             make_image_classes(4, noise=noise)
 

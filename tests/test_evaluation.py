@@ -83,6 +83,17 @@ class TestTop1:
         with pytest.raises(ValueError, match="class index -1 out of range for 3 logits"):
             top1_accuracy(identity_net(c), dd.Dataset(x, y, c))
 
+    def test_fractional_label_rejected(self):
+        c = 3
+        x, y = np.eye(c), np.array([0.0, 1.0, 0.5])
+        with pytest.raises(ValueError, match="^class index 0.5 is not a whole number$"):
+            top1_accuracy(identity_net(c), dd.Dataset(x, y, c))
+
+    def test_whole_float_labels_scored(self):
+        c = 3
+        x, y = np.eye(c)[[0, 1, 2, 2]], np.array([0.0, 1.0, 2.0, 0.0])
+        assert top1_accuracy(identity_net(c), dd.Dataset(x, y, c)) == 0.75
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="the batch is empty"):
             top1_accuracy(constant_net(3), _empty_vectors())
@@ -232,18 +243,20 @@ class TestHardMixedSetProperties:
     @pytest.mark.parametrize(
         "x, y, count, kwargs, message",
         [
-            (np.zeros((6, 8, 8)), np.ones(6, int), 3, {}, "pairs need two classes, .* only class 1"),
-            (np.zeros((6, 28, 28)), np.arange(6) % 2, 3,
-             {"area_band": (0.9, 1.0)}, r"no box at lam=0.5 on 28x28 .* \[0.9, 1.0\]"),
-            (np.zeros((6, 8, 8)), np.arange(6) % 2, 0, {}, "count must be at least 1, got 0"),
-            (np.zeros((0, 8, 8)), np.zeros(0, int), 3, {}, "the dataset is empty"),
-            (np.zeros((6, 8)), np.arange(6) % 2, 3, {}, r"inputs must be images .* \(6, 8\)"),
+            (np.zeros((6, 8, 8)), np.ones(6, int), 3, {},
+             "hard mixed set: pairs need two classes, .* only class 1"),
+            (np.zeros((6, 28, 28)), np.arange(6) % 2, 3, {"area_band": (0.9, 1.0)},
+             r"hard mixed set: no box at lam=0.5 on 28x28 .* \[0.9, 1.0\]"),
+            (np.zeros((6, 8, 8)), np.arange(6) % 2, 0, {}, "^count must be at least 1, got 0$"),
+            (np.zeros((0, 8, 8)), np.zeros(0, int), 3, {}, "hard mixed set: the dataset is empty"),
+            (np.zeros((6, 8)), np.arange(6) % 2, 3, {},
+             r"hard mixed set: inputs must be images .* \(6, 8\)"),
         ],
         ids=["one_class", "band_unreachable", "count_zero", "empty", "not_images"],
     )
     def test_bad_input_names_fault(self, x, y, count, kwargs, message):
         ds = dd.Dataset(x, y, 2)
-        with pytest.raises(ValueError, match=f"hard mixed set: {message}"):
+        with pytest.raises(ValueError, match=message):
             make_hard_mixed_set(ds, count, np.random.default_rng(0), **kwargs)
 
 
@@ -439,5 +452,6 @@ class TestConfidenceHistogram:
         assert counts.tolist() == [0, 1]
 
     def test_bin_validation(self):
-        with pytest.raises(ValueError):
-            confidence_histogram(constant_net(2), dd.Dataset(np.zeros((1, 4)), np.zeros(1, int), 2), 0)
+        ds = dd.Dataset(np.zeros((1, 4)), np.zeros(1, int), 2)
+        with pytest.raises(ValueError, match="^bins must be at least 1, got 0$"):
+            confidence_histogram(constant_net(2), ds, 0)

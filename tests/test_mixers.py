@@ -441,6 +441,17 @@ class TestTargets:
         with pytest.raises(ValueError):
             Targets(a, b, lam)
 
+    @pytest.mark.parametrize(
+        "a, b, bad", [([0.5, 1.0], [1, 0], 0.5), ([0, 1], [1.0, np.nan], "nan")]
+    )
+    def test_class_index_must_be_whole(self, a, b, bad):
+        with pytest.raises(ValueError, match=f"^class index {bad} is not a whole number$"):
+            Targets(a, b, [0.5, 0.5])
+
+    def test_whole_float_class_indices_accepted(self):
+        t = Targets([0.0, 2.0], [1.0, 0.0], [0.5, 0.5])
+        assert t.a.dtype == np.int64 and t.a.tolist() == [0, 2] and t.b.tolist() == [1, 0]
+
 
 class TestAsymmetricPair:
     def test_clamps_large_lambda(self):

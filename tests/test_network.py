@@ -96,6 +96,10 @@ class TestForward:
         with pytest.raises(ValueError, match="no rows to run through the network: the batch"):
             forward(params, np.empty((0, *row)))
 
+    def test_negative_conv_pad_named(self):
+        with pytest.raises(ValueError, match="^pad must be nonnegative, got -1$"):
+            ConvSpec(1, 2, pad=-1)
+
 
 class TestPlan:
     @pytest.fixture
@@ -772,7 +776,9 @@ class TestTrainSupervised:
 
     @pytest.mark.parametrize("kw", [{"batch_size": 0}, {"batch_size": -5}, {"epochs": -1}])
     def test_batch_size_and_epochs_validated(self, kw):
-        with pytest.raises(ValueError, match="batch_size must be positive"):
+        ((name, value),) = kw.items()
+        bound = "positive" if name == "batch_size" else "nonnegative"
+        with pytest.raises(ValueError, match=rf"^{name} must be {bound}, got {value}$"):
             TrainConfig(**kw)
 
     def test_zero_epochs_returns_init(self):
