@@ -9,7 +9,6 @@ errors, and parse -> serialize -> parse is the identity on the config object.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .data import _check_fields
@@ -69,10 +68,10 @@ class EvalConfig:
     mixed_pairs: bool = False
     mixed_pair_count: int = 200
     fgsm: bool = False
-    fgsm_epsilon: float = 8.0 / 255.0
+    fgsm_epsilon: float = AttackConfig.epsilon
     occlusion: bool = False
-    occlusion_patch: int = 4
-    occlusion_ratios: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
+    occlusion_patch: int = OcclusionConfig.patch_size
+    occlusion_ratios: tuple[float, ...] = OcclusionConfig.ratios
     confidence_bins: int = 0
 
     def __post_init__(self):
@@ -120,19 +119,10 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_float(s: str) -> float:
-    v = float(s)
-    if not math.isfinite(v):
-        raise ValueError(f"not a finite number: {s!r}")
-    return v
-
-
 def _parser(default):
     """The value parser a key gets from the type of its dataclass default."""
     if isinstance(default, bool):
         return _parse_bool
-    if isinstance(default, float):
-        return _parse_float
     if isinstance(default, tuple):
         item = _parser(default[0])
         return lambda s: tuple(item(p) for p in s.split(",") if p.strip())

@@ -73,10 +73,9 @@ class LossSpec:
 
 def _check_labels(y: np.ndarray, classes: int) -> None:
     """``ValueError`` unless every label is a whole number that indexes one of ``classes`` logits."""
-    y = _class_array(y)
-    for index in (y.max(), y.min()):
-        if not 0 <= index < classes:
-            raise ValueError(f"class index {index} out of range for {classes} logits")
+    top = _class_array(y).max()
+    if top >= classes:
+        raise ValueError(f"class index {top} out of range for {classes} logits")
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -203,8 +202,6 @@ def batch_loss(
     if z_batch.ndim != 2:
         raise ValueError(f"logits must have shape (n, classes), got {z_batch.shape}")
     n = len(z_batch)
-    if n == 0:
-        raise ValueError("empty batch")
     if not isinstance(targets, Targets):
         targets = Targets.from_records(targets)
     _check_target_count(n, len(targets))

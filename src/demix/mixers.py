@@ -26,10 +26,8 @@ class Lambda:
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
-        if not (0.0 <= v <= 1.0) or not math.isfinite(v):
-            raise ValueError(f"mixing ratio must lie in [0, 1], got {self.value!r}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", float(self.value))
+        _check_fields({"lam": self.value}, least=0, most=1)
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,7 @@ class MixedTarget:
     lam: Lambda
 
     def __post_init__(self):
-        if self.class_a < 0 or self.class_b < 0:
-            raise ValueError("class indices must be nonnegative")
+        _check_fields(self, "class_a", "class_b", least=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +71,6 @@ class Targets:
         lam = np.asarray(self.lam, dtype=float)
         if a.ndim != 1 or b.shape != a.shape or lam.shape != a.shape:
             raise ValueError("a, b and lam must be 1-D arrays of one length")
-        if len(a) and min(a.min(), b.min()) < 0:
-            raise ValueError("class indices must be nonnegative")
         if not np.all((lam >= 0.0) & (lam <= 1.0)):
             raise ValueError("mixing ratios must lie in [0, 1]")
         object.__setattr__(self, "a", a)
@@ -111,17 +106,23 @@ class MixedBatch:
 
 def _class_array(labels) -> np.ndarray:
     """``labels`` as int64 class indices; ``ValueError`` naming the first one
-    that is not a whole number. An integer array passes on its dtype alone."""
+    that is not a whole number, or the least if it is negative. An integer
+    array is whole on its dtype alone."""
     labels = np.asarray(labels)
     if labels.dtype.kind not in "biu":
         whole = np.isfinite(labels) & (np.floor(labels) == labels)
         if not whole.all():
             raise ValueError(f"class index {labels[~whole][0]} is not a whole number")
-    return labels.astype(np.int64, copy=False)
+    labels = labels.astype(np.int64, copy=False)
+    if labels.size and labels.min() < 0:
+        raise ValueError(f"class indices must be nonnegative, got {labels.min()}")
+    return labels
 
 
 def _check_target_count(n: int, n_targets: int) -> None:
-    """``ValueError`` unless there is one target per sample."""
+    """``ValueError`` unless the batch is nonempty with one target per sample."""
+    if n == 0:
+        raise ValueError("empty batch")
     if n_targets != n:
         raise ValueError(f"one target per sample required, got {n_targets} for {n}")
 
@@ -130,8 +131,7 @@ def _cut_sides(height: int, width: int, lam: float) -> tuple[int, int]:
     """Box height and width at ratio ``lam``: sqrt(1-lam) of each dimension, floored."""
     if height < 1 or width < 1:
         raise ValueError("image dimensions must be at least 1")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("mixing ratios must lie in [0, 1]")
+    _check_fields({"lam": lam}, least=0, most=1)
     cut = math.sqrt(1.0 - lam)
     return int(height * cut), int(width * cut)
 
@@ -257,8 +257,6 @@ def mix_batch(
     inputs = np.asarray(inputs, dtype=float)
     labels = np.asarray(labels)
     n = len(inputs)
-    if n == 0:
-        raise ValueError("empty batch")
     if config.policy in CUT_POLICIES:
         _require_images(inputs, config.policy)
     _check_target_count(n, len(labels))

@@ -57,11 +57,9 @@ from .mixers import MixConfig, Targets, mix_batch
 ACTIVATIONS = ("relu", "none")
 
 
-def _check_layer(activation: str, *sizes: int) -> None:
+def _check_activation(activation: str) -> None:
     if activation not in ACTIVATIONS:
         raise ValueError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
-    if min(sizes) < 1:
-        raise ValueError(f"layer sizes must be positive, got {sizes}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,8 @@ class DenseSpec:
     activation: str = "relu"  # "relu" | "none"
 
     def __post_init__(self):
-        _check_layer(self.activation, self.in_dim, self.out_dim)
+        _check_fields(self, "in_dim", "out_dim", above=0)
+        _check_activation(self.activation)
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,8 @@ class ConvSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        _check_layer(self.activation, self.in_ch, self.out_ch, self.ksize)
+        _check_fields(self, "in_ch", "out_ch", "ksize", above=0)
+        _check_activation(self.activation)
         _check_fields(self, "pad", least=0)
 
 
@@ -92,7 +92,7 @@ class PoolSpec:
     size: int = 2
 
     def __post_init__(self):
-        _check_layer("none", self.size)
+        _check_fields(self, "size", above=0)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_fields(self, "base_lr", "min_lr", "batch_size", above=0)
-        _check_fields(self, "weight_decay", "epochs", least=0)
+        _check_fields(self, "weight_decay", "epochs", "seed", least=0)
         _check_fields(self, "momentum", least=0, below=1)
         if self.min_lr > self.base_lr:
             raise ValueError("min_lr must not exceed base_lr")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import _check_fields
 from .losses import LossSpec, _check_labels, asymmetric_dm_rows, mce_rows, softmax
+from .mixers import _check_target_count
 from .network import (
     Parameters,
     TrainConfig,
@@ -84,12 +85,11 @@ def ssl_step(
     x_l, y_l = labeled
     x_l = np.asarray(x_l, dtype=float)
     n_l, n_u = len(x_l), len(unlabeled_x)
-    if n_l == 0 or n_u == 0:
-        raise ValueError("both batches must be nonempty")
+    _check_target_count(n_l, len(y_l))
+    if n_u == 0:
+        raise ValueError("empty unlabeled batch")
     if np.shape(unlabeled_x)[1:] != x_l.shape[1:]:
         raise ValueError(f"unlabeled rows {np.shape(unlabeled_x)} unlike labeled rows {x_l.shape}")
-    if len(y_l) != n_l:
-        raise ValueError(f"{len(y_l)} labels for {n_l} labeled rows")
 
     z, cache = forward(params, np.concatenate([x_l, unlabeled_x]))
     _check_labels(y_l, z.shape[1])

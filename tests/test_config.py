@@ -211,12 +211,19 @@ class TestSchema:
             ("dataset.size = abc", "bad value for dataset.size: invalid literal for int"),
             ("dataset.noise = x",
              "bad value for dataset.noise: could not convert string to float"),
-            ("train.base_lr = nan", "bad value for train.base_lr: not a finite number"),
-            ("loss.eta = inf", "bad value for loss.eta: not a finite number"),
-            ("dataset.noise = nan", "bad value for dataset.noise: not a finite number"),
-            ("eval.fgsm_epsilon = nan", "bad value for eval.fgsm_epsilon: not a finite number"),
-            ("eval.occlusion_ratios = 0,nan",
-             "bad value for eval.occlusion_ratios: not a finite number"),
+            # A non-finite float parses; its section's check names the field.
+            *(pytest.param(line, message, id=f"{line}-bad value for {line.split()[0]}")
+              for line, message in [
+                  ("train.base_lr = nan",
+                   r"train.base_lr\): base_lr must be a finite number, got nan"),
+                  ("loss.eta = inf", r"loss.eta\): eta must be a finite number, got inf"),
+                  ("dataset.noise = nan",
+                   r"dataset.noise\): noise must be a finite number, got nan"),
+                  ("eval.fgsm_epsilon = nan",
+                   r"eval.fgsm_epsilon\): epsilon must be a finite number, got nan"),
+                  ("eval.occlusion_ratios = 0,nan",
+                   r"eval.occlusion_ratios\): ratios must lie in \[0, 1\]"),
+              ]),
         ],
     )
     def test_bad_value_names_line_and_key(self, line, message):
@@ -442,6 +449,7 @@ def test_config_dataclasses_reject_non_finite_floats(cls, field, value):
         (TrainConfig, "base_lr", 0.0, "be positive"),
         (TrainConfig, "min_lr", 0.0, "be positive"),
         (TrainConfig, "weight_decay", -1e-4, "be nonnegative"),
+        (TrainConfig, "seed", -1, "be nonnegative"),
         (TrainConfig, "momentum", -0.1, "lie in [0, 1)"),
         (TrainConfig, "momentum", 1.0, "lie in [0, 1)"),
         (SSLConfig, "tau", 0.0, "lie in (0, 1]"),

@@ -80,7 +80,7 @@ class TestTop1:
     def test_negative_label_rejected(self):
         c = 3
         x, y = np.eye(c), np.array([0, -1, 2])
-        with pytest.raises(ValueError, match="class index -1 out of range for 3 logits"):
+        with pytest.raises(ValueError, match="^class indices must be nonnegative, got -1$"):
             top1_accuracy(identity_net(c), dd.Dataset(x, y, c))
 
     def test_fractional_label_rejected(self):
@@ -121,24 +121,28 @@ def _empty_vectors():
     return dd.Dataset(np.empty((0, 4)), np.empty(0, dtype=int), 3)
 
 
+_NO_ROWS = "no rows to run through the network: the batch is empty"
+
+
 @pytest.mark.parametrize(
-    "entry",
+    "entry, message",
     [
-        lambda: predict_logits(constant_net(3), np.empty((0, 4))),
-        lambda: predict_logits(
+        (lambda: predict_logits(constant_net(3), np.empty((0, 4))), _NO_ROWS),
+        (lambda: predict_logits(
             init_params(make_conv(1, 3), np.random.default_rng(0)), np.empty((0, 28, 28))
-        ),
-        lambda: confidence_histogram(constant_net(3), _empty_vectors(), 5),
-        lambda: mixed_pair_eval(
+        ), _NO_ROWS),
+        (lambda: confidence_histogram(constant_net(3), _empty_vectors(), 5), _NO_ROWS),
+        # An empty mixed batch is rejected when it is built, before any scoring.
+        (lambda: mixed_pair_eval(
             constant_net(3), MixedBatch(np.empty((0, 4)), Targets([], [], []), np.arange(0))
-        ),
-        lambda: fgsm_attack(constant_net(3), _empty_vectors(), AttackConfig()),
+        ), "^empty batch$"),
+        (lambda: fgsm_attack(constant_net(3), _empty_vectors(), AttackConfig()), _NO_ROWS),
     ],
     ids=["predict_logits_mlp", "predict_logits_conv", "confidence_histogram",
          "mixed_pair_eval", "fgsm_attack"],
 )
-def test_empty_input_rejected(entry):
-    with pytest.raises(ValueError, match="no rows to run through the network: the batch is empty"):
+def test_empty_input_rejected(entry, message):
+    with pytest.raises(ValueError, match=message):
         entry()
 
 
@@ -258,6 +262,19 @@ class TestHardMixedSetProperties:
         ds = dd.Dataset(x, y, 2)
         with pytest.raises(ValueError, match=message):
             make_hard_mixed_set(ds, count, np.random.default_rng(0), **kwargs)
+
+    @pytest.mark.parametrize(
+        "lam, message",
+        [(2.0, r"lie in \[0, 1\], got 2.0"), (float("nan"), "be a finite number, got nan")],
+        ids=["above_one", "nan"],
+    )
+    def test_bad_ratio_named_before_any_draw(self, lam, message):
+        ds = dd.Dataset(np.zeros((6, 8, 8)), np.arange(6) % 2, 2)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^lam must {message}$"):
+            make_hard_mixed_set(ds, 3, rng, lam=lam)
+        assert rng.bit_generator.state == state
 
 
 class TestFgsm:

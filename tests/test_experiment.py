@@ -16,7 +16,13 @@ from demix.experiment import (
     rows_to_csv,
     run_experiment,
 )
-from demix.evaluation import top1_accuracy
+from demix.evaluation import (
+    OcclusionConfig,
+    make_hard_mixed_set,
+    mixed_pair_eval,
+    occlusion_eval,
+    top1_accuracy,
+)
 from demix.network import init_params, load_checkpoint, make_conv, make_mlp, save_checkpoint
 
 FAST_BLOBS = """
@@ -155,6 +161,35 @@ run.name = sslrun
         text = "dataset.size = 20\ndataset.val_size = 20\nnetwork.hidden = 8\n" + settings
         with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(parse_config(text), tmp_path / "p")
+
+    def test_probe_keys_log_the_direct_probe_values(self, tmp_path):
+        text = (
+            "dataset.size = 60\ndataset.val_size = 40\ndataset.num_classes = 3\n"
+            "network.hidden = 8\ntrain.epochs = 1\ntrain.batch_size = 30\n"
+            "eval.mixed_pairs = true\neval.mixed_pair_count = 20\n"
+            "eval.occlusion = true\neval.occlusion_ratios = 0,0.5,1\nrun.seeds = 1,2\n"
+        )
+        cfg = parse_config(text)
+        run_experiment(cfg, tmp_path)
+        rows = [r.split(",") for r in (tmp_path / "metrics.csv").read_text().splitlines()[1:]]
+        _, val, _, _ = load_dataset(cfg.dataset)
+        hard_rng = np.random.default_rng(np.random.SeedSequence((cfg.dataset.seed, 1)))
+        hard = make_hard_mixed_set(val, 20, hard_rng)
+        for seed in (1, 2):
+            logged = [(m, float(v)) for _, s, _, m, v in rows
+                      if s == str(seed) and m.startswith(("mixed_", "occlusion_"))]
+            params = load_checkpoint(tmp_path / f"seed_{seed}.dmx")
+            pair = mixed_pair_eval(params, hard)
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.dataset.seed, 2, seed)))
+            curve = occlusion_eval(params, val, OcclusionConfig(4, (0.0, 0.5, 1.0)), rng)
+            assert logged == [
+                ("mixed_top1_pair", pair.top1_pair_acc),
+                ("mixed_top2_pair", pair.top2_pair_acc),
+                ("mixed_mean_conf", pair.mean_max_confidence),
+                ("occlusion_top1@0", curve[0][1]),
+                ("occlusion_top1@0.5", curve[1][1]),
+                ("occlusion_top1@1", curve[2][1]),
+            ]
 
     def test_ssl_run_shorter_than_eval_interval(self, tmp_path):
         # 50 steps with the default interval of 100 still log an evaluation.

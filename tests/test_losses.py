@@ -350,7 +350,7 @@ class TestBatchLoss:
         assert batch_loss(z, targets, spec).value == pytest.approx((v1 + v2) / 2)
 
     def test_empty_batch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty batch$"):
             batch_loss(np.empty((0, 3)), [], LossSpec("mce"))
 
     def test_target_count_named(self):

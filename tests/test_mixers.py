@@ -357,7 +357,7 @@ class TestMixBatch:
         assert sorted(mb.pairing.tolist()) == list(range(7))
 
     def test_empty_batch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty batch$"):
             mix_batch(np.empty((0, 4, 4)), np.empty(0), MixConfig(), np.random.default_rng(0))
 
     def test_manifold_leaves_inputs(self):

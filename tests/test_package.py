@@ -1,9 +1,13 @@
-"""Static checks over the package source: what it imports and what it reads."""
+"""Checks over the package as a whole: what its source imports and reads, and
+how it reports bad input."""
 
 import ast
+import struct
 import sys
+from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).parent.parent
@@ -65,11 +69,17 @@ def _raise_site(call):
 
 
 def _bad_calls():
-    from demix.data import make_image_classes, make_synthetic
-    from demix.evaluation import AttackConfig
-    from demix.network import TrainConfig
+    from demix.data import Dataset, make_image_classes, make_synthetic
+    from demix.evaluation import AttackConfig, make_hard_mixed_set, top1_accuracy
+    from demix.losses import LossSpec, batch_loss
+    from demix.mixers import Lambda, MixConfig, MixedBatch, Targets, mix_batch, sample_cutmix_boxes
+    from demix.network import DenseSpec, TrainConfig, init_params
+    from demix.semisup import SSLConfig, ssl_step
 
     nan, inf = float("nan"), float("inf")
+    rng = np.random.default_rng(0)
+    net = init_params((DenseSpec(2, 3, "none"),), rng)
+    glyphs = Dataset(np.zeros((4, 8, 8)), np.arange(4) % 2, 2)
     return {
         "must be a finite number": (
             lambda: TrainConfig(base_lr=nan),
@@ -79,6 +89,24 @@ def _bad_calls():
         "num_classes must be at least 1": (
             lambda: make_synthetic("blobs", 10, 0.1, 0, num_classes=0),
             lambda: make_image_classes(4, num_classes=0),
+        ),
+        "lam must lie in [0, 1]": (
+            lambda: Lambda(2.0),
+            lambda: sample_cutmix_boxes(8, 8, -0.5, 1, rng),
+            lambda: make_hard_mixed_set(glyphs, 2, rng, lam=2.0),
+        ),
+        "empty batch": (
+            lambda: mix_batch(np.empty((0, 2)), np.empty(0, int), MixConfig(), rng),
+            lambda: batch_loss(np.empty((0, 3)), Targets([], [], []), LossSpec()),
+            lambda: MixedBatch(np.empty((0, 2)), Targets([], [], []), np.arange(0)),
+            lambda: ssl_step(net, (np.empty((0, 2)), np.empty(0, int)), np.ones((3, 2)),
+                             SSLConfig(), rng),
+        ),
+        "class indices must be nonnegative": (
+            lambda: Targets([0, -1], [0, 1], [1.0, 1.0]),
+            lambda: top1_accuracy(net, Dataset(np.eye(2), np.array([0, -1]), 3)),
+            lambda: ssl_step(net, (np.eye(2), np.array([-1, 0])), np.ones((3, 2)),
+                             SSLConfig(), rng),
         ),
     }
 
@@ -95,6 +123,11 @@ def _bad_calls():
         "one target per sample required",
         "images must not be empty",
         "images must be finite",
+        "lam must lie in [0, 1]",
+        "empty batch",
+        "class indices must be nonnegative",
+        "mixing ratios must lie in [0, 1]",
+        "activation must be one of",
     ],
 )
 def test_each_input_check_raised_in_one_place(message):
@@ -112,3 +145,122 @@ def test_each_input_check_raised_in_one_place(message):
         assert message in text
         raises.append(site)
     assert len(set(raises)) == 1, raises
+
+
+def _message_template(node):
+    """The message of ``raise E("...")`` or ``raise E(f"...")`` with ``{}`` for
+    each placeholder; None for any other statement."""
+    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+        return None
+    message = node.exc.args[0]
+    if isinstance(message, ast.Constant) and isinstance(message.value, str):
+        return message.value
+    if isinstance(message, ast.JoinedStr):
+        return "".join(p.value if isinstance(p, ast.Constant) else "{}" for p in message.values)
+    return None
+
+
+def test_no_two_raises_spell_out_one_message():
+    """Each input fault has one ``raise``: a second check of the same fault
+    goes through the first one's helper instead of repeating its message."""
+    sites = defaultdict(list)
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            template = _message_template(node)
+            if template is not None:
+                sites[template].append(f"{path.name}:{node.lineno}")
+    assert {t: where for t, where in sites.items() if len(where) > 1} == {}
+
+
+def _write_checkpoint_token(path, token):
+    path.write_bytes(b"DMX1" + struct.pack("<I", len(token)) + token + struct.pack("<I", 0))
+    return path
+
+
+def _faults():
+    from demix.config import DatasetSpec, ExperimentConfig, NetworkConfig
+    from demix.data import Dataset, save_idx, stratified_take
+    from demix.experiment import load_dataset, parse_dataset_arg, run_experiment
+    from demix.losses import LossSpec
+    from demix.mixers import Lambda, MixConfig, MixedTarget, sample_cutmix_boxes
+    from demix.network import (
+        ConvSpec, DenseSpec, PoolSpec, TrainConfig, load_checkpoint, make_conv, make_mlp,
+        train_supervised,
+    )
+
+    vectors = Dataset(np.zeros((6, 2)), np.arange(6) % 2, 2)
+
+    def idx_spec(tmp):
+        save_idx(np.zeros((3, 4, 4)), np.array([0, 1, 0]), tmp / "i.idx", tmp / "l.idx")
+        return DatasetSpec(source="idx", size=4, val_size=2, num_classes=2,
+                           images=str(tmp / "i.idx"), labels=str(tmp / "l.idx"))
+
+    blobs = DatasetSpec(source="blobs", size=20, val_size=10, num_classes=3)
+    return {
+        "unknown_arch": (lambda tmp: NetworkConfig(arch="rnn"), "unknown architecture 'rnn'"),
+        "save_idx_length": (
+            lambda tmp: save_idx(np.zeros((3, 4, 4)), np.zeros(2), tmp / "i", tmp / "l"),
+            "images and labels must have equal length",
+        ),
+        "stratified_count": (
+            lambda tmp: stratified_take(vectors, 1, 0), "need at least one sample per class"
+        ),
+        "stratified_class": (
+            lambda tmp: stratified_take(Dataset(np.zeros((4, 2)), np.array([0, 0, 0, 1]), 2), 4, 0),
+            "class 1 has only 1 samples",
+        ),
+        "idx_too_small": (
+            lambda tmp: load_dataset(idx_spec(tmp)), "IDX source has 3 samples, need 6"
+        ),
+        "conv_on_vectors": (
+            lambda tmp: run_experiment(
+                ExperimentConfig(dataset=blobs, network=NetworkConfig(arch="conv")), tmp / "run"
+            ),
+            "conv architecture needs 2-D image inputs",
+        ),
+        "idx_arg_without_labels": (
+            lambda tmp: parse_dataset_arg("idx:images.idx"),
+            "idx spec needs 'idx:<images>:<labels>'",
+        ),
+        "unknown_policy": (lambda tmp: MixConfig("mixup"), "unknown mixing policy 'mixup'"),
+        "min_lr_above_base": (
+            lambda tmp: TrainConfig(base_lr=0.01, min_lr=0.1), "min_lr must not exceed base_lr"
+        ),
+        "conv_dims": (
+            lambda tmp: make_conv(1, 3, (30, 30)),
+            "conv architecture needs image dims divisible by 4",
+        ),
+        "empty_training_set": (
+            lambda tmp: train_supervised(
+                vectors.subset([]), vectors, make_mlp(2, 4, 2), None, LossSpec(), TrainConfig()
+            ),
+            "empty training set",
+        ),
+        "dense_size": (lambda tmp: DenseSpec(0, 3), "in_dim must be positive, got 0"),
+        "conv_size": (lambda tmp: ConvSpec(1, 8, ksize=0), "ksize must be positive, got 0"),
+        "pool_size": (lambda tmp: PoolSpec(0), "size must be positive, got 0"),
+        "activation": (
+            lambda tmp: ConvSpec(1, 8, activation="tanh"),
+            "activation must be one of ('relu', 'none'), got 'tanh'",
+        ),
+        "checkpoint_token": (
+            lambda tmp: load_checkpoint(_write_checkpoint_token(tmp / "m.dmx", b"dense:0:3:none")),
+            "malformed layer token 'dense:0:3:none': in_dim must be positive, got 0",
+        ),
+        "lambda_ratio": (lambda tmp: Lambda(2.0), "lam must lie in [0, 1], got 2.0"),
+        "cut_ratio": (
+            lambda tmp: sample_cutmix_boxes(8, 8, float("nan"), 1, np.random.default_rng(0)),
+            "lam must be a finite number, got nan",
+        ),
+        "mixed_target_class": (
+            lambda tmp: MixedTarget(0, -1, Lambda(0.5)), "class_b must be nonnegative, got -1"
+        ),
+    }
+
+
+@pytest.mark.parametrize("fault", list(_faults()))
+def test_fault_raises_value_error_naming_it(fault, tmp_path):
+    call, message = _faults()[fault]
+    with pytest.raises(ValueError) as caught:
+        call(tmp_path)
+    assert str(caught.value) == message

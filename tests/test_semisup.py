@@ -104,8 +104,11 @@ class TestSslStep:
         specs = make_mlp(2, 4, 2)
         params = init_params(specs, np.random.default_rng(0))
         cfg = SSLConfig()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty batch$"):
             ssl_step(params, (np.empty((0, 2)), np.empty(0)), np.ones((3, 2)), cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^empty unlabeled batch$"):
+            ssl_step(params, (np.ones((3, 2)), np.zeros(3, dtype=int)), np.empty((0, 2)), cfg,
+                     np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "x_l, y_l, x_u, message",
@@ -113,7 +116,7 @@ class TestSslStep:
             (np.zeros((4, 2)), np.zeros(4, dtype=int), np.zeros((5, 3)),
              r"unlabeled rows \(5, 3\) unlike labeled rows \(4, 2\)"),
             (np.zeros((3, 2)), np.zeros(2, dtype=int), np.zeros((5, 2)),
-             "2 labels for 3 labeled rows"),
+             "one target per sample required, got 2 for 3"),
         ],
         ids=["unlabeled_width", "label_count"],
     )
