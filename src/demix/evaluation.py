@@ -52,8 +52,7 @@ class OcclusionConfig:
         _check_fields(self, "patch_size", above=0)
         if not self.ratios:
             raise ValueError("ratios must hold at least one ratio")
-        if any(not (0.0 <= r <= 1.0) for r in self.ratios):
-            raise ValueError("ratios must lie in [0, 1]")
+        _check_fields({f"ratios[{i}]": r for i, r in enumerate(self.ratios)}, least=0, most=1)
 
 
 def mixed_pair_eval(params: Parameters, mixed: MixedBatch) -> MixedPairEval:

@@ -73,7 +73,7 @@ class LossSpec:
 
 def _check_labels(y: np.ndarray, classes: int) -> None:
     """``ValueError`` unless every label is a whole number that indexes one of ``classes`` logits."""
-    top = _class_array(y).max()
+    top = _class_array(y).max(initial=-1)
     if top >= classes:
         raise ValueError(f"class index {top} out of range for {classes} logits")
 

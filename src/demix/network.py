@@ -8,8 +8,9 @@ not ask, so it skips the first layer's input gradient; the FGSM probe's
 :func:`input_gradients` computes input gradients alone, no parameter gradient).
 :func:`forward` takes a raw batch and shapes it for the first layer. Its
 optional hidden mix for ManifoldMix is a linear operation on the input of one
-layer, recorded in the cache so the chain rule routes lam to each sample and
-1-lam to its partner.
+of the plan's ManifoldMix sites (the input, or the output of a non-final pool
+or ReLU dense layer), recorded in the cache so the chain rule routes lam to
+each sample and 1-lam to its partner.
 
 :func:`predict_logits` is the one inference path: :func:`top1_accuracy`
 (the per-epoch score of :func:`_train_loop`) and every probe in
@@ -18,8 +19,9 @@ layer, recorded in the cache so the chain rule routes lam to each sample and
 A chunk's widest array (the input, a layer's output or a conv layer's patch
 matrix) fits in 4 MiB of float64 (a single pass over 1000 rows of the conv
 net would build a 113 MB patch matrix). :func:`_plan` sizes them once per
-parameter set and raw row shape, and is the one check of rows against layers:
-a row that a dense, conv or pool layer cannot take fails there, naming it.
+parameter set and raw row shape, lists the ManifoldMix sites, and is the one
+check of rows against layers: a row that a dense, conv or pool layer cannot
+take fails there, naming it.
 
 Conv layers run on im2col: the patch matrix is one ``sliding_window_view``
 of the padded input, and the forward and both gradients are batched BLAS
@@ -29,9 +31,9 @@ views ``x[:, :, i::s, j::s]`` and routes the gradient to the first maximum of
 each window in row-major order. Dense and conv layers cache their output,
 not the pre-activation: ReLU's output is > 0 exactly where its input is. A
 ReLU conv layer leaves its ReLU and mask to a pool right after it, on the
-pooled map, unless the pool's input is hidden-mixed: ReLU and max commute
-exactly. ``sgd_step`` updates parameters and velocity in place, a weight of
-more than ``_SGD_BLOCK`` floats one row slice at a time.
+pooled map: ReLU and max commute exactly. ``sgd_step`` updates parameters
+and velocity in place, a weight of more than ``_SGD_BLOCK`` floats one row
+slice at a time.
 
 The layer specs are the schema of DMX1 checkpoints: a layer's token is its
 kind and its fields, and ``_param_shapes`` gives the shapes that
@@ -163,8 +165,6 @@ def make_conv(
     in_ch: int, num_classes: int, image_hw: tuple[int, int] = (28, 28)
 ) -> tuple[LayerSpec, ...]:
     h, w = image_hw
-    if h % 4 or w % 4:
-        raise ValueError("conv architecture needs image dims divisible by 4")
     return (
         ConvSpec(in_ch, 8),
         PoolSpec(2),
@@ -310,20 +310,20 @@ def forward(
 ) -> tuple[np.ndarray, ActivationCache]:
     """Run a raw batch through every layer; keep what backward needs.
 
-    ``mix = (site, lam, pairing)`` mixes the input of layer ``site`` with its
-    partner rows: site 0 mixes the inputs themselves (plain input-space
-    mixup). Mixing with lam=1 or an identity pairing is a no-op and is
-    skipped so those cases match the unmixed forward exactly.
+    ``mix = (site, lam, pairing)`` mixes the input of layer ``site``, one of
+    the plan's ManifoldMix sites, with its partner rows: site 0 mixes the
+    inputs themselves (plain input-space mixup). Mixing with lam=1 or an
+    identity pairing is a no-op and is skipped so those cases match the
+    unmixed forward exactly.
     """
     x = np.asarray(x, dtype=float)
     if len(x) == 0:
         raise ValueError("no rows to run through the network: the batch is empty")
-    first, _, _, pools = params.plan(x.shape[1:])
+    first, _, _, pools, sites = params.plan(x.shape[1:])
     if mix is not None:
         site, lam, pairing = mix
-        pools = pools - {site}  # a pool whose input is mixed takes it after the ReLU
-        if not (0 <= site < len(params.specs)):
-            raise ValueError(f"mix site {site} outside the network depth")
+        if site not in sites:
+            raise ValueError(f"mix site {site} is not one of the ManifoldMix sites {sites}")
         if len(pairing) != len(x):
             raise ValueError(f"mix pairing has {len(pairing)} rows for a batch of {len(x)}")
         if lam == 1.0 or np.array_equal(pairing, np.arange(len(x))):
@@ -384,12 +384,13 @@ def _plan(specs: tuple[LayerSpec, ...], raw_row: tuple[int, ...]) -> tuple:
     """(first-layer row: flat at a dense layer, with a channel axis for 2-D images at a
     conv layer; float count of the widest per-row array: that row, a layer's output or a
     conv layer's patch matrix; output row; pools right after a ReLU conv layer, where the
-    pair's ReLU runs). ``ValueError`` names the first layer that cannot take its row
+    pair's ReLU runs; ManifoldMix sites: 0, then the layer after each non-final pool or
+    ReLU dense layer). ``ValueError`` names the first layer that cannot take its row
     (dense width; conv channels, rank or kernel fit; pool rank or size)."""
     first = (1, *raw_row) if isinstance(specs[0], ConvSpec) and len(raw_row) == 2 else raw_row
     if isinstance(specs[0], DenseSpec):
         first = (math.prod(raw_row),)
-    row, widest, pools = first, math.prod(first), set()
+    row, widest, pools, sites = first, math.prod(first), set(), [0]
     for i, s in enumerate(specs):
         if isinstance(s, ConvSpec):
             if len(row) != 3 or row[0] != s.in_ch:
@@ -407,16 +408,19 @@ def _plan(specs: tuple[LayerSpec, ...], raw_row: tuple[int, ...]) -> tuple:
                     f"layer {i} needs (C, H, W) rows, H and W divisible by {s.size}, got {row}"
                 )
             row = (row[0], row[1] // s.size, row[2] // s.size)
+            sites.append(i + 1)
             if i and isinstance(specs[i - 1], ConvSpec) and specs[i - 1].activation == "relu":
                 pools.add(i)
         elif isinstance(s, DenseSpec):
             if row != (s.in_dim,):
                 raise ValueError(f"layer {i} needs {s.in_dim} inputs per row, got shape {row}")
             row = (s.out_dim,)
+            if s.activation == "relu":
+                sites.append(i + 1)
         else:
             row = (math.prod(row),)
         widest = max(widest, math.prod(row))
-    return first, widest, row, frozenset(pools)
+    return first, widest, row, frozenset(pools), tuple(t for t in sites if t < len(specs))
 
 
 def _chunk_rows(params: Parameters, x: np.ndarray) -> int:
@@ -453,17 +457,6 @@ def input_gradients(params: Parameters, x: np.ndarray, y: np.ndarray) -> np.ndar
             g = _layer_backward(spec, w, io, g, param_grad=False)[2]
         out.append(g.reshape(cache.input_shape))
     return np.concatenate(out)
-
-
-def manifold_mix_sites(specs: tuple[LayerSpec, ...]) -> list[int]:
-    """Valid hidden-mix sites: the input plus each non-final activation block."""
-    sites = [0]
-    for i, spec in enumerate(specs[:-1]):
-        if isinstance(spec, (PoolSpec,)):
-            sites.append(i + 1)
-        elif isinstance(spec, DenseSpec) and spec.activation != "none":
-            sites.append(i + 1)
-    return sites
 
 
 def cosine_lr(step: int, total_steps: int, config: TrainConfig) -> float:
@@ -598,7 +591,6 @@ def train_supervised(
     params = init_params(specs, init_rng)
     batches = _batches(n, config.batch_size, shuffle_rng)
     epoch_len = (n - 1) // min(config.batch_size, n) + 1
-    sites = manifold_mix_sites(specs)
 
     def step_fn():
         idx = next(batches)
@@ -609,6 +601,7 @@ def train_supervised(
             mb = mix_batch(x, y, mix_config, mix_rng)
             x, targets = mb.inputs, mb.targets
             if mix_config.policy == "manifold":
+                sites = params.plan(x.shape[1:])[4]
                 mix = (int(mix_rng.choice(sites)), targets.lam[0], mb.pairing)
         loss, grads = _loss_and_grads(params, x, targets, loss_spec, mix)
         return loss, grads, loss

@@ -159,9 +159,9 @@ def train_ssl(
     the accepted fraction). An empty unlabeled pool degenerates to supervised
     training.
     """
-    present = set(np.unique(labeled_ds.y).tolist())
-    if present != set(range(labeled_ds.num_classes)):
-        missing = sorted(set(range(labeled_ds.num_classes)) - present)
+    _check_labels(labeled_ds.y, labeled_ds.num_classes)
+    missing = sorted(set(range(labeled_ds.num_classes)) - set(np.unique(labeled_ds.y).tolist()))
+    if missing:
         raise ValueError(f"labeled set is missing classes {missing}")
 
     seqs = np.random.SeedSequence(train_config.seed).spawn(5)

@@ -222,7 +222,7 @@ class TestSchema:
                   ("eval.fgsm_epsilon = nan",
                    r"eval.fgsm_epsilon\): epsilon must be a finite number, got nan"),
                   ("eval.occlusion_ratios = 0,nan",
-                   r"eval.occlusion_ratios\): ratios must lie in \[0, 1\]"),
+                   r"eval.occlusion_ratios\): ratios\[1\] must be a finite number, got nan"),
               ]),
         ],
     )
@@ -256,7 +256,7 @@ class TestSchema:
              "patch_size must be positive, got 0"),
             ("eval.occlusion_ratios = 0,1.5",
              "config section 'eval' (line 2: eval.occlusion_ratios): "
-             "ratios must lie in [0, 1]"),
+             "ratios[1] must lie in [0, 1], got 1.5"),
             ("eval.fgsm_epsilon = -0.1",
              "config section 'eval' (line 2: eval.fgsm_epsilon): epsilon must be nonnegative, got -0.1"),
             ("eval.confidence_bins = -1",

@@ -28,7 +28,6 @@ from demix.network import (
     load_checkpoint,
     make_conv,
     make_mlp,
-    manifold_mix_sites,
     predict_logits,
     save_checkpoint,
     sgd_step,
@@ -127,6 +126,14 @@ class TestPlan:
             TrainConfig(epochs=2, batch_size=20),
         )
         assert walks == [(2,)]
+
+    def test_conv_net_for_30x30_images_fails_at_its_first_plan(self, walks):
+        # make_conv builds it; the first pool leaves 15x15 maps, which the second cannot halve.
+        params = init_params(make_conv(1, 3, (30, 30)), np.random.default_rng(0))
+        message = r"^layer 3 needs \(C, H, W\) rows, H and W divisible by 2, got \(16, 15, 15\)$"
+        with pytest.raises(ValueError, match=message):
+            forward(params, np.zeros((2, 30, 30)))
+        assert walks == [(30, 30)]
 
     def test_new_parameters_start_with_no_plan(self, tmp_path):
         params = init_params(make_mlp(4, 3, 2), np.random.default_rng(0))
@@ -527,20 +534,25 @@ class TestReluAtThePool:
         _, cache = forward(params, np.random.default_rng(1).normal(size=(2, 8, 8)))
         conv1, pool1, conv2, pool2 = cache.layer_io[:4]
         assert conv1[2] is None and conv2[2] is None and pool1[2] and pool2[2]
-        _, cache = forward(params, np.zeros((2, 8, 8)), (1, 0.3, np.array([1, 0])))
-        assert cache.layer_io[0][2] is not None and not cache.layer_io[1][2]
-        assert cache.layer_io[2][2] is None and cache.layer_io[3][2]
+        _, cache = forward(params, np.zeros((2, 8, 8)), (2, 0.3, np.array([1, 0])))
+        conv1, pool1, conv2, pool2 = cache.layer_io[:4]
+        assert conv1[2] is None and conv2[2] is None and pool1[2] and pool2[2]
         assert init_params(make_mlp(4, 3, 2), np.random.default_rng(0)).plan((4,))[3] == set()
 
     @pytest.mark.parametrize("site", range(len(make_conv(1, 3))))
     def test_every_mix_site_bytes_equal(self, site):
-        # A mixed pool input (sites 1 and 3) is mixed after the ReLU, so the
-        # conv layer before that pool keeps its ReLU.
+        # Every layer index: a ManifoldMix site (0, 2, 4) matches the chain
+        # byte for byte; any other, such as a pool's input, is rejected.
         rng = np.random.default_rng(site)
         params = init_params(make_conv(1, 3), rng)
         x = rng.uniform(size=(6, 28, 28)) * (rng.random((6, 28, 28)) < 0.7)
         mix = (site, 0.3, np.array([3, 0, 5, 1, 2, 4]))
-        self.assert_matches_chain(params, x, rng.normal(size=(6, 3)), mix)
+        if site in (0, 2, 4):
+            self.assert_matches_chain(params, x, rng.normal(size=(6, 3)), mix)
+            return
+        message = rf"^mix site {site} is not one of the ManifoldMix sites \(0, 2, 4\)$"
+        with pytest.raises(ValueError, match=message):
+            forward(params, x, mix)
 
     def test_chunked_inference_bytes_equal(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -623,9 +635,12 @@ class TestManifoldMix:
             assert abs(gx[idx] - fd) < 1e-6
 
     def test_mix_sites(self):
-        assert manifold_mix_sites(make_mlp(8, 4, 2)) == [0, 1]
-        conv_sites = manifold_mix_sites(make_conv(1, 2, (8, 8)))
-        assert conv_sites[0] == 0 and len(conv_sites) >= 2
+        # The input, then the layer after each non-final pool or ReLU dense layer.
+        assert _plan(make_mlp(8, 4, 2), (8,))[4] == (0, 1)
+        assert _plan(make_conv(1, 2, (8, 8)), (8, 8))[4] == (0, 2, 4)
+        conv_pool = (ConvSpec(1, 2), PoolSpec(2), ConvSpec(2, 2), PoolSpec(2))
+        assert _plan(conv_pool, (8, 8))[4] == (0, 2)
+        assert _plan((DenseSpec(4, 3, "none"), DenseSpec(3, 2, "none")), (4,))[4] == (0,)
 
 
 class TestRawBatches:

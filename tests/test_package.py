@@ -184,8 +184,8 @@ def _faults():
     from demix.losses import LossSpec
     from demix.mixers import Lambda, MixConfig, MixedTarget, sample_cutmix_boxes
     from demix.network import (
-        ConvSpec, DenseSpec, PoolSpec, TrainConfig, load_checkpoint, make_conv, make_mlp,
-        train_supervised,
+        ConvSpec, DenseSpec, PoolSpec, TrainConfig, forward, init_params, load_checkpoint,
+        make_conv, make_mlp, train_supervised,
     )
 
     vectors = Dataset(np.zeros((6, 2)), np.arange(6) % 2, 2)
@@ -227,8 +227,11 @@ def _faults():
             lambda tmp: TrainConfig(base_lr=0.01, min_lr=0.1), "min_lr must not exceed base_lr"
         ),
         "conv_dims": (
-            lambda tmp: make_conv(1, 3, (30, 30)),
-            "conv architecture needs image dims divisible by 4",
+            lambda tmp: forward(
+                init_params(make_conv(1, 3, (30, 30)), np.random.default_rng(0)),
+                np.zeros((1, 30, 30)),
+            ),
+            "layer 3 needs (C, H, W) rows, H and W divisible by 2, got (16, 15, 15)",
         ),
         "empty_training_set": (
             lambda tmp: train_supervised(

@@ -303,12 +303,26 @@ class TestTrainSsl:
                 SSLConfig(steps=5), TrainConfig(seed=0),
             )
 
+    def test_labeled_class_past_the_sets_own_count_named(self):
+        # Label 2 in a two-class labeled set: the label check names it before
+        # the coverage check can count the classes.
+        ds = _moons(20, 0)
+        labeled = dd.Dataset(ds.x, np.where(np.arange(20) == 0, 2, ds.y), 2)
+        with pytest.raises(ValueError, match="^class index 2 out of range for 2 logits$"):
+            train_ssl(
+                labeled, ds.x, ds, make_mlp(2, 4, 2), SSLConfig(steps=5), TrainConfig(seed=0)
+            )
+
     def test_missing_class_rejected(self):
         ds = _moons(40, 0)
         only_zero = ds.subset(np.flatnonzero(ds.y == 0))
         with pytest.raises(ValueError, match="missing classes"):
             train_ssl(
                 only_zero, ds.x, ds, make_mlp(2, 4, 2), SSLConfig(steps=5), TrainConfig(seed=0)
+            )
+        with pytest.raises(ValueError, match=r"^labeled set is missing classes \[0, 1\]$"):
+            train_ssl(
+                ds.subset([]), ds.x, ds, make_mlp(2, 4, 2), SSLConfig(steps=5), TrainConfig(seed=0)
             )
 
     def test_unlabeled_weight_zero_equals_supervised(self):

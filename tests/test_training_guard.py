@@ -76,6 +76,15 @@ def conv_cutmix_dm_ce():
     )
 
 
+def conv_manifold_dm_ce():
+    # Seed 13 draws sites 0, 4, 2, 2: the input and both pools' outputs.
+    train, val = _glyphs()
+    cfg = TrainConfig(base_lr=0.05, epochs=2, batch_size=20, seed=13)
+    return train_supervised(
+        train, val, make_conv(1, 3), MixConfig("manifold", 0.4), LossSpec("dm_ce"), cfg
+    )
+
+
 def ssl_asymmetric_eta():
     train, test = _moons(120, 5), _moons(80, 6)
     labeled, rest = dd.stratified_take(train, 10, seed=0)
@@ -131,6 +140,10 @@ GUARD_DIGESTS = {
     conv_cutmix_dm_ce: (
         "ba3ac40dae4ea261eeaa7493de21bff4"
         "b7e1ebdf287d72e57cf705cc58b39276"
+    ),
+    conv_manifold_dm_ce: (
+        "7291544c946e18822e4092371ab63749"
+        "e998e88c7e29b5c30f689c9684aea381"
     ),
     ssl_asymmetric_eta: (
         "fabbd87963e6467978afbf8728346bab"
