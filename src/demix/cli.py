@@ -19,8 +19,7 @@ def _cmd_train(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
     if args.seed is not None:
         cfg = replace(cfg, run=replace(cfg.run, seeds=(args.seed,)))
-    out = args.out if args.out is not None else cfg.run.out
-    summary = run_experiment(cfg, out)
+    summary = run_experiment(cfg, args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

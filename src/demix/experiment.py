@@ -62,10 +62,10 @@ def rows_to_csv(rows: list[tuple]) -> str:
 
 
 def load_dataset(spec: DatasetSpec):
-    """Materialize (train, val, labeled, unlabeled_x) per the dataset spec.
+    """Materialize (train, val, unlabeled_x) per the dataset spec.
 
-    The unlabeled pool is the training remainder when label_fraction < 1,
-    chosen stratified so every class keeps labeled examples.
+    ``train`` holds the labeled rows that supervised and SSL runs train on: all rows
+    at label_fraction = 1, else a class-stratified share; the rest is the unlabeled pool.
     """
     total = spec.size + spec.val_size
     if spec.source == "idx":
@@ -89,17 +89,14 @@ def load_dataset(spec: DatasetSpec):
     if spec.label_fraction < 1.0:
         n_labeled = max(train.num_classes, round(spec.label_fraction * len(train)))
         labeled, rest = ddata.stratified_take(train, n_labeled, spec.seed)
-        return train, val, labeled, rest.x
-    return train, val, train, np.empty((0,) + train.x.shape[1:])
+        return labeled, val, rest.x
+    return train, val, np.empty((0,) + train.x.shape[1:])
 
 
 def build_specs(cfg: ExperimentConfig, train_ds):
-    sample = train_ds.x[0]
     if cfg.network.arch == "conv":
-        if sample.ndim != 2:
-            raise ValueError("conv architecture needs 2-D image inputs")
-        return make_conv(1, train_ds.num_classes, sample.shape)
-    return make_mlp(int(np.prod(sample.shape)), cfg.network.hidden, train_ds.num_classes)
+        return make_conv(1, train_ds.num_classes, train_ds.x.shape[1:])
+    return make_mlp(train_ds.x[0].size, cfg.network.hidden, train_ds.num_classes)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
@@ -112,19 +109,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     """
     out = Path(out_dir if out_dir is not None else cfg.run.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_ds, val_ds, labeled_ds, unlabeled_x = load_dataset(cfg.dataset)
+    train_ds, val_ds, unlabeled_x = load_dataset(cfg.dataset)
     specs = build_specs(cfg, train_ds)
     hard = _check_probes(cfg, val_ds)
 
-    # The step of the final and probe rows: the last SSL step or epoch.
-    last = cfg.ssl.steps - 1 if cfg.ssl is not None else max(cfg.train.epochs - 1, 0)
     final_metric = "best_top1" if cfg.ssl is not None else "final_top1"
     rows: list[tuple] = []
     finals: dict[str, float] = {}
     for seed in cfg.run.seeds:
         tcfg = replace(cfg.train, seed=seed)
         if cfg.ssl is not None:
-            params, log = train_ssl(labeled_ds, unlabeled_x, val_ds, specs, cfg.ssl, tcfg)
+            params, log = train_ssl(train_ds, unlabeled_x, val_ds, specs, cfg.ssl, tcfg)
             final = max(v for m, _, v in log if m == "test_top1")
         else:
             params, log = train_supervised(train_ds, val_ds, specs, cfg.mixer, cfg.loss, tcfg)
@@ -132,6 +127,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             final = float(np.median(curve[-10:])) if curve else deval.top1_accuracy(params, val_ds)
         finals[str(seed)] = final
         at_last = [(final_metric, final), *_probe_values(cfg, seed, params, val_ds, hard)]
+        last = log[-1][1] if log else 0  # the last SSL step or epoch
         entries = log + [(m, last, v) for m, v in at_last]
         rows.extend(metric_row(cfg.run.name, seed, step, m, v) for m, step, v in entries)
         save_checkpoint(params, out / f"seed_{seed}.dmx")

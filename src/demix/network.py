@@ -164,15 +164,12 @@ def make_mlp(in_dim: int, hidden: int, num_classes: int) -> tuple[LayerSpec, ...
 def make_conv(
     in_ch: int, num_classes: int, image_hw: tuple[int, int] = (28, 28)
 ) -> tuple[LayerSpec, ...]:
-    h, w = image_hw
-    return (
-        ConvSpec(in_ch, 8),
-        PoolSpec(2),
-        ConvSpec(8, 16),
-        PoolSpec(2),
-        FlattenSpec(),
-        DenseSpec(16 * (h // 4) * (w // 4), num_classes, "none"),
-    )
+    """Conv net for (H, W) images. :func:`_plan` of its body sizes the dense head, so an
+    image size that a pool cannot halve fails here, naming the layer."""
+    if len(image_hw) != 2:
+        raise ValueError(f"conv architecture needs 2-D image inputs, got shape {tuple(image_hw)}")
+    body = (ConvSpec(in_ch, 8), PoolSpec(2), ConvSpec(8, 16), PoolSpec(2), FlattenSpec())
+    return (*body, DenseSpec(*_plan(body, (in_ch, *image_hw))[2], num_classes, "none"))
 
 
 def _param_shapes(spec: LayerSpec):
@@ -385,8 +382,10 @@ def _plan(specs: tuple[LayerSpec, ...], raw_row: tuple[int, ...]) -> tuple:
     conv layer; float count of the widest per-row array: that row, a layer's output or a
     conv layer's patch matrix; output row; pools right after a ReLU conv layer, where the
     pair's ReLU runs; ManifoldMix sites: 0, then the layer after each non-final pool or
-    ReLU dense layer). ``ValueError`` names the first layer that cannot take its row
-    (dense width; conv channels, rank or kernel fit; pool rank or size)."""
+    ReLU dense layer). ``ValueError`` names an empty network, or the first layer that
+    cannot take its row (dense width; conv channels, rank or kernel fit; pool rank or size)."""
+    if not specs:
+        raise ValueError("no layers to run: the network is empty")
     first = (1, *raw_row) if isinstance(specs[0], ConvSpec) and len(raw_row) == 2 else raw_row
     if isinstance(specs[0], DenseSpec):
         first = (math.prod(raw_row),)

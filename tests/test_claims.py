@@ -73,7 +73,7 @@ def test_robustness_rows_match_direct_probes(report):
 def test_ssl_best_top1_is_that_of_a_direct_run(report):
     moons = DatasetSpec(source="two_moons", size=1000, val_size=1000, label_fraction=0.01,
                         noise=0.15, seed=0, num_classes=2)
-    _, test, labeled, unlabeled_x = load_dataset(moons)
+    labeled, test, unlabeled_x = load_dataset(moons)
     assert len(labeled) == 10
     ssl = SSLConfig(unlabeled_weight=1.0, eta=0.1, alpha=0.2, steps=40,
                     asymmetric_mixing=True, eval_interval=100)

@@ -1,12 +1,13 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from demix.cli import main as cli_main
 from demix.config import ConfigError, DatasetSpec, parse_config
-from demix.data import IdxError, save_idx
+from demix.data import IdxError, save_idx, stratified_take
 from demix.experiment import (
     CSV_HEADER,
     compare_runs,
@@ -23,7 +24,9 @@ from demix.evaluation import (
     occlusion_eval,
     top1_accuracy,
 )
-from demix.network import init_params, load_checkpoint, make_conv, make_mlp, save_checkpoint
+from demix.network import (
+    init_params, load_checkpoint, make_conv, make_mlp, save_checkpoint, train_supervised,
+)
 
 FAST_BLOBS = """
 dataset.source = blobs
@@ -122,6 +125,24 @@ class TestRunExperiment:
         run_experiment(cfg, tmp_path / "conf")
         assert parse_config((tmp_path / "conf/config.conf").read_text()) == cfg
 
+    def test_supervised_run_trains_on_the_labeled_rows(self, tmp_path):
+        text = FAST_BLOBS.format(kind="mce", eta="0.0", name="few").replace(
+            "run.seeds = 1,2", "run.seeds = 1"
+        )
+        run_experiment(parse_config(text), tmp_path / "all")
+        cfg = parse_config(text + "dataset.label_fraction = 0.1\n")
+        run_experiment(cfg, tmp_path / "few")
+        train, val = load_dataset(replace(cfg.dataset, label_fraction=1.0))[:2]
+        labeled = stratified_take(train, 9, cfg.dataset.seed)[0]
+        _, log = train_supervised(
+            labeled, val, make_mlp(2, 16, 3), cfg.mixer, cfg.loss, replace(cfg.train, seed=1)
+        )
+        rows = (tmp_path / "few/metrics.csv").read_text().splitlines()[1:]
+        assert rows[: len(log)] == rows_to_csv(
+            [("few", 1, step, m, v) for m, step, v in log]
+        ).splitlines()[1:]
+        assert rows != (tmp_path / "all/metrics.csv").read_text().splitlines()[1:]
+
     def test_ssl_run_reports_best(self, tmp_path):
         text = """
 dataset.source = two_moons
@@ -172,7 +193,7 @@ run.name = sslrun
         cfg = parse_config(text)
         run_experiment(cfg, tmp_path)
         rows = [r.split(",") for r in (tmp_path / "metrics.csv").read_text().splitlines()[1:]]
-        _, val, _, _ = load_dataset(cfg.dataset)
+        _, val, _ = load_dataset(cfg.dataset)
         hard_rng = np.random.default_rng(np.random.SeedSequence((cfg.dataset.seed, 1)))
         hard = make_hard_mixed_set(val, 20, hard_rng)
         for seed in (1, 2):
@@ -336,7 +357,7 @@ class TestDatasetArg:
 
     def test_idx_source_keeps_configured_classes(self, tmp_path):
         # No sample has the top class 2; the class count is still 3.
-        train, val, _, _ = load_dataset(self._idx_spec(tmp_path, [0, 1, 0, 1, 1, 0], 3))
+        train, val, _ = load_dataset(self._idx_spec(tmp_path, [0, 1, 0, 1, 1, 0], 3))
         assert train.num_classes == val.num_classes == 3
 
     def test_idx_label_above_configured_classes(self, tmp_path):

@@ -99,6 +99,11 @@ class TestForward:
         with pytest.raises(ValueError, match="^pad must be nonnegative, got -1$"):
             ConvSpec(1, 2, pad=-1)
 
+    def test_empty_network_named(self):
+        params = init_params((), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^no layers to run: the network is empty$"):
+            forward(params, np.zeros((2, 3)))
+
 
 class TestPlan:
     @pytest.fixture
@@ -111,6 +116,8 @@ class TestPlan:
 
     def test_one_walk_per_raw_row_shape(self, walks):
         params = init_params(make_conv(1, 3, (8, 8)), np.random.default_rng(0))
+        assert walks == [(1, 8, 8)]  # make_conv's walk of its body sizes the dense head
+        walks.clear()
         x = np.random.default_rng(1).uniform(size=(4, 8, 8))
         forward(params, x)
         forward(params, x[:2])
@@ -128,12 +135,20 @@ class TestPlan:
         assert walks == [(2,)]
 
     def test_conv_net_for_30x30_images_fails_at_its_first_plan(self, walks):
-        # make_conv builds it; the first pool leaves 15x15 maps, which the second cannot halve.
-        params = init_params(make_conv(1, 3, (30, 30)), np.random.default_rng(0))
+        # make_conv's plan of its body: the first pool leaves 15x15 maps, which the
+        # second cannot halve.
         message = r"^layer 3 needs \(C, H, W\) rows, H and W divisible by 2, got \(16, 15, 15\)$"
         with pytest.raises(ValueError, match=message):
-            forward(params, np.zeros((2, 30, 30)))
-        assert walks == [(30, 30)]
+            make_conv(1, 3, (30, 30))
+        assert walks == [(1, 30, 30)]
+
+    @pytest.mark.parametrize("hw", [(28, 28), (8, 8), (12, 16), (4, 4)])
+    def test_conv_head_sized_by_the_plan(self, hw):
+        h, w = hw
+        assert make_conv(2, 5, hw) == (
+            ConvSpec(2, 8), PoolSpec(2), ConvSpec(8, 16), PoolSpec(2), FlattenSpec(),
+            DenseSpec(16 * (h // 4) * (w // 4), 5, "none"),
+        )
 
     def test_new_parameters_start_with_no_plan(self, tmp_path):
         params = init_params(make_mlp(4, 3, 2), np.random.default_rng(0))
@@ -702,6 +717,12 @@ class TestSgd:
         cfg = TrainConfig()
         with pytest.raises(ValueError):
             cosine_lr(101, 100, cfg)
+
+    def test_zero_length_schedule(self):
+        cfg = TrainConfig(base_lr=0.4, min_lr=0.01)
+        assert cosine_lr(0, 0, cfg) == 0.4
+        with pytest.raises(ValueError, match="^step 1 beyond the schedule horizon 0$"):
+            cosine_lr(1, 0, cfg)
 
     def test_decoupled_decay_ignores_gradient(self):
         specs = (make_mlp(2, 2, 2)[1],)

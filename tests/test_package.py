@@ -68,18 +68,24 @@ def _raise_site(call):
     return f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}", str(caught.value)
 
 
-def _bad_calls():
+def _bad_calls(tmp):
+    from demix.config import DatasetSpec, ExperimentConfig, NetworkConfig
     from demix.data import Dataset, make_image_classes, make_synthetic
     from demix.evaluation import AttackConfig, make_hard_mixed_set, top1_accuracy
+    from demix.experiment import run_experiment
     from demix.losses import LossSpec, batch_loss
     from demix.mixers import Lambda, MixConfig, MixedBatch, Targets, mix_batch, sample_cutmix_boxes
-    from demix.network import DenseSpec, TrainConfig, init_params
+    from demix.network import DenseSpec, TrainConfig, init_params, make_conv
     from demix.semisup import SSLConfig, ssl_step
 
     nan, inf = float("nan"), float("inf")
     rng = np.random.default_rng(0)
     net = init_params((DenseSpec(2, 3, "none"),), rng)
     glyphs = Dataset(np.zeros((4, 8, 8)), np.arange(4) % 2, 2)
+    conv_on_blobs = ExperimentConfig(
+        dataset=DatasetSpec(source="blobs", size=20, val_size=10, num_classes=3),
+        network=NetworkConfig(arch="conv"),
+    )
     return {
         "must be a finite number": (
             lambda: TrainConfig(base_lr=nan),
@@ -108,6 +114,10 @@ def _bad_calls():
             lambda: ssl_step(net, (np.eye(2), np.array([-1, 0])), np.ones((3, 2)),
                              SSLConfig(), rng),
         ),
+        "conv architecture needs 2-D image inputs": (
+            lambda: make_conv(1, 3, (2,)),
+            lambda: run_experiment(conv_on_blobs, tmp / "run"),
+        ),
     }
 
 
@@ -128,9 +138,10 @@ def _bad_calls():
         "class indices must be nonnegative",
         "mixing ratios must lie in [0, 1]",
         "activation must be one of",
+        "conv architecture needs 2-D image inputs",
     ],
 )
-def test_each_input_check_raised_in_one_place(message):
+def test_each_input_check_raised_in_one_place(message, tmp_path):
     """A message is raised by one statement: the ``raise`` whose source holds
     it, or, for a message built by a helper, the one statement every bad call
     listed for it reaches (and no ``raise`` spells it out again)."""
@@ -140,7 +151,7 @@ def test_each_input_check_raised_in_one_place(message):
         for node in ast.walk(ast.parse(text, str(path))):
             if isinstance(node, ast.Raise) and message in ast.get_source_segment(text, node):
                 raises.append(f"{path.name}:{node.lineno}")
-    for call in _bad_calls().get(message, ()):
+    for call in _bad_calls(tmp_path).get(message, ()):
         site, text = _raise_site(call)
         assert message in text
         raises.append(site)
@@ -184,8 +195,8 @@ def _faults():
     from demix.losses import LossSpec
     from demix.mixers import Lambda, MixConfig, MixedTarget, sample_cutmix_boxes
     from demix.network import (
-        ConvSpec, DenseSpec, PoolSpec, TrainConfig, forward, init_params, load_checkpoint,
-        make_conv, make_mlp, train_supervised,
+        ConvSpec, DenseSpec, PoolSpec, TrainConfig, load_checkpoint, make_conv, make_mlp,
+        train_supervised,
     )
 
     vectors = Dataset(np.zeros((6, 2)), np.arange(6) % 2, 2)
@@ -216,7 +227,7 @@ def _faults():
             lambda tmp: run_experiment(
                 ExperimentConfig(dataset=blobs, network=NetworkConfig(arch="conv")), tmp / "run"
             ),
-            "conv architecture needs 2-D image inputs",
+            "conv architecture needs 2-D image inputs, got shape (2,)",
         ),
         "idx_arg_without_labels": (
             lambda tmp: parse_dataset_arg("idx:images.idx"),
@@ -227,11 +238,12 @@ def _faults():
             lambda tmp: TrainConfig(base_lr=0.01, min_lr=0.1), "min_lr must not exceed base_lr"
         ),
         "conv_dims": (
-            lambda tmp: forward(
-                init_params(make_conv(1, 3, (30, 30)), np.random.default_rng(0)),
-                np.zeros((1, 30, 30)),
-            ),
+            lambda tmp: make_conv(1, 3, (30, 30)),
             "layer 3 needs (C, H, W) rows, H and W divisible by 2, got (16, 15, 15)",
+        ),
+        "conv_dims_2x2": (
+            lambda tmp: make_conv(1, 3, (2, 2)),
+            "layer 3 needs (C, H, W) rows, H and W divisible by 2, got (16, 1, 1)",
         ),
         "empty_training_set": (
             lambda tmp: train_supervised(
