@@ -1,21 +1,14 @@
-import math
 import re
 from pathlib import Path
 
 import pytest
 
 from demix import ConfigError
-from demix.config import (
-    DatasetSpec,
-    ExperimentConfig,
-    parse_config,
-    serialize_config,
+from demix.config import ExperimentConfig, parse_config, serialize_config
+from faults import (
+    BAD_NOISES, BAD_RUN_NAMES, FAULTS, FIELD_BOUNDS, IMAGE_ONLY, MOONS_CLASS_COUNTS, NON_FINITE,
+    SECTION_CHECKS, case_name, expect_case, expect_faults,
 )
-from demix.evaluation import AttackConfig, OcclusionConfig
-from demix.losses import DMConfig, RescaleParams
-from demix.mixers import MixConfig
-from demix.network import TrainConfig
-from demix.semisup import SSLConfig
 
 SAMPLE = """
 # supervised trend run
@@ -100,16 +93,13 @@ class TestParse:
         assert cfg.ssl is None
 
     def test_unknown_key_is_hard_error(self):
-        with pytest.raises(ValueError, match="unknown config key"):
-            parse_config("dataset.sizes = 10")
+        expect_faults("unknown_key")
 
     def test_bad_value_reported_with_line(self):
-        with pytest.raises(ValueError, match="line 1"):
-            parse_config("train.epochs = soon")
+        expect_faults("bad_int")
 
     def test_missing_equals_rejected(self):
-        with pytest.raises(ValueError, match="expected"):
-            parse_config("just some words")
+        expect_faults("no_equals")
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("\n# comment only\n\ntrain.epochs = 7  # trailing\n")
@@ -126,8 +116,7 @@ class TestParse:
         assert cfg.ssl.steps == 500
 
     def test_invalid_loss_kind(self):
-        with pytest.raises(ValueError):
-            parse_config("loss.kind = focal")
+        expect_faults("loss_kind")
 
 
 class TestRoundTrip:
@@ -152,32 +141,21 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_dataset_source(self):
-        with pytest.raises(ValueError):
-            DatasetSpec(source="mnist")
+        expect_faults("dataset_source")
 
     def test_label_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            DatasetSpec(label_fraction=0.0)
+        expect_faults("label_fraction_zero")
 
-    @pytest.mark.parametrize("noise", [math.nan, math.inf, -3.0])
+    @pytest.mark.parametrize("noise", BAD_NOISES)
     def test_bad_noise_named(self, noise):
-        bound = "be nonnegative" if math.isfinite(noise) else "be a finite number"
-        message = rf"^noise must {bound}, got {noise!r}$"
-        with pytest.raises(ValueError, match=message):
-            DatasetSpec(noise=noise)
+        expect_case("dataset_noise", noise)
 
     def test_seeds_nonempty(self):
-        from demix.config import RunConfig
+        expect_faults("no_seed")
 
-        with pytest.raises(ValueError):
-            RunConfig(seeds=())
-
-    @pytest.mark.parametrize("name", ["a\nb", "a\r", "cutmix,dm"])
+    @pytest.mark.parametrize("name", BAD_RUN_NAMES)
     def test_name_fits_one_csv_field(self, name):
-        from demix.config import RunConfig
-
-        with pytest.raises(ValueError, match="name must hold no comma or line break"):
-            RunConfig(name=name)
+        expect_case("run_name", name)
 
 
 class TestSchema:
@@ -192,9 +170,7 @@ class TestSchema:
         assert keys == [line.partition(" = ")[0] for line in DEFAULT_LINES]
 
     def test_train_seed_is_unknown(self):
-        # the per-run seed comes from run.seeds
-        with pytest.raises(ValueError, match=r"line 2: unknown config key 'train.seed'"):
-            parse_config("train.epochs = 3\ntrain.seed = 4")
+        expect_faults("unknown_key")
 
     def test_per_batch_lambda_is_unknown(self):
         # every batch draws one ratio; there is no per-sample option
@@ -231,125 +207,28 @@ class TestSchema:
             parse_config(f"# header\n\n{line}")
 
     def test_repeated_key_names_both_lines(self):
-        with pytest.raises(ValueError, match="line 3: train.epochs is already set on line 1"):
-            parse_config("train.epochs = 1\nmixer.alpha = 0.4\ntrain.epochs = 2")
+        expect_faults("repeated_key")
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("mixer.policy = cutmix\nmixer.alpha = 0",
-             "config section 'mixer' (line 2: mixer.policy, line 3: mixer.alpha): "
-             "alpha must be positive, got 0.0"),
-            ("ssl.enabled = true\nssl.alpha = 0",
-             "config section 'ssl' (line 2: ssl.enabled, line 3: ssl.alpha): "
-             "alpha must be positive, got 0.0"),
-            ("loss.kind = focal",
-             "config section 'loss' (line 2: loss.kind): unknown loss kind 'focal'"),
-            ("ssl.enabled = true\nssl.eval_interval = 0",
-             "config section 'ssl' (line 2: ssl.enabled, line 3: ssl.eval_interval): "
-             "eval_interval must be positive, got 0"),
-            ("eval.mixed_pair_count = 0",
-             "config section 'eval' (line 2: eval.mixed_pair_count): "
-             "mixed_pair_count must be at least 1, got 0"),
-            ("eval.occlusion = true\neval.occlusion_patch = 0",
-             "config section 'eval' (line 2: eval.occlusion, line 3: eval.occlusion_patch): "
-             "patch_size must be positive, got 0"),
-            ("eval.occlusion_ratios = 0,1.5",
-             "config section 'eval' (line 2: eval.occlusion_ratios): "
-             "ratios[1] must lie in [0, 1], got 1.5"),
-            ("eval.fgsm_epsilon = -0.1",
-             "config section 'eval' (line 2: eval.fgsm_epsilon): epsilon must be nonnegative, got -0.1"),
-            ("eval.confidence_bins = -1",
-             "config section 'eval' (line 2: eval.confidence_bins): "
-             "confidence_bins must be nonnegative, got -1"),
-            ("dataset.size = 0",
-             "config section 'dataset' (line 2: dataset.size): size must be positive, got 0"),
-            ("dataset.val_size = 0",
-             "config section 'dataset' (line 2: dataset.val_size): "
-             "val_size must be positive, got 0"),
-            ("dataset.source = blobs\ndataset.num_classes = 0",
-             "config section 'dataset' (line 2: dataset.source, line 3: dataset.num_classes): "
-             "num_classes must be positive, got 0"),
-            ("dataset.shift = -1",
-             "config section 'dataset' (line 2: dataset.shift): "
-             "shift must be nonnegative, got -1"),
-            ("dataset.seed = -1",
-             "config section 'dataset' (line 2: dataset.seed): "
-             "seed must be nonnegative, got -1"),
-            ("dataset.source = two_moons\ndataset.size = 1",
-             "config section 'dataset' (line 2: dataset.source, line 3: dataset.size): "
-             "size must be at least 2 for two_moons, got 1"),
-            ("dataset.source = blobs\ndataset.size = 1",
-             "config section 'dataset' (line 2: dataset.source, line 3: dataset.size): "
-             "size must be at least 2 for blobs, got 1"),
-            ("dataset.noise = -3",
-             "config section 'dataset' (line 2: dataset.noise): "
-             "noise must be nonnegative, got -3.0"),
-            ("run.seeds = 1,1",
-             "config section 'run' (line 2: run.seeds): seeds must be distinct, got (1, 1)"),
-            ("run.seeds = 1,-2",
-             "config section 'run' (line 2: run.seeds): seeds must be nonnegative, got (1, -2)"),
-            ("run.name = a,b",
-             "config section 'run' (line 2: run.name): "
-             "name must hold no comma or line break, got 'a,b'"),
-            ("dataset.source = idx",
-             "config section 'dataset' (line 2: dataset.source): "
-             "source idx needs images and labels set to a file path"),
-            ("dataset.source = idx\ndataset.images = i.idx",
-             "config section 'dataset' (line 2: dataset.source, line 3: dataset.images): "
-             "source idx needs labels set to a file path"),
-            ("dataset.source = idx\ndataset.images =\ndataset.labels = l.idx",
-             "config section 'dataset' (line 2: dataset.source, line 3: dataset.images, "
-             "line 4: dataset.labels): source idx needs images set to a file path"),
-            ("network.hidden = 0",
-             "config section 'network' (line 2: network.hidden): hidden must be positive, got 0"),
-            ("ssl.enabled = true\nssl.unlabeled_batch = 0",
-             "config section 'ssl' (line 2: ssl.enabled, line 3: ssl.unlabeled_batch): "
-             "unlabeled_batch must be positive, got 0"),
-            ("ssl.enabled = true\nssl.unlabeled_batch = -5",
-             "config section 'ssl' (line 2: ssl.enabled, line 3: ssl.unlabeled_batch): "
-             "unlabeled_batch must be positive, got -5"),
-            ("ssl.enabled = true\nssl.labeled_batch = -1",
-             "config section 'ssl' (line 2: ssl.enabled, line 3: ssl.labeled_batch): "
-             "labeled_batch must be nonnegative, got -1"),
-        ],
-    )
+    @pytest.mark.parametrize("text, message", SECTION_CHECKS)
     def test_section_check_names_section_lines_and_keys(self, text, message):
-        with pytest.raises(ValueError) as info:
-            parse_config(f"train.epochs = 3\n{text}")
-        assert str(info.value) == message
+        expect_case("section", text, message)
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["train.epoch = 3", "train.epochs = three", "dataset.shift = -1", "dataset.source = blobs\n"
-     "network.arch = conv"],
+    "fault",
+    ["unknown_key", "bad_int", case_name("section", *SECTION_CHECKS[0]),
+     case_name("image_only", *IMAGE_ONLY[2])],
     ids=["bad_key", "bad_value", "section_check", "image_only"],
 )
-def test_every_fault_raises_config_error(text):
-    with pytest.raises(ConfigError):
-        parse_config(text)
+def test_every_fault_raises_config_error(fault):
+    assert FAULTS[fault][0] is ConfigError
+    expect_faults(fault)
 
 
 class TestImageOnlySettings:
-    @pytest.mark.parametrize(
-        "source, line, setting",
-        [
-            ("two_moons", "mixer.policy = cutmix", "mixer.policy = cutmix"),
-            ("blobs", "mixer.policy = resizemix", "mixer.policy = resizemix"),
-            ("blobs", "network.arch = conv", "network.arch = conv"),
-            ("two_moons", "eval.mixed_pairs = yes", "eval.mixed_pairs = true"),
-            ("blobs", "eval.occlusion = true", "eval.occlusion = true"),
-        ],
-    )
+    @pytest.mark.parametrize("source, line, setting", IMAGE_ONLY)
     def test_rejected_on_vector_sources(self, source, line, setting):
-        key = setting.partition(" = ")[0]
-        with pytest.raises(ValueError) as info:
-            parse_config(f"dataset.source = {source}\ntrain.epochs = 3\n{line}")
-        assert str(info.value) == (
-            f"config (line 1: dataset.source, line 3: {key}): {setting} needs image "
-            f"inputs, but dataset.source = {source} gives vectors"
-        )
+        expect_case("image_only", source, line, setting)
 
     @pytest.mark.parametrize("source", ["images", "idx"])
     def test_accepted_on_image_sources(self, source):
@@ -370,16 +249,9 @@ class TestTwoMoonsClassCount:
         assert "\ndataset.num_classes = 2\n" in serialize_config(cfg)
         assert parse_config(serialize_config(cfg)) == cfg
 
-    @pytest.mark.parametrize("count", [3, 10])
+    @pytest.mark.parametrize("count", MOONS_CLASS_COUNTS)
     def test_other_count_names_both_lines(self, count):
-        with pytest.raises(ConfigError) as info:
-            parse_config(
-                f"dataset.source = two_moons\ntrain.epochs = 3\ndataset.num_classes = {count}"
-            )
-        assert str(info.value) == (
-            "config section 'dataset' (line 1: dataset.source, line 3: dataset.num_classes): "
-            f"num_classes must be 2 for two_moons, got {count}"
-        )
+        expect_case("moons_classes", count)
 
     def test_count_of_two_and_other_sources_parse(self):
         cfg = parse_config("dataset.source = two_moons\ndataset.num_classes = 2")
@@ -420,62 +292,18 @@ class TestDmBceCurveDefault:
         assert (cfg.loss.rescale.t, cfg.loss.rescale.xi) == (1.0, 1.0)
 
 
-@pytest.mark.parametrize(
-    "cls, field, value",
-    [
-        (TrainConfig, "base_lr", math.nan),
-        (TrainConfig, "base_lr", math.inf),
-        (TrainConfig, "min_lr", math.nan),
-        (TrainConfig, "weight_decay", math.nan),
-        (SSLConfig, "unlabeled_weight", math.nan),
-        (SSLConfig, "eta", math.nan),
-        (SSLConfig, "eta", math.inf),
-        (SSLConfig, "alpha", math.nan),
-        (DMConfig, "eta", math.nan),
-        (RescaleParams, "t", math.nan),
-        (MixConfig, "alpha", math.inf),
-        (MixConfig, "alpha", math.nan),
-        (AttackConfig, "epsilon", math.inf),
-    ],
-)
+@pytest.mark.parametrize("cls, field, value", NON_FINITE)
 def test_config_dataclasses_reject_non_finite_floats(cls, field, value):
-    with pytest.raises(ValueError, match=rf"^{field} must be a finite number, got {value!r}$"):
-        cls(**{field: value})
+    expect_case("non_finite", cls, field, value)
 
 
-@pytest.mark.parametrize(
-    "cls, field, value, bound",
-    [
-        (TrainConfig, "base_lr", 0.0, "be positive"),
-        (TrainConfig, "min_lr", 0.0, "be positive"),
-        (TrainConfig, "weight_decay", -1e-4, "be nonnegative"),
-        (TrainConfig, "seed", -1, "be nonnegative"),
-        (TrainConfig, "momentum", -0.1, "lie in [0, 1)"),
-        (TrainConfig, "momentum", 1.0, "lie in [0, 1)"),
-        (SSLConfig, "tau", 0.0, "lie in (0, 1]"),
-        (SSLConfig, "tau", 1.5, "lie in (0, 1]"),
-        (SSLConfig, "unlabeled_weight", -1.0, "be nonnegative"),
-        (SSLConfig, "eta", -0.5, "be nonnegative"),
-        (SSLConfig, "steps", 0, "be positive"),
-        (DMConfig, "eta", -0.1, "be nonnegative"),
-        (RescaleParams, "t", -1.0, "be nonnegative"),
-        (RescaleParams, "xi", -0.1, "lie in [0, 1]"),
-        (RescaleParams, "xi", 1.5, "lie in [0, 1]"),
-        (DatasetSpec, "label_fraction", 1.5, "lie in (0, 1]"),
-    ],
-)
+@pytest.mark.parametrize("cls, field, value, bound", FIELD_BOUNDS)
 def test_each_field_bound_names_field_bound_and_value(cls, field, value, bound):
-    # base_lr and min_lr, and unlabeled_weight and eta, once shared a message.
-    with pytest.raises(ValueError, match=rf"^{field} must {re.escape(bound)}, got {value!r}$"):
-        cls(**{field: value})
+    expect_case("field_bound", cls, field, value, bound)
 
 
 def test_empty_occlusion_ratio_list_rejected():
-    with pytest.raises(ValueError, match="^ratios must hold at least one ratio$"):
-        OcclusionConfig(4, ())
-    message = "config section 'eval' (line 1: eval.occlusion_ratios): ratios must hold at least one"
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        parse_config("eval.occlusion_ratios = ,")
+    expect_faults("no_ratios", case_name("section", *SECTION_CHECKS[-1]))
 
 
 def test_readme_config_example_parses():

@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from demix.data import (
-    Dataset,
     IdxError,
     load_idx,
     make_image_classes,
@@ -17,6 +16,7 @@ from demix.data import (
     split,
     stratified_take,
 )
+from faults import IDX_LABEL_COUNTS, SYNTHETIC_NOISES, expect_case, expect_faults
 from oracles import make_image_classes as one_sample_image_classes
 
 
@@ -64,35 +64,17 @@ class TestIdx:
         assert x.dtype == np.float64
         assert x.tobytes() == (np.arange(256, dtype=np.float64) / 255.0).reshape(4, 8, 8).tobytes()
 
-    def test_bad_image_magic(self, tmp_path):
-        (img, lbl), _, _ = self.two_image_fixture(tmp_path, image_magic=0x102)
-        with pytest.raises(IdxError, match=r"images\.idx: bad image magic 0x00000102"):
-            load_idx(img, lbl)
+    def test_bad_image_magic(self):
+        expect_faults("idx_magic")
 
-    def test_bad_label_magic(self, tmp_path):
-        (img, lbl), _, _ = self.two_image_fixture(tmp_path, label_magic=0x803)
-        with pytest.raises(IdxError, match=r"labels\.idx: bad label magic 0x00000803"):
-            load_idx(img, lbl)
+    def test_bad_label_magic(self):
+        expect_faults("idx_label_magic")
 
-    def test_count_mismatch(self, tmp_path):
-        images = np.zeros((2, 4, 4), dtype=np.uint8)
-        labels = np.array([1, 2, 3], dtype=np.uint8)
-        img, lbl = write_fixture(tmp_path, images, labels)
-        with pytest.raises(
-            IdxError,
-            match=r"header field count: 2 images in .*images\.idx but 3 labels in .*labels\.idx",
-        ):
-            load_idx(img, lbl)
+    def test_count_mismatch(self):
+        expect_faults("idx_count")
 
-    def test_truncated_file(self, tmp_path):
-        (img, lbl), _, _ = self.two_image_fixture(tmp_path)
-        img.write_bytes(img.read_bytes()[:-10])
-        with pytest.raises(IdxError, match=r"images\.idx: header fields count x rows"):
-            load_idx(img, lbl)
-        (img, lbl), _, _ = self.two_image_fixture(tmp_path)
-        lbl.write_bytes(lbl.read_bytes()[:6])
-        with pytest.raises(IdxError, match=r"labels\.idx: label header"):
-            load_idx(img, lbl)
+    def test_truncated_file(self):
+        expect_faults("idx_payload", "idx_label_header")
 
     @pytest.mark.parametrize(
         "header, field",
@@ -110,20 +92,13 @@ class TestIdx:
         with pytest.raises(IdxError, match=rf"images\.idx: header field {field} is"):
             load_idx(img, lbl)
 
-    @pytest.mark.parametrize("count", [-1, 0])
-    def test_bad_label_count_named(self, tmp_path, count):
-        (img, lbl), _, _ = self.two_image_fixture(tmp_path)
-        lbl.write_bytes(struct.pack(">ii", 0x801, count))
-        with pytest.raises(IdxError, match=r"labels\.idx: header field count is"):
-            load_idx(img, lbl)
+    @pytest.mark.parametrize("count", IDX_LABEL_COUNTS)
+    def test_bad_label_count_named(self, count):
+        expect_case("idx_label_count", count)
 
     @pytest.mark.parametrize("which", ["images", "labels"])
-    def test_trailing_bytes_rejected(self, tmp_path, which):
-        (img, lbl), _, _ = self.two_image_fixture(tmp_path)
-        path = img if which == "images" else lbl
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(IdxError, match=rf"{which}\.idx: 1 trailing bytes .* count"):
-            load_idx(img, lbl)
+    def test_trailing_bytes_rejected(self, which):
+        expect_faults(f"idx_trailing_{which}")
 
     @given(
         which=st.sampled_from(["images", "labels"]),
@@ -230,12 +205,10 @@ class TestSynthetic:
         np.testing.assert_allclose(r1, 1.0, atol=1e-12)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_synthetic("spirals", 10, 0.1, 0)
+        expect_faults("synthetic_kind")
 
     def test_minimum_size(self):
-        with pytest.raises(ValueError, match="^n must be at least 2, got 1$"):
-            make_synthetic("blobs", 1, 0.1, 0)
+        expect_faults("synthetic_size")
 
     @pytest.mark.parametrize("kind", ["blobs", "two_moons"])
     @pytest.mark.parametrize("num_classes", [0, -1])
@@ -245,12 +218,9 @@ class TestSynthetic:
         with pytest.raises(ValueError, match=message):
             make_synthetic(kind, 10, 0.1, 0, num_classes=num_classes)
 
-    @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf, -0.5])
+    @pytest.mark.parametrize("noise", SYNTHETIC_NOISES)
     def test_bad_noise_named(self, noise):
-        bound = "be nonnegative" if math.isfinite(noise) else "be a finite number"
-        message = rf"^noise must {bound}, got {noise!r}$"
-        with pytest.raises(ValueError, match=message):
-            make_synthetic("blobs", 4, noise, 0)
+        expect_case("synthetic_noise", noise)
 
 
 class TestImageClasses:
@@ -330,14 +300,10 @@ class TestSplits:
         assert len(a) == 30 and len(b) == 20
 
     def test_split_too_large(self):
-        ds = make_image_classes(10, num_classes=5, seed=1)
-        with pytest.raises(ValueError):
-            split(ds, (8, 8), seed=0)
+        expect_faults("split_sizes")
 
     def test_split_negative_size_rejected(self):
-        ds = make_image_classes(40, num_classes=5, seed=1)
-        with pytest.raises(ValueError, match=r"cannot split 40 samples into \(-1, 5\)"):
-            split(ds, (-1, 5), seed=0)
+        expect_faults("split_negative")
 
     def test_stratified_take_covers_classes(self):
         ds = make_synthetic("two_moons", 1000, 0.1, seed=0)
@@ -347,5 +313,4 @@ class TestSplits:
         assert np.bincount(labeled.y).tolist() == [5, 5]
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset(np.zeros((3, 2)), np.zeros(2), 2)
+        expect_faults("dataset_length")

@@ -26,6 +26,7 @@ from demix.network import (
 )
 
 import oracles
+from faults import expect_faults
 
 
 def record_scored(monkeypatch):
@@ -78,16 +79,10 @@ class TestTop1:
         assert top1_accuracy(identity_net(c), dd.Dataset(x, y, c)) == 0.75
 
     def test_negative_label_rejected(self):
-        c = 3
-        x, y = np.eye(c), np.array([0, -1, 2])
-        with pytest.raises(ValueError, match="^class indices must be nonnegative, got -1$"):
-            top1_accuracy(identity_net(c), dd.Dataset(x, y, c))
+        expect_faults("top1_labels")
 
     def test_fractional_label_rejected(self):
-        c = 3
-        x, y = np.eye(c), np.array([0.0, 1.0, 0.5])
-        with pytest.raises(ValueError, match="^class index 0.5 is not a whole number$"):
-            top1_accuracy(identity_net(c), dd.Dataset(x, y, c))
+        expect_faults("top1_fraction")
 
     def test_whole_float_labels_scored(self):
         c = 3
@@ -95,8 +90,7 @@ class TestTop1:
         assert top1_accuracy(identity_net(c), dd.Dataset(x, y, c)) == 0.75
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="the batch is empty"):
-            top1_accuracy(constant_net(3), _empty_vectors())
+        expect_faults("empty_forward")
 
     def test_chunked_logits_are_the_whole_batch_logits(self):
         c = 3
@@ -117,49 +111,23 @@ def test_inference_passes_are_the_network_functions():
     assert evaluation.top1_accuracy is network.top1_accuracy
 
 
-def _empty_vectors():
-    return dd.Dataset(np.empty((0, 4)), np.empty(0, dtype=int), 3)
-
-
-_NO_ROWS = "no rows to run through the network: the batch is empty"
-
-
+# An empty mixed batch is rejected when it is built, before any scoring.
 @pytest.mark.parametrize(
-    "entry, message",
-    [
-        (lambda: predict_logits(constant_net(3), np.empty((0, 4))), _NO_ROWS),
-        (lambda: predict_logits(
-            init_params(make_conv(1, 3), np.random.default_rng(0)), np.empty((0, 28, 28))
-        ), _NO_ROWS),
-        (lambda: confidence_histogram(constant_net(3), _empty_vectors(), 5), _NO_ROWS),
-        # An empty mixed batch is rejected when it is built, before any scoring.
-        (lambda: mixed_pair_eval(
-            constant_net(3), MixedBatch(np.empty((0, 4)), Targets([], [], []), np.arange(0))
-        ), "^empty batch$"),
-        (lambda: fgsm_attack(constant_net(3), _empty_vectors(), AttackConfig()), _NO_ROWS),
-    ],
+    "fault",
+    ["empty_forward", "empty_forward", "empty_forward", "mixed_batch_empty", "empty_forward"],
     ids=["predict_logits_mlp", "predict_logits_conv", "confidence_histogram",
          "mixed_pair_eval", "fgsm_attack"],
 )
-def test_empty_input_rejected(entry, message):
-    with pytest.raises(ValueError, match=message):
-        entry()
+def test_empty_input_rejected(fault):
+    expect_faults(fault)
 
 
 def test_rows_the_dense_layer_cannot_take_rejected():
-    # 28x28 conv net on 32x32 images: flatten gives 16*8*8 = 1024 values, not 784.
-    net = init_params(make_conv(1, 3), np.random.default_rng(0))
-    with pytest.raises(ValueError, match=r"layer 5 needs 784 inputs per row, got shape \(1024,\)"):
-        predict_logits(net, np.zeros((4, 32, 32)))
+    expect_faults("dense_width")
 
 
 def test_glyphs_the_second_pool_cannot_halve_rejected():
-    # 28x28 conv net on 30x30 glyphs: 16*7*7 = 784 fits the dense layer, but
-    # the 15x15 maps do not halve at the second pool.
-    net = init_params(make_conv(1, 3), np.random.default_rng(0))
-    ds = dd.make_image_classes(6, num_classes=3, size=30, seed=0)
-    with pytest.raises(ValueError, match=r"layer 3 needs .* got \(16, 15, 15\)"):
-        top1_accuracy(net, ds)
+    expect_faults("forward_dims")
 
 
 class TestMixedPairEval:
@@ -245,23 +213,13 @@ class TestHardMixedSetProperties:
             assert band[0] <= lam <= band[1]
 
     @pytest.mark.parametrize(
-        "x, y, count, kwargs, message",
-        [
-            (np.zeros((6, 8, 8)), np.ones(6, int), 3, {},
-             "hard mixed set: pairs need two classes, .* only class 1"),
-            (np.zeros((6, 28, 28)), np.arange(6) % 2, 3, {"area_band": (0.9, 1.0)},
-             r"hard mixed set: no box at lam=0.5 on 28x28 .* \[0.9, 1.0\]"),
-            (np.zeros((6, 8, 8)), np.arange(6) % 2, 0, {}, "^count must be at least 1, got 0$"),
-            (np.zeros((0, 8, 8)), np.zeros(0, int), 3, {}, "hard mixed set: the dataset is empty"),
-            (np.zeros((6, 8)), np.arange(6) % 2, 3, {},
-             r"hard mixed set: inputs must be images .* \(6, 8\)"),
-        ],
+        "fault",
+        ["hard_set_one_class", "hard_set_band", "hard_set_count", "hard_set_empty",
+         "hard_set_vectors"],
         ids=["one_class", "band_unreachable", "count_zero", "empty", "not_images"],
     )
-    def test_bad_input_names_fault(self, x, y, count, kwargs, message):
-        ds = dd.Dataset(x, y, 2)
-        with pytest.raises(ValueError, match=message):
-            make_hard_mixed_set(ds, count, np.random.default_rng(0), **kwargs)
+    def test_bad_input_names_fault(self, fault):
+        expect_faults(fault)
 
     @pytest.mark.parametrize(
         "lam, message",
@@ -376,11 +334,7 @@ class TestOcclusion:
         assert patches_to_mask(1.0, 49) == 49
 
     def test_grid_divisibility(self):
-        ds = dd.make_image_classes(20, num_classes=2, seed=0)
-        with pytest.raises(ValueError):
-            occlusion_eval(
-                constant_net(2, 784), ds, OcclusionConfig(5, (0.5,)), np.random.default_rng(0)
-            )
+        expect_faults("occlusion_tiling")
 
     def test_ratio_zero_is_clean_exactly(self):
         ds = dd.make_image_classes(40, num_classes=2, seed=0)
@@ -469,6 +423,4 @@ class TestConfidenceHistogram:
         assert counts.tolist() == [0, 1]
 
     def test_bin_validation(self):
-        ds = dd.Dataset(np.zeros((1, 4)), np.zeros(1, int), 2)
-        with pytest.raises(ValueError, match="^bins must be at least 1, got 0$"):
-            confidence_histogram(constant_net(2), ds, 0)
+        expect_faults("histogram_bins")

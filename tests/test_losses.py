@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from demix.losses import (
     softmax,
 )
 from demix.mixers import Lambda, MixedTarget, Targets
+from faults import LOGIT_SHAPES, expect_case, expect_faults
 from oracles import (
     asymmetric_dm_loss,
     build_mixed_bce_targets,
@@ -350,20 +350,14 @@ class TestBatchLoss:
         assert batch_loss(z, targets, spec).value == pytest.approx((v1 + v2) / 2)
 
     def test_empty_batch(self):
-        with pytest.raises(ValueError, match="^empty batch$"):
-            batch_loss(np.empty((0, 3)), [], LossSpec("mce"))
+        expect_faults("loss_batch")
 
     def test_target_count_named(self):
-        targets = Targets([0, 1], [1, 0], [0.5, 0.5])
-        with pytest.raises(ValueError, match="one target per sample required, got 2 for 3"):
-            batch_loss(np.zeros((3, 2)), targets, LossSpec())
+        expect_faults("loss_targets")
 
-    @pytest.mark.parametrize("shape", [(3,), (3, 2, 2)])
+    @pytest.mark.parametrize("shape", LOGIT_SHAPES)
     def test_logits_must_be_2d(self, shape):
-        targets = Targets([0, 0, 0], [0, 0, 0], [1.0, 1.0, 1.0])
-        message = f"logits must have shape (n, classes), got {shape}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            batch_loss(np.zeros(shape), targets, LossSpec())
+        expect_case("logits_rank", shape)
 
     @pytest.mark.parametrize("kind", ["mce", "dm_ce", "mbce_one", "mbce_two", "dm_bce"])
     def test_gradient_matches_finite_differences(self, kind):
@@ -474,8 +468,7 @@ class TestBatchedOracle:
         assert np.all(value == 0.0) and np.all(grad == 0.0)
 
     def test_class_index_out_of_range(self):
-        with pytest.raises(ValueError, match="class index 3 out of range for 3 logits"):
-            batch_loss(np.zeros((1, 3)), Targets([0], [3], [0.5]), LossSpec("mce"))
+        expect_faults("loss_class")
 
 
 class TestScalarLargeGaps:

