@@ -16,7 +16,6 @@ import numpy as np
 from . import data as ddata
 from . import evaluation as deval
 from .config import DatasetSpec, ExperimentConfig, parse_config, serialize_config
-from .losses import LossSpec
 from .network import (
     make_conv,
     make_mlp,
@@ -108,10 +107,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     evaluation point.
     """
     out = Path(out_dir if out_dir is not None else cfg.run.out)
-    out.mkdir(parents=True, exist_ok=True)
     train_ds, val_ds, unlabeled_x = load_dataset(cfg.dataset)
     specs = build_specs(cfg, train_ds)
     hard = _check_probes(cfg, val_ds)
+    out.mkdir(parents=True, exist_ok=True)
 
     final_metric = "best_top1" if cfg.ssl is not None else "final_top1"
     rows: list[tuple] = []

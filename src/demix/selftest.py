@@ -38,14 +38,18 @@ def _dm(z: np.ndarray, a: int, b: int) -> tuple[float, np.ndarray]:
     return value[0], grad[0]
 
 
-def _central_diff(f, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    g = np.zeros_like(z)
-    for i in range(len(z)):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h
-        zm[i] -= h
-        g[i] = (f(zp) - f(zm)) / (2.0 * h)
-    return g
+def _central_diff(f, z: np.ndarray, at=None, h: float = 1e-6) -> np.ndarray:
+    """Central differences of ``f()``, which reads ``z``, at each index in ``at``
+    (default: every entry, shaped like ``z``); each entry is put back bit for bit."""
+    g = []
+    for i in np.ndindex(z.shape) if at is None else at:
+        orig = z[i]
+        z[i] = orig + h
+        fp = f()
+        z[i] = orig - h
+        g.append((fp - f()) / (2.0 * h))
+        z[i] = orig
+    return np.reshape(g, z.shape) if at is None else np.array(g)
 
 
 def gradient_oracle_suite() -> tuple[float, float, int]:
@@ -75,8 +79,8 @@ def gradient_oracle_suite() -> tuple[float, float, int]:
             dm_closed[b] = -1.0 + e[b] / no_a
 
             for grad, closed, f in (
-                (_mce(z, a, b, lam)[1], mce_closed, lambda v: _mce(v, a, b, lam)[0]),
-                (_dm(z, a, b)[1], dm_closed, lambda v: _dm(v, a, b)[0]),
+                (_mce(z, a, b, lam)[1], mce_closed, lambda: _mce(z, a, b, lam)[0]),
+                (_dm(z, a, b)[1], dm_closed, lambda: _dm(z, a, b)[0]),
             ):
                 worst_closed = max(worst_closed, float(np.abs(grad - closed).max()))
                 fd = _central_diff(f, z)

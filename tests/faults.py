@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from demix.cli import main as cli_main
 from demix.config import (
@@ -721,3 +723,25 @@ def expect_faults(*names):
 def expect_case(name, *case):
     """:func:`expect_faults` of the row of ``case`` in the family ``name``."""
     expect_faults(case_name(name, *case))
+
+
+# The byte fuzzers of the IDX and DMX1 loaders: each draws one mutation of a
+# good file and asks the loader to read it.
+MUTATIONS = {"op": st.sampled_from(["truncate", "flip", "append"]),
+             "where": st.floats(0.0, 1.0), "byte": st.integers(1, 255)}
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def mutate_file(path, op, where, byte):
+    """Cut ``path`` at, xor ``byte`` into, or insert ``byte`` at the fraction
+    ``where`` of its length."""
+    raw = bytearray(Path(path).read_bytes())
+    at = int(where * len(raw))
+    if op == "truncate":
+        raw = raw[:at]
+    elif op == "flip":
+        raw[min(at, len(raw) - 1)] ^= byte
+    else:
+        raw[at:at] = bytes([byte])
+    Path(path).write_bytes(bytes(raw))

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from demix.data import (
@@ -16,7 +16,9 @@ from demix.data import (
     split,
     stratified_take,
 )
-from faults import IDX_LABEL_COUNTS, SYNTHETIC_NOISES, expect_case, expect_faults
+from faults import (
+    FUZZ, IDX_LABEL_COUNTS, MUTATIONS, SYNTHETIC_NOISES, expect_case, expect_faults, mutate_file,
+)
 from oracles import make_image_classes as one_sample_image_classes
 
 
@@ -100,16 +102,8 @@ class TestIdx:
     def test_trailing_bytes_rejected(self, which):
         expect_faults(f"idx_trailing_{which}")
 
-    @given(
-        which=st.sampled_from(["images", "labels"]),
-        op=st.sampled_from(["truncate", "flip", "append"]),
-        where=st.floats(0.0, 1.0),
-        byte=st.integers(1, 255),
-    )
-    @settings(
-        max_examples=300, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @given(which=st.sampled_from(["images", "labels"]), **MUTATIONS)
+    @FUZZ
     def test_fuzzed_files_raise_only_idx_errors(self, tmp_path, which, op, where, byte):
         rng = np.random.default_rng(0)
         img, lbl = write_fixture(
@@ -117,16 +111,7 @@ class TestIdx:
             rng.integers(0, 256, size=(3, 4, 5), dtype=np.uint8),
             np.array([0, 2, 1], dtype=np.uint8),
         )
-        path = img if which == "images" else lbl
-        raw = bytearray(path.read_bytes())
-        at = int(where * len(raw))
-        if op == "truncate":
-            raw = raw[:at]
-        elif op == "flip":
-            raw[min(at, len(raw) - 1)] ^= byte
-        else:
-            raw[at:at] = bytes([byte])
-        path.write_bytes(bytes(raw))
+        mutate_file(img if which == "images" else lbl, op, where, byte)
         try:
             ds = load_idx(img, lbl)
         except IdxError:

@@ -19,7 +19,7 @@ from demix.evaluation import (
     top1_accuracy,
 )
 from demix.losses import LossSpec, batch_loss
-from demix.mixers import MixConfig, MixedBatch, Targets
+from demix.mixers import MixedBatch, Targets
 from demix.network import (
     TrainConfig, backward, forward, init_params, make_conv, make_mlp, plain_targets,
     train_supervised,

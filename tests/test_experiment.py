@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from demix.evaluation import (
 from demix.network import (
     init_params, load_checkpoint, make_mlp, save_checkpoint, train_supervised,
 )
-from faults import SEED_VALUES, expect_case, expect_faults
+from faults import FAULTS, SEED_VALUES, expect_case, expect_faults
 
 FAST_BLOBS = """
 dataset.source = blobs
@@ -182,6 +183,15 @@ run.name = sslrun
         text = "dataset.size = 20\ndataset.val_size = 20\nnetwork.hidden = 8\n" + settings
         with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(parse_config(text), tmp_path / "p")
+
+    def test_failed_set_up_leaves_no_run_directory(self, tmp_path, monkeypatch):
+        # A conv net on vectors fails in the network, one-class mixed pairs in the probes.
+        monkeypatch.chdir(tmp_path)
+        for name in ("conv_on_vectors", "probe_fault"):
+            error, (run, *_), message = FAULTS[name]
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                run()
+            assert not Path("run").exists(), name
 
     def test_probe_keys_log_the_direct_probe_values(self, tmp_path):
         text = (

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from demix import selftest
+from demix.selftest import _central_diff
 from demix.losses import (
     LOSS_KINDS,
     DMConfig,
@@ -37,16 +38,6 @@ from oracles import (
 finite_logits = st.lists(
     st.floats(min_value=-20, max_value=20), min_size=2, max_size=8
 ).map(lambda v: np.array(v))
-
-
-def central_diff(f, z, h=1e-6):
-    g = np.zeros_like(z)
-    for i in range(len(z)):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h
-        zm[i] -= h
-        g[i] = (f(zp) - f(zm)) / (2 * h)
-    return g
 
 
 class TestSoftmax:
@@ -150,7 +141,7 @@ class TestMceLoss:
         lam = data.draw(st.floats(0.0, 1.0))
         target = MixedTarget(a, b, Lambda(lam))
         res = mce_loss(z, target)
-        fd = central_diff(lambda v: mce_loss(v, target).value, z)
+        fd = _central_diff(lambda: mce_loss(z, target).value, z)
         np.testing.assert_allclose(res.grad_logits, fd, rtol=1e-6, atol=1e-7)
 
     @given(finite_logits, st.floats(-50, 50))
@@ -196,7 +187,7 @@ class TestDmRegularizer:
         a = data.draw(st.integers(0, c - 1))
         b = data.draw(st.integers(0, c - 1))
         res = dm_regularizer(z, a, b)
-        fd = central_diff(lambda v: dm_regularizer(v, a, b).value, z)
+        fd = _central_diff(lambda: dm_regularizer(z, a, b).value, z)
         np.testing.assert_allclose(res.grad_logits, fd, rtol=1e-6, atol=1e-7)
         assert abs(res.grad_logits.sum()) < 1e-10
 
@@ -246,7 +237,7 @@ class TestAsymmetricDmLoss:
         b = data.draw(st.integers(0, c - 1))
         res = asymmetric_dm_loss(z, a, b)
         assert abs(res.grad_logits.sum()) < 1e-10
-        fd = central_diff(lambda v: asymmetric_dm_loss(v, a, b).value, z)
+        fd = _central_diff(lambda: asymmetric_dm_loss(z, a, b).value, z)
         np.testing.assert_allclose(res.grad_logits, fd, rtol=1e-6, atol=1e-7)
 
 
@@ -305,7 +296,7 @@ class TestMbceLoss:
             )
         )
         res = mbce_loss(z, t)
-        fd = central_diff(lambda v: mbce_loss(v, t).value, z)
+        fd = _central_diff(lambda: mbce_loss(z, t).value, z)
         np.testing.assert_allclose(res.grad_logits, fd, rtol=1e-8, atol=1e-8)
 
 
@@ -369,17 +360,8 @@ class TestBatchLoss:
         ]
         spec = LossSpec(kind, DMConfig(0.2), RescaleParams(0.5, 0.8))
         res = batch_loss(z, targets, spec)
-        h = 1e-6
-        for i in range(5):
-            for j in range(4):
-                zp, zm = z.copy(), z.copy()
-                zp[i, j] += h
-                zm[i, j] -= h
-                fd = (
-                    batch_loss(zp, targets, spec).value
-                    - batch_loss(zm, targets, spec).value
-                ) / (2 * h)
-                assert res.grad_logits[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+        fd = _central_diff(lambda: batch_loss(z, targets, spec).value, z)
+        assert res.grad_logits == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def per_sample_reference(z, target, spec):
@@ -517,3 +499,17 @@ class TestSelftestReadsKernels:
         monkeypatch.setattr(selftest, kernel, perturbed)
         worst_closed, _, _ = selftest.gradient_oracle_suite()
         assert worst_closed > 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)], ids=["2d", "3d"])
+@pytest.mark.parametrize("every", [True, False], ids=["every_entry", "at"])
+def test_central_diff_puts_entries_back_and_differences_a_quadratic(shape, every):
+    rng = np.random.default_rng(11)
+    z, c = rng.normal(size=shape), rng.uniform(1.0, 2.0, size=shape)
+    before = z.tobytes()
+    at = None if every else [np.unravel_index(k, shape) for k in (0, 5, z.size - 1)]
+    fd = _central_diff(lambda: np.sum(c * z * z), z, at)
+    assert z.tobytes() == before
+    grad = 2.0 * c * z
+    want = grad if every else np.array([grad[i] for i in at])
+    np.testing.assert_allclose(fd, want, rtol=1e-6, atol=1e-8, strict=True)

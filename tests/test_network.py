@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from demix import data as dd
@@ -39,8 +39,9 @@ from demix.network import (
     _layer_forward,
     _plan,
 )
+from demix.selftest import _central_diff
 import oracles
-from faults import CHAINS, TRAIN_COUNTS, expect_case, expect_faults
+from faults import CHAINS, FUZZ, MUTATIONS, TRAIN_COUNTS, expect_case, expect_faults, mutate_file
 from oracles import mix_linear
 
 ALL_KINDS = ["mce", "dm_ce", "mbce_one", "mbce_two", "dm_bce"]
@@ -175,27 +176,14 @@ class TestBackward:
             zz, _ = forward(params, x)
             return batch_loss(zz, targets, spec).value
 
-        h = 1e-6
         for li in (0, 1):
             arr, g = params.weights[li], grads.weights[li]
-            for idx in [(0, 0), (arr.shape[0] - 1, arr.shape[1] - 1), (1, 2)]:
-                orig = arr[idx]
-                arr[idx] = orig + h
-                vp = value()
-                arr[idx] = orig - h
-                vm = value()
-                arr[idx] = orig
-                fd = (vp - vm) / (2 * h)
+            at = [(0, 0), (arr.shape[0] - 1, arr.shape[1] - 1), (1, 2)]
+            for idx, fd in zip(at, _central_diff(value, arr, at)):
                 assert abs(g[idx] - fd) / max(1.0, abs(g[idx])) < 1e-4
         # input gradients
-        for idx in [(0, 0), (4, 5)]:
-            orig = x[idx]
-            x[idx] = orig + h
-            vp = value()
-            x[idx] = orig - h
-            vm = value()
-            x[idx] = orig
-            fd = (vp - vm) / (2 * h)
+        at = [(0, 0), (4, 5)]
+        for idx, fd in zip(at, _central_diff(value, x, at)):
             assert abs(gx[idx] - fd) / max(1.0, abs(gx[idx])) < 1e-4
 
     def test_conv_param_gradients_vs_fd(self):
@@ -214,33 +202,20 @@ class TestBackward:
             zz, _ = forward(params, x)
             return batch_loss(zz, targets, spec).value
 
-        h = 1e-6
         checked = 0
         for li, arr in enumerate(params.weights):
             if arr is None:
                 continue
             flat = arr.reshape(-1)
             gflat = grads.weights[li].reshape(-1)
-            for k in rng.choice(flat.size, size=min(4, flat.size), replace=False):
-                orig = flat[k]
-                flat[k] = orig + h
-                vp = value()
-                flat[k] = orig - h
-                vm = value()
-                flat[k] = orig
-                fd = (vp - vm) / (2 * h)
+            at = rng.choice(flat.size, size=min(4, flat.size), replace=False)
+            for k, fd in zip(at, _central_diff(value, flat, at)):
                 assert abs(gflat[k] - fd) / max(1.0, abs(gflat[k])) < 1e-4
                 checked += 1
         assert checked >= 8
         # input gradient spot check through conv, pool, flatten
-        for idx in [(0, 0, 0, 0), (3, 0, 5, 7)]:
-            orig = x[idx]
-            x[idx] = orig + h
-            vp = value()
-            x[idx] = orig - h
-            vm = value()
-            x[idx] = orig
-            fd = (vp - vm) / (2 * h)
+        at = [(0, 0, 0, 0), (3, 0, 5, 7)]
+        for idx, fd in zip(at, _central_diff(value, x, at)):
             assert abs(gx[idx] - fd) / max(1.0, abs(gx[idx])) < 1e-4
 
     def test_linear_model_normal_equation_oracle(self):
@@ -608,25 +583,11 @@ class TestManifoldMix:
             zz, _ = forward(self.params, self.x, mix)
             return batch_loss(zz, targets, spec).value
 
-        h = 1e-6
-        w = self.params.weights[0]
-        for idx in [(0, 0), (5, 7)]:
-            orig = w[idx]
-            w[idx] = orig + h
-            vp = value()
-            w[idx] = orig - h
-            vm = value()
-            w[idx] = orig
-            fd = (vp - vm) / (2 * h)
+        at = [(0, 0), (5, 7)]
+        for idx, fd in zip(at, _central_diff(value, self.params.weights[0], at)):
             assert abs(grads.weights[0][idx] - fd) < 1e-6
-        for idx in [(0, 0), (3, 5)]:
-            orig = self.x[idx]
-            self.x[idx] = orig + h
-            vp = value()
-            self.x[idx] = orig - h
-            vm = value()
-            self.x[idx] = orig
-            fd = (vp - vm) / (2 * h)
+        at = [(0, 0), (3, 5)]
+        for idx, fd in zip(at, _central_diff(value, self.x, at)):
             assert abs(gx[idx] - fd) < 1e-6
 
     def test_mix_sites(self):
@@ -667,15 +628,10 @@ class TestRawBatches:
         assert gx.shape == x.shape
         # The input gradient goes through the mix: d sum(g * z) / dx by
         # central differences.
-        h = 1e-6
-        for idx in [(0, 3, 4), (2, 5, 1)]:
-            orig = x[idx]
-            x[idx] = orig + h
-            vp = np.sum(g * forward(params, x, (0, 0.3, perm))[0])
-            x[idx] = orig - h
-            vm = np.sum(g * forward(params, x, (0, 0.3, perm))[0])
-            x[idx] = orig
-            assert abs(gx[idx] - (vp - vm) / (2 * h)) < 1e-6
+        at = [(0, 3, 4), (2, 5, 1)]
+        fd = _central_diff(lambda: np.sum(g * forward(params, x, (0, 0.3, perm))[0]), x, at)
+        for idx, d in zip(at, fd):
+            assert abs(gx[idx] - d) < 1e-6
 
     def test_pool_first_network_takes_4d_input_as_is(self):
         params = Parameters((PoolSpec(2),), [None], [None])
@@ -714,44 +670,23 @@ class TestSgd:
         np.testing.assert_allclose(params.weights[0], 1.0 - 0.1 * 0.5)
         np.testing.assert_allclose(params.biases[0], 0.0)
 
-
-    def test_updates_in_place_bit_equal_to_formula(self):
-        specs = make_conv(1, 3, (8, 8))
-        rng = np.random.default_rng(4)
-        params = init_params(specs, rng)
-        vel = zeros_like_params(params)
-        ref_p, ref_v = copy.deepcopy(params), copy.deepcopy(vel)
-        ids = [id(a) for a in params.arrays() + vel.arrays()]
-        cfg = TrainConfig(base_lr=0.3, min_lr=0.01, momentum=0.9, weight_decay=1e-3)
-        for step in range(5):
-            grads = zeros_like_params(params)
-            for arr in grads.arrays():
-                arr[...] = rng.normal(size=arr.shape)
-            sgd_step(params, grads, vel, step, 5, cfg)
-            lr = cosine_lr(step, 5, cfg)
-            for i, w in enumerate(ref_p.weights):
-                if w is None:
-                    continue
-                ref_v.weights[i] = cfg.momentum * ref_v.weights[i] + grads.weights[i]
-                ref_v.biases[i] = cfg.momentum * ref_v.biases[i] + grads.biases[i]
-                ref_p.weights[i] = w - lr * (ref_v.weights[i] + cfg.weight_decay * w)
-                ref_p.biases[i] = ref_p.biases[i] - lr * ref_v.biases[i]
-        assert [id(a) for a in params.arrays() + vel.arrays()] == ids
-        for got, want in zip(params.arrays() + vel.arrays(), ref_p.arrays() + ref_v.arrays()):
-            assert np.array_equal(got, want)
-
     @pytest.mark.parametrize(
-        "spec, order",
-        [(DenseSpec(784, 256), "C"), (DenseSpec(784, 256), "F"), (DenseSpec(129, 256), "C"),
-         (DenseSpec(2, 32), "C"), (ConvSpec(8, 16), "C"), (ConvSpec(8, 16), "F")],
-        ids=["784x256", "784x256_fortran", "129x256", "2x32", "16x8x3x3", "16x8x3x3_fortran"],
+        "specs, order",
+        [((DenseSpec(784, 256),), "C"), ((DenseSpec(784, 256),), "F"),
+         ((DenseSpec(129, 256),), "C"), ((DenseSpec(2, 32),), "C"), ((ConvSpec(8, 16),), "C"),
+         ((ConvSpec(8, 16),), "F"), (make_conv(1, 3, (8, 8)), "C")],
+        ids=["784x256", "784x256_fortran", "129x256", "2x32", "16x8x3x3", "16x8x3x3_fortran",
+             "conv_net"],
     )
     @pytest.mark.parametrize("momentum, weight_decay", [(0.9, 1e-4), (0.0, 1e-4), (0.9, 0.0)])
-    def test_row_blocks_bytes_equal_whole_array_form(self, spec, order, momentum, weight_decay):
+    def test_row_blocks_bytes_equal_whole_array_form(self, specs, order, momentum, weight_decay):
+        # conv_net: weightless pool and flatten layers among three biased ones.
         rng = np.random.default_rng(7)
-        params = init_params((spec,), rng)
+        params = init_params(specs, rng)
         params.weights[0] = np.asarray(params.weights[0], order=order)
-        params.biases[0] = rng.normal(size=params.biases[0].shape)
+        for i, b in enumerate(params.biases):
+            if b is not None:
+                params.biases[i] = rng.normal(size=b.shape)
         vel = zeros_like_params(params)
         ref_p, ref_v = copy.deepcopy(params), copy.deepcopy(vel)
         ids = [id(a) for a in params.arrays() + vel.arrays()]
@@ -951,29 +886,13 @@ class TestCheckpoint:
     def test_non_finite_weights_rejected(self):
         expect_faults("checkpoint_nan")
 
-    @given(
-        arch=st.sampled_from(["mlp", "conv"]),
-        op=st.sampled_from(["truncate", "flip", "append"]),
-        where=st.floats(0.0, 1.0),
-        byte=st.integers(1, 255),
-    )
-    @settings(
-        max_examples=300, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @given(arch=st.sampled_from(["mlp", "conv"]), **MUTATIONS)
+    @FUZZ
     def test_fuzzed_files_raise_only_value_errors(self, tmp_path, arch, op, where, byte):
         specs = make_mlp(4, 3, 2) if arch == "mlp" else make_conv(1, 2, (4, 4))
         path = tmp_path / "m.dmx"
         save_checkpoint(init_params(specs, np.random.default_rng(0)), path)
-        raw = bytearray(path.read_bytes())
-        at = int(where * len(raw))
-        if op == "truncate":
-            raw = raw[:at]
-        elif op == "flip":
-            raw[min(at, len(raw) - 1)] ^= byte
-        else:
-            raw[at:at] = bytes([byte])
-        path.write_bytes(bytes(raw))
+        mutate_file(path, op, where, byte)
         try:
             params = load_checkpoint(path)
         except CheckpointError:

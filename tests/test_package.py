@@ -53,6 +53,19 @@ def test_script_imports_only_numpy_demix_and_the_standard_library(path):
     assert _imports_outside(path, ALLOWED | {"demix"}) == []
 
 
+@pytest.mark.parametrize("path", [p for p in TREES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_module_imports_are_all_used(path):
+    # __init__.py imports to re-export; `from __future__` binds no name.
+    used = {node.id for node in ast.walk(TREES[path]) if isinstance(node, ast.Name)}
+    unused = [f"line {node.lineno}: {name}" for node in TREES[path].body
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and getattr(node, "module", None) != "__future__"
+              for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+              if name not in used]
+    assert unused == []
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_reads_no_environment_variable(path):
     reads = []
